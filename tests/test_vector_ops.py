@@ -1,5 +1,6 @@
 """Task-vector arithmetic: exact examples, algebraic properties, serialization."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from synvec.errors import (
     ValidationError,
     ZeroNormError,
 )
-from synvec.tensor_store import Dtype, TensorMap, schema_of
+from synvec.tensor_store import Dtype, TensorMap, fingerprint, schema_of
 from synvec.vector_ops import (
     Provenance,
     TaskVector,
@@ -151,6 +152,34 @@ def test_ensemble_merges_domain_provenance():
     a = compute_task_vector(ones, zeros, Provenance(source_domain_label="music"))
     b = compute_task_vector(ones, zeros, Provenance(source_domain_label="email"))
     assert ensemble_average([a, b]).provenance.source_domain_label == "email+music"
+
+
+def _golden_vectors(dtype, k=4, seed=20240603):
+    # One tensor spans more than one 1M-element chunk of the mean.
+    rng = np.random.default_rng(seed)
+    shapes = {"big": (1 << 20) + 4099, "mid": (257, 33), "scalar": ()}
+    vectors = []
+    for _ in range(k):
+        entries = {n: (rng.standard_normal(s) * 1e-2).astype(dtype) for n, s in shapes.items()}
+        tmap = TensorMap(entries)
+        vectors.append(TaskVector(deltas=tmap, base_schema=fingerprint(tmap)))
+    return vectors
+
+
+@pytest.mark.parametrize(
+    "dtype, digest",
+    [
+        (np.float16, "a814d1b714ed421415a774b84bf9eedb143d3f398b2647deeb59b0727724326f"),
+        (np.float32, "7c35c37ac6bbae56f795b5cd0db643f46494d5237d89171f9dcc280ed1f7706a"),
+    ],
+)
+def test_ensemble_golden_digest(dtype, digest):
+    avg = ensemble_average(_golden_vectors(dtype))
+    h = hashlib.sha256()
+    for name, arr in avg.deltas.items():
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_apply_ensemble_singleton_reduction(rng):
