@@ -22,7 +22,6 @@ from .sweep_harness import (
     DEFAULT_LAMBDA_GRID,
     SweepConfig,
     SweepResult,
-    best_lambda,
     run_domain_ablation,
     run_lambda_sweep,
 )
@@ -151,10 +150,7 @@ def _cmd_ensemble(args) -> dict:
 def _cmd_cosine(args) -> dict:
     a = load_task_vector(args.a)
     b = load_task_vector(args.b)
-    value = cosine_similarity(a, b, args.granularity)
-    if args.granularity == "global":
-        return {"granularity": "global", "cosine": value}
-    return {"granularity": "per_tensor", "cosine": value}
+    return {"granularity": args.granularity, "cosine": cosine_similarity(a, b, args.granularity)}
 
 
 def _cmd_inspect(args) -> dict:
@@ -199,9 +195,7 @@ def _cmd_sweep(args) -> dict:
     result = run_lambda_sweep(model, vectors, _sweep_config(args))
     _maybe_write(args.json_out, result.to_json())
     _maybe_write(args.csv_out, result.to_csv())
-    payload = result.to_json_obj()
-    payload["best_lambda"] = best_lambda(result)
-    return payload
+    return result.to_json_obj()
 
 
 def _cmd_ablate(args) -> dict:

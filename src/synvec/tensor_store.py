@@ -286,6 +286,16 @@ def fingerprint(tmap: TensorMap, *, include_content: bool = False) -> Fingerprin
     return Fingerprint(schema_hash=schema_of(tmap).schema_hash, content_hash=content)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    # json.loads would otherwise keep the last of two entries with one name.
+    out: dict[str, object] = {}
+    for key, value in pairs:
+        if key in out:
+            raise InvalidHeaderError(f"header has duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def _parse_header_entry(name: str, entry: object, data_size: int) -> TensorMeta:
     if not isinstance(entry, dict):
         raise InvalidHeaderError(f"header entry for {name!r} is not an object")
@@ -370,7 +380,7 @@ def read_checkpoint(path: str | Path) -> TensorMap:
             )
         header_bytes = handle.read(header_len)
         try:
-            header = json.loads(header_bytes.decode("utf-8"))
+            header = json.loads(header_bytes.decode("utf-8"), object_pairs_hook=_unique_keys)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InvalidHeaderError(f"{path}: header is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(header, dict):

@@ -11,12 +11,22 @@ back with round-to-nearest-even, and every accumulation (dot products, norms,
 means) runs in F64 with a deterministic, fixed reduction order regardless of
 storage dtype. Small deltas between large weights survive this; they would
 not survive F16 arithmetic.
+
+Dot products and squared norms are ``np.sum`` over the F64 product of the
+exactly widened tensors, one tensor at a time, so their pairwise reduction
+order is numpy's; each vector's squared sums are computed once and cached.
+The ensemble mean adds each element's k addends in ascending order, starting
+from +0.0: a Batcher sorting network orders them, except for all-F16 inputs
+with k < 2**13, whose F64 sum is exact in any order (see
+:func:`ensemble_average`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -62,6 +72,7 @@ _RESERVED_KEYS = {
 }
 
 _MEAN_CHUNK_ELEMENTS = 1 << 20  # bounds transient memory of ensemble averaging
+_F16_EXACT_MAX_K = 1 << 13  # F64 sums of fewer F16 values than this are exact
 
 
 @dataclass(frozen=True)
@@ -97,6 +108,31 @@ class TaskVector:
                 tensor=name,
                 index=index,
             )
+
+    @functools.cached_property
+    def _squared_sums(self) -> dict[str, float]:
+        """Per-tensor F64 sums of squared deltas, computed once per vector."""
+        scratch = np.empty(_largest_size(self.deltas), dtype=np.float64)
+        sums = {}
+        for name, arr in self.deltas.items():
+            wide = _widened(arr, scratch)
+            sums[name] = float(np.sum(np.square(wide, out=wide)))
+        return sums
+
+
+def _largest_size(tmap: TensorMap) -> int:
+    return max((arr.size for _, arr in tmap.items()), default=0)
+
+
+def _widened(arr: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``arr`` flattened and widened to F64 in the front of ``scratch``.
+
+    Widening is exact, so a reduction over the result, or over its product
+    with another tensor, has the bits of one over ``astype(np.float64)``.
+    """
+    wide = scratch[: arr.size]
+    np.copyto(wide, arr.reshape(-1))
+    return wide
 
 
 def _require_compatible(a: TensorMap, b: TensorMap) -> None:
@@ -158,7 +194,7 @@ def apply_task_vector(
     A non-finite result (e.g. an F16 overflow after narrowing) is an error
     naming the tensor and the first offending element.
     """
-    if not isinstance(lam, (int, float)) or not math.isfinite(lam):
+    if not isinstance(lam, numbers.Real) or not math.isfinite(lam):
         raise ValidationError(f"scaling factor must be a finite scalar, got {lam!r}")
     _require_compatible(model, tau.deltas)
     if not allow_non_finite:
@@ -198,12 +234,43 @@ def _merged_provenance(vectors: Sequence[TaskVector]) -> Provenance:
     )
 
 
+@functools.cache
+def _batcher_network(k: int) -> tuple[tuple[int, int], ...]:
+    """Comparators (lo, hi) of Batcher's odd-even merge sort for k inputs.
+
+    The network is built for the next power of two; comparators touching a
+    padded slot are dropped, which is exact because a padded slot would hold
+    +inf and never move.
+    """
+    n = 1 << (k - 1).bit_length()
+    pairs = []
+    p = 1
+    while p < n:
+        step = p
+        while step >= 1:
+            for j in range(step % p, n - step, 2 * step):
+                for i in range(min(step, n - j - step)):
+                    lo, hi = i + j, i + j + step
+                    if lo // (2 * p) == hi // (2 * p) and hi < k:
+                        pairs.append((lo, hi))
+            step //= 2
+        p *= 2
+    return tuple(pairs)
+
+
 def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
     """Per-element arithmetic mean of task vectors sharing one base schema.
 
-    The k addends of every element are sorted before a fixed F64 reduction,
-    which makes the result exactly invariant under permutation of the input
-    list. Provenance records all constituent domains.
+    Each element's k addends are widened to F64 and summed in ascending
+    order, starting from +0.0, then divided by k and narrowed once. The
+    result is therefore exactly invariant under permutation of the input
+    list. The ascending order comes from a Batcher sorting network of
+    ``np.minimum``/``np.maximum`` passes. All-F16 inputs with k < 2**13 skip
+    it: every F16 value is an integer multiple of 2**-24 below 2**16, so any
+    F64 sum of fewer than 2**13 of them is exact and equals the sorted sum.
+    The +0.0 start makes the sign of a zero sum +0 whatever the order, so
+    the network may duplicate one zero of a (-0, +0) pair without effect.
+    Provenance records all constituent domains.
     """
     if not vectors:
         raise ValidationError("ensemble_average needs at least one task vector")
@@ -215,17 +282,29 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
     if len(vectors) == 1:
         return vectors[0]
     k = len(vectors)
+    chunk = min(_largest_size(vectors[0].deltas), _MEAN_CHUNK_ELEMENTS)
+    scratch = np.empty((k + 1, chunk), dtype=np.float64)
     deltas = {}
     for name, first in vectors[0].deltas.items():
         flat_inputs = [v.deltas[name].reshape(-1) for v in vectors]
-        n = first.size
-        mean = np.empty(n, dtype=np.float64)
-        for start in range(0, n, _MEAN_CHUNK_ELEMENTS):
-            stop = min(start + _MEAN_CHUNK_ELEMENTS, n)
-            stacked = np.stack([flat[start:stop].astype(np.float64) for flat in flat_inputs])
-            stacked.sort(axis=0)
-            mean[start:stop] = stacked.sum(axis=0) / k
-        deltas[name] = mean.reshape(first.shape).astype(first.dtype)
+        exact_sum = k < _F16_EXACT_MAX_K and all(f.dtype == np.float16 for f in flat_inputs)
+        out = np.empty(first.shape, dtype=first.dtype)
+        out_flat = out.reshape(-1)
+        for start in range(0, first.size, _MEAN_CHUNK_ELEMENTS):
+            stop = min(start + _MEAN_CHUNK_ELEMENTS, first.size)
+            rows = list(scratch[:, : stop - start])
+            for row, flat in zip(rows, flat_inputs):
+                row[...] = flat[start:stop]
+            if not exact_sum:
+                for lo, hi in _batcher_network(k):
+                    np.minimum(rows[lo], rows[hi], out=rows[k])
+                    np.maximum(rows[lo], rows[hi], out=rows[hi])
+                    rows[lo], rows[k] = rows[k], rows[lo]
+            total = np.add(rows[0], 0.0, out=rows[0])
+            for row in rows[1:k]:
+                np.add(total, row, out=total)
+            out_flat[start:stop] = np.divide(total, k, out=total)
+        deltas[name] = out
     return TaskVector(
         deltas=TensorMap(deltas),
         base_schema=Fingerprint(schema_hash=hashes.pop()),
@@ -246,13 +325,6 @@ def apply_ensemble(
     )
 
 
-def _dot_and_norms(a: TensorMap, b: TensorMap, name: str) -> tuple[float, float, float]:
-    # np.sum on the F64 product keeps a fixed pairwise reduction order.
-    x = a[name].reshape(-1).astype(np.float64)
-    y = b[name].reshape(-1).astype(np.float64)
-    return float(np.sum(x * y)), float(np.sum(x * x)), float(np.sum(y * y))
-
-
 def cosine_similarity(
     a: TaskVector,
     b: TaskVector,
@@ -268,21 +340,27 @@ def cosine_similarity(
     if granularity not in ("global", "per_tensor"):
         raise ValidationError(f"granularity must be 'global' or 'per_tensor', got {granularity!r}")
     _require_compatible(a.deltas, b.deltas)
+    sq_a, sq_b = a._squared_sums, b._squared_sums
+    scratch = np.empty(_largest_size(a.deltas), dtype=np.float64)
+
+    def dot(name: str) -> float:
+        wide = _widened(a.deltas[name], scratch)
+        return float(np.sum(np.multiply(wide, b.deltas[name].reshape(-1), out=wide)))
+
     if granularity == "per_tensor":
         out: dict[str, float | None] = {}
         for name in a.deltas.names():
-            dot, na, nb = _dot_and_norms(a.deltas, b.deltas, name)
+            na, nb = sq_a[name], sq_b[name]
             if na == 0.0 or nb == 0.0:
                 out[name] = None
             else:
-                out[name] = float(np.clip(dot / math.sqrt(na * nb), -1.0, 1.0))
+                out[name] = float(np.clip(dot(name) / math.sqrt(na * nb), -1.0, 1.0))
         return out
     dot_total = norm_a = norm_b = 0.0
     for name in a.deltas.names():
-        dot, na, nb = _dot_and_norms(a.deltas, b.deltas, name)
-        dot_total += dot
-        norm_a += na
-        norm_b += nb
+        dot_total += dot(name)
+        norm_a += sq_a[name]
+        norm_b += sq_b[name]
     if norm_a == 0.0 or norm_b == 0.0:
         raise ZeroNormError("global cosine similarity is undefined for a zero-norm task vector")
     return float(np.clip(dot_total / math.sqrt(norm_a * norm_b), -1.0, 1.0))
@@ -313,17 +391,20 @@ def norm_stats(tau: TaskVector) -> NormReport:
     abs_total = 0.0
     max_total = 0.0
     n_total = 0
+    scratch = np.empty(_largest_size(tau.deltas), dtype=np.float64)
     for name, arr in tau.deltas.items():
-        x = np.abs(arr.reshape(-1).astype(np.float64))
-        sq = float(np.sum(x * x))
+        x = _widened(arr, scratch)
+        np.abs(x, out=x)
+        sq = tau._squared_sums[name]
+        abs_sum = float(np.sum(x))
         per_tensor[name] = TensorStats(
             l2_norm=math.sqrt(sq),
             max_abs=float(x.max()) if x.size else 0.0,
-            mean_abs=float(np.sum(x) / x.size) if x.size else 0.0,
+            mean_abs=abs_sum / x.size if x.size else 0.0,
             num_elements=int(x.size),
         )
         sq_total += sq
-        abs_total += float(np.sum(x))
+        abs_total += abs_sum
         max_total = max(max_total, per_tensor[name].max_abs)
         n_total += int(x.size)
     total = TensorStats(

@@ -310,6 +310,21 @@ def test_reversed_offsets(tmp_path):
         read_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "second_range, data_len",
+    [([0, 4], 4), ([4, 8], 8)],  # the last entry alone would be valid / would leave a gap
+)
+def test_duplicate_tensor_name_rejected(tmp_path, second_range, data_len):
+    path = tmp_path / "dup.st"
+    header = (
+        '{"w":{"dtype":"F32","shape":[1],"data_offsets":[0,4]},'
+        f'"w":{{"dtype":"F16","shape":[2],"data_offsets":{json.dumps(second_range)}}}}}'
+    ).encode()
+    path.write_bytes(len(header).to_bytes(8, "little") + header + b"\x00" * data_len)
+    with pytest.raises(InvalidHeaderError, match="duplicate"):
+        read_checkpoint(path)
+
+
 def test_non_finite_write_rejected_then_permitted(tmp_path):
     tmap = TensorMap({"w": np.array([1.0, np.inf], dtype=np.float32)})
     path = tmp_path / "inf.st"

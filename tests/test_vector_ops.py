@@ -104,6 +104,21 @@ def test_apply_rejects_non_finite_lambda():
         apply_task_vector(model, tau, float("inf"))
 
 
+@pytest.mark.parametrize("lam", [np.float32(0.5), np.float16(0.5), np.int64(1), 1])
+def test_apply_accepts_real_scalars(lam):
+    model = TensorMap({"w": np.array([1.0, -2.0], dtype=np.float32)})
+    tau = simple_vector([0.5, 0.25])
+    expected = apply_task_vector(model, tau, float(lam))
+    assert apply_task_vector(model, tau, lam) == expected
+
+
+@pytest.mark.parametrize("lam", [np.float32("nan"), np.float64("inf"), "0.5", 1j, None])
+def test_apply_rejects_non_finite_or_non_real_lambda(lam):
+    model = TensorMap({"w": np.zeros(1, dtype=np.float32)})
+    with pytest.raises(ValidationError):
+        apply_task_vector(model, simple_vector([1.0]), lam)
+
+
 def test_apply_reports_overflowing_tensor():
     model = TensorMap({"w": np.array([60000.0], dtype=np.float16)})
     tau = compute_task_vector(
@@ -180,6 +195,47 @@ def test_ensemble_golden_digest(dtype, digest):
         h.update(name.encode())
         h.update(arr.tobytes())
     assert h.hexdigest() == digest
+
+
+def _sorted_mean(arrays):
+    # The reference: widen, sort every element's addends, sum, divide, narrow.
+    stacked = np.stack([a.reshape(-1).astype(np.float64) for a in arrays])
+    stacked.sort(axis=0)
+    return (stacked.sum(axis=0) / len(arrays)).reshape(arrays[0].shape).astype(arrays[0].dtype)
+
+
+def _edge_case_addends(rng, dtype, k, n=512):
+    info = np.finfo(dtype)
+    specials = np.array(
+        [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+         info.tiny / 3, -info.tiny / 5, info.tiny, -info.tiny, info.eps, 1.0, -1.0],
+        dtype=dtype,
+    )
+    rows = (rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-4, 3, (k, n))).astype(dtype)
+    mask = rng.random((k, n)) < 0.4
+    rows[mask] = rng.choice(specials, int(mask.sum()))
+    # At most one +-max per element: two in F64 would overflow the sum.
+    columns = np.nonzero(rng.random(n) < 0.3)[0]
+    rows[rng.integers(0, k, columns.size), columns] = info.max * rng.choice([-1, 1], columns.size)
+    rows[:, :4] = -0.0  # all-negative-zero elements average to +0
+    rows[: k // 2, 4:8] = 0.0  # mixed-sign zeros
+    return list(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("k", range(2, 18))
+def test_ensemble_matches_sorted_sum_bitwise(dtype, k):
+    rng = np.random.default_rng(1000 * k + np.dtype(dtype).itemsize)
+    addends = _edge_case_addends(rng, dtype, k)
+    vectors = []
+    for values in addends:
+        tmap = TensorMap({"w": values.reshape(16, -1), "s": values[:1].reshape(())})
+        vectors.append(TaskVector(deltas=tmap, base_schema=fingerprint(tmap)))
+    avg = ensemble_average(vectors)
+    for name in ("w", "s"):
+        expected = _sorted_mean([v.deltas[name] for v in vectors])
+        assert avg.deltas[name].dtype == expected.dtype
+        assert avg.deltas[name].tobytes() == expected.tobytes()
 
 
 def test_apply_ensemble_singleton_reduction(rng):
@@ -371,6 +427,63 @@ def test_similarity_matrix_symmetric_unit_diagonal(rng):
     assert np.array_equal(matrix.values, matrix.values.T)
     assert np.all(np.diag(matrix.values) == 1.0)
     assert np.all(matrix.values <= 1.0) and np.all(matrix.values >= -1.0)
+
+
+def _widened_cosine(a, b, names):
+    # The reference: widen both tensors, then np.sum of F64 products per tensor.
+    dot = na = nb = 0.0
+    for name in names:
+        x = a.deltas[name].reshape(-1).astype(np.float64)
+        y = b.deltas[name].reshape(-1).astype(np.float64)
+        dot += float(np.sum(x * y))
+        na += float(np.sum(x * x))
+        nb += float(np.sum(y * y))
+    if na == 0.0 or nb == 0.0:
+        return np.nan
+    return float(np.clip(dot / math.sqrt(na * nb), -1.0, 1.0))
+
+
+def test_similarity_matrix_matches_widened_formula_bitwise(rng):
+    base = random_tensor_map(rng, max_tensors=6, max_side=40, with_metadata=False)
+    base = TensorMap({**dict(base.items()), "zero": np.zeros((3, 5), dtype=np.float16)})
+    labeled = []
+    for i in range(4):
+        entries = {
+            n: (a.astype(np.float64) + 10.0 ** rng.uniform(-3, 1) * rng.standard_normal(a.shape))
+            .astype(a.dtype)
+            for n, a in base.items()
+        }
+        if i == 2:  # one vector has a zero-norm tensor
+            entries["zero"] = base["zero"]
+        labeled.append((f"v{i}", compute_task_vector(TensorMap(entries), base)))
+    vectors = [v for _, v in labeled]
+    names = vectors[0].deltas.names()
+
+    glob = similarity_matrix(labeled, "global")
+    per_tensor = similarity_matrix(labeled, "per_tensor")
+    for i in range(4):
+        for j in range(4):
+            if i == j:
+                continue
+            assert glob.values[i, j] == _widened_cosine(vectors[i], vectors[j], names)
+            for name in names:
+                expected = _widened_cosine(vectors[i], vectors[j], [name])
+                got = per_tensor[name].values[i, j]
+                assert got == expected or (np.isnan(got) and np.isnan(expected))
+    assert np.isnan(per_tensor["zero"].values[2, 2])
+    assert np.isnan(per_tensor["zero"].values[2, 0])
+
+
+def test_norm_stats_matches_widened_formula_bitwise(rng):
+    tmap = random_tensor_map(rng, max_side=40, with_metadata=False)
+    tau = TaskVector(deltas=tmap, base_schema=fingerprint(tmap))
+    report = norm_stats(tau)
+    for name, arr in tmap.items():
+        x = np.abs(arr.reshape(-1).astype(np.float64))
+        stats = report.per_tensor[name]
+        assert stats.l2_norm == math.sqrt(float(np.sum(x * x)))
+        assert stats.mean_abs == float(np.sum(x) / x.size)
+        assert stats.max_abs == float(x.max())
 
 
 def test_similarity_matrix_needs_two_vectors():
