@@ -287,7 +287,7 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
     deltas = {}
     for name, first in vectors[0].deltas.items():
         flat_inputs = [v.deltas[name].reshape(-1) for v in vectors]
-        exact_sum = k < _F16_EXACT_MAX_K and all(f.dtype == np.float16 for f in flat_inputs)
+        exact_sum = first.dtype == np.float16 and k < _F16_EXACT_MAX_K  # one schema, one dtype
         out = np.empty(first.shape, dtype=first.dtype)
         out_flat = out.reshape(-1)
         for start in range(0, first.size, _MEAN_CHUNK_ELEMENTS):
@@ -300,7 +300,7 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
                     np.minimum(rows[lo], rows[hi], out=rows[k])
                     np.maximum(rows[lo], rows[hi], out=rows[hi])
                     rows[lo], rows[k] = rows[k], rows[lo]
-            total = np.add(rows[0], 0.0, out=rows[0])
+            total = np.add(rows[0], 0.0, out=rows[0])  # the +0.0 start
             for row in rows[1:k]:
                 np.add(total, row, out=total)
             out_flat[start:stop] = np.divide(total, k, out=total)
