@@ -25,7 +25,13 @@ from .sweep_harness import (
     run_domain_ablation,
     run_lambda_sweep,
 )
-from .tensor_store import fingerprint, read_checkpoint, schema_of, write_checkpoint
+from .tensor_store import (
+    fingerprint,
+    open_replacing,
+    read_checkpoint,
+    schema_of,
+    write_checkpoint,
+)
 from .toy_experiment import (
     ConditionShift,
     ToyDataSpec,
@@ -89,7 +95,8 @@ def _load_vectors(paths: list[str]):
 
 def _maybe_write(path: str | None, text: str) -> None:
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        with open_replacing(path) as handle:
+            handle.write(text.encode("utf-8"))
 
 
 def _cmd_diff(args) -> dict:

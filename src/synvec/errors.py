@@ -87,7 +87,19 @@ class TrainingDivergedError(SynvecError):
 
 
 class EvaluatorError(SynvecError):
-    """External evaluator failed (bad exit, bad output, or timeout)."""
+    """External evaluator failed (bad exit, bad output, or timeout).
+
+    ``failure_kind`` is spawn, exit, timeout, output or unknown; an ``exit``
+    failure also carries the evaluator's ``evaluator_exit_code`` and
+    ``stderr``. (``exit_code`` stays the CLI's status for this error, 3.)
+    """
 
     kind = "evaluator"
     exit_code = 3
+
+    def __init__(self, message: str, failure_kind: str = "unknown",
+                 evaluator_exit_code: int | None = None, stderr: str = ""):
+        super().__init__(message)
+        self.failure_kind = failure_kind
+        self.evaluator_exit_code = evaluator_exit_code
+        self.stderr = stderr

@@ -29,6 +29,7 @@ import numpy as np
 from ._version import __version__
 from .errors import ValidationError
 from .sweep_harness import SweepResult, relative_wer
+from .tensor_store import open_replacing
 from .vector_ops import SimilarityMatrix, TaskVector, similarity_matrix
 
 _UNDEFINED_CELL = ""  # CSV marker for undefined (zero-norm) similarities
@@ -83,11 +84,13 @@ class ReportBundle:
         """Write files and manifest under ``<out_root>/<name>/``."""
         out_dir = Path(out_root) / self.name
         out_dir.mkdir(parents=True, exist_ok=True)
-        for _, f in self.files():
-            (out_dir / f.name).write_bytes(f.content)
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         manifest = json.dumps(self.manifest_obj(created_at=stamp), indent=2) + "\n"
-        (out_dir / "manifest.json").write_text(manifest, encoding="utf-8")
+        contents = [(f.name, f.content) for _, f in self.files()]
+        contents.append(("manifest.json", manifest.encode("utf-8")))
+        for name, content in contents:
+            with open_replacing(out_dir / name) as handle:
+                handle.write(content)
         return out_dir
 
 

@@ -5,7 +5,12 @@ with a ``{checkpoint}`` placeholder (and optional ``{lambda}``) that must
 print a single-line JSON object ``{"wer": <number>}`` to stdout and exit 0.
 Anything else counts as a per-grid-point failure; a sweep only fails outright
 when every grid point fails. ``SYNVEC_EVAL_TIMEOUT_SECS`` (default 3600)
-bounds each invocation.
+bounds each invocation. Each evaluator runs in a session of its own, so a
+timeout or an interrupt kills it together with any children it started.
+
+Sweep points and ablation points alike run through one thread pool of
+``parallel_workers`` threads; results are gathered back in grid order, and
+each point writes its checkpoint under a name carrying its task index.
 
 JSON/CSV serializations are canonical: stable key order, records sorted by
 scaling factor, and no wall-clock times, so two runs with a deterministic
@@ -19,12 +24,13 @@ import logging
 import math
 import os
 import shlex
+import signal
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +45,18 @@ DEFAULT_TIMEOUT_SECS = 3600.0
 
 # Sweep grid 0.0, 0.1, ..., 1.0; zero anchors the unmodified-model baseline.
 DEFAULT_LAMBDA_GRID = tuple(round(i / 10, 1) for i in range(11))
+
+
+def validate_lambda_grid(values: Sequence[float]) -> tuple[float, ...]:
+    """The grid as sorted floats; it must be non-empty, finite and unique."""
+    grid = tuple(float(v) for v in values)
+    if not grid:
+        raise ValidationError("lambda grid must be non-empty")
+    if any(not math.isfinite(v) for v in grid):
+        raise ValidationError("lambda grid values must be finite")
+    if len(set(grid)) != len(grid):
+        raise ValidationError("lambda grid values must be unique")
+    return tuple(sorted(grid))
 
 
 def relative_wer(baseline: float, adapted: float) -> float:
@@ -61,14 +79,7 @@ class SweepConfig:
     def __post_init__(self):
         if not self.evaluator or not self.evaluator.strip():
             raise ValidationError("evaluator command must be non-empty")
-        grid = tuple(float(v) for v in self.lambda_grid)
-        if not grid:
-            raise ValidationError("lambda grid must be non-empty")
-        if any(not math.isfinite(v) for v in grid):
-            raise ValidationError("lambda grid values must be finite")
-        if len(set(grid)) != len(grid):
-            raise ValidationError("lambda grid values must be unique")
-        object.__setattr__(self, "lambda_grid", tuple(sorted(grid)))
+        object.__setattr__(self, "lambda_grid", validate_lambda_grid(self.lambda_grid))
         object.__setattr__(self, "workdir", Path(self.workdir))
         if self.parallel_workers < 1:
             raise ValidationError("parallel_workers must be a positive integer")
@@ -187,22 +198,14 @@ def _format_lambda(lam: float) -> str:
     return repr(float(lam))
 
 
-def _failure(kind: str, message: str, exit_code: int | None = None,
-             stderr: str = "") -> EvaluatorError:
-    err = EvaluatorError(message)
-    err.failure_kind = kind
-    err.evaluator_exit_code = exit_code
-    err.evaluator_stderr = stderr
-    return err
-
-
 def invoke_evaluator(
     command: str, checkpoint: Path, lam: float | None = None
 ) -> tuple[float, str, float]:
     """Run the evaluator once; return (wer, raw stdout, wall seconds).
 
     Raises EvaluatorError on spawn failure, nonzero exit, timeout, or output
-    that is not a JSON object with a finite non-negative numeric "wer".
+    that is not a JSON object with a finite non-negative numeric "wer". On a
+    timeout or an interrupt the evaluator's whole process group is killed.
     """
     argv = []
     for token in shlex.split(command):
@@ -210,41 +213,51 @@ def invoke_evaluator(
         if lam is not None:
             token = token.replace("{lambda}", _format_lambda(lam))
         argv.append(token)
+    timeout = _eval_timeout()
     start = time.monotonic()
     try:
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=_eval_timeout()
-        )
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
     except OSError as exc:
-        raise _failure("spawn", f"could not spawn evaluator {argv[0]!r}: {exc}") from exc
-    except subprocess.TimeoutExpired as exc:
-        raise _failure(
-            "timeout",
-            f"evaluator timed out after {exc.timeout:g}s (set {TIMEOUT_ENV_VAR} to change)",
-        ) from exc
+        raise EvaluatorError(f"could not spawn evaluator {argv[0]!r}: {exc}", "spawn") from exc
+    try:
+        stdout, stderr = proc.communicate(timeout=timeout)
+    except BaseException as exc:
+        # The group is the evaluator's session: a shell's background jobs die too.
+        # Its leader is not reaped yet, so the group id cannot have been reused.
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+        if isinstance(exc, subprocess.TimeoutExpired):
+            raise EvaluatorError(
+                f"evaluator timed out after {exc.timeout:g}s (set {TIMEOUT_ENV_VAR} to change)",
+                "timeout",
+            ) from exc
+        raise
     wall = time.monotonic() - start
     if proc.returncode != 0:
-        raise _failure(
-            "exit",
-            f"evaluator exited with status {proc.returncode}: {proc.stderr.strip()[:500]}",
-            exit_code=proc.returncode,
-            stderr=proc.stderr,
+        raise EvaluatorError(
+            f"evaluator exited with status {proc.returncode}: {stderr.strip()[:500]}",
+            "exit", evaluator_exit_code=proc.returncode, stderr=stderr,
         )
-    text = proc.stdout.strip()
+    text = stdout.strip()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _failure("output", f"evaluator stdout is not valid JSON: {text[:200]!r}") from exc
+        raise EvaluatorError(f"evaluator stdout is not valid JSON: {text[:200]!r}",
+                             "output") from exc
     if not isinstance(payload, dict) or "wer" not in payload:
-        raise _failure(
-            "output", f"evaluator output must be an object with a 'wer' key: {text[:200]!r}"
+        raise EvaluatorError(
+            f"evaluator output must be an object with a 'wer' key: {text[:200]!r}", "output"
         )
     wer = payload["wer"]
     if isinstance(wer, bool) or not isinstance(wer, (int, float)) or not math.isfinite(wer):
-        raise _failure("output", f"evaluator 'wer' is not a finite number: {wer!r}")
+        raise EvaluatorError(f"evaluator 'wer' is not a finite number: {wer!r}", "output")
     if wer < 0:
-        raise _failure("output", f"evaluator 'wer' must be non-negative, got {wer!r}")
-    return float(wer), proc.stdout, wall
+        raise EvaluatorError(f"evaluator 'wer' must be non-negative, got {wer!r}", "output")
+    return float(wer), stdout, wall
 
 
 def _normalize_vectors(vectors: TaskVector | Sequence[TaskVector]) -> list[TaskVector]:
@@ -280,16 +293,19 @@ def _evaluate_point(
         )
     except EvaluatorError as exc:
         logger.warning("evaluation failed at lambda=%g: %s", lam, exc)
-        return EvalFailure(
-            lam=lam,
-            kind=getattr(exc, "failure_kind", "unknown"),
-            message=str(exc),
-            exit_code=getattr(exc, "evaluator_exit_code", None),
-            stderr=getattr(exc, "evaluator_stderr", ""),
-        )
+        return EvalFailure(lam=lam, kind=exc.failure_kind, message=str(exc),
+                           exit_code=exc.evaluator_exit_code, stderr=exc.stderr)
     finally:
         if not config.keep_checkpoints:
             checkpoint.unlink(missing_ok=True)
+
+
+def _run_points(point: Callable, tasks: list, workers: int) -> list:
+    """``point`` of every task, on up to ``workers`` threads, in task order."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(point, tasks))
+    return [point(task) for task in tasks]
 
 
 def run_lambda_sweep(
@@ -314,12 +330,7 @@ def run_lambda_sweep(
         checkpoint = config.workdir / f"sweep_{index:03d}_lambda_{lam:g}.safetensors"
         return _evaluate_point(model, average, lam, checkpoint, config)
 
-    tasks = list(enumerate(config.lambda_grid))
-    if config.parallel_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_workers) as pool:
-            outcomes = list(pool.map(point, tasks))
-    else:
-        outcomes = [point(task) for task in tasks]
+    outcomes = _run_points(point, list(enumerate(config.lambda_grid)), config.parallel_workers)
 
     records = tuple(sorted((o for o in outcomes if isinstance(o, EvalRecord)),
                            key=lambda r: r.lam))
@@ -388,7 +399,8 @@ def run_domain_ablation(
 
     ``prefix`` takes the first k vectors of the configured list (one
     deterministic evaluation per k); ``random`` samples k vectors without
-    replacement once per seed and averages the resulting WERs.
+    replacement once per seed and averages the resulting WERs. The (k, seed)
+    points run on up to ``parallel_workers`` threads, as sweep points do.
     """
     vector_list = _normalize_vectors(vectors)
     if not math.isfinite(lam):
@@ -408,30 +420,31 @@ def run_domain_ablation(
         raise ValidationError("random policy needs at least one seed")
     config.workdir.mkdir(parents=True, exist_ok=True)
 
-    points: list[AblationPoint] = []
-    failures: list[EvalFailure] = []
+    tasks: list[tuple[int, int, list[TaskVector]]] = []  # (k, seed, subset), in (k, seed) order
     for k in ks:
         if policy == "prefix":
-            subsets = [(0, vector_list[:k])]
+            tasks.append((k, 0, vector_list[:k]))
+            continue
+        for seed in seed_list:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+            chosen = rng.choice(total, size=k, replace=False)
+            tasks.append((k, seed, [vector_list[i] for i in chosen]))
+
+    def point(indexed: tuple[int, tuple]) -> EvalRecord | EvalFailure:
+        index, (k, seed, subset) = indexed
+        checkpoint = config.workdir / f"ablate_{index:03d}_k{k:02d}_seed{seed}.safetensors"
+        return _evaluate_point(model, ensemble_average(subset), lam, checkpoint, config)
+
+    outcomes = _run_points(point, list(enumerate(tasks)), config.parallel_workers)
+    per_k: dict[int, list[float]] = {k: [] for k in ks}
+    failures: list[EvalFailure] = []
+    for (k, _, _), outcome in zip(tasks, outcomes):
+        if isinstance(outcome, EvalRecord):
+            per_k[k].append(outcome.wer)
         else:
-            subsets = []
-            for seed in seed_list:
-                rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-                chosen = rng.choice(total, size=k, replace=False)
-                subsets.append((seed, [vector_list[i] for i in chosen]))
-        per_seed: list[float] = []
-        for seed, subset in subsets:
-            checkpoint = config.workdir / f"ablate_k{k:02d}_seed{seed}.safetensors"
-            outcome = _evaluate_point(model, ensemble_average(subset), lam, checkpoint, config)
-            if isinstance(outcome, EvalRecord):
-                per_seed.append(outcome.wer)
-            else:
-                failures.append(outcome)
-        if per_seed:
-            points.append(
-                AblationPoint(k=k, mean_wer=sum(per_seed) / len(per_seed),
-                              per_seed=tuple(per_seed))
-            )
+            failures.append(outcome)
+    points = [AblationPoint(k=k, mean_wer=sum(wers) / len(wers), per_seed=tuple(wers))
+              for k, wers in per_k.items() if wers]
     if not points:
         raise EvaluatorError(
             f"all ablation evaluations failed; first failure: {failures[0].message}"

@@ -16,18 +16,35 @@ not just canonical ones.
 
 Reads are memory-mapped: tensor values are read-only views into the mapped
 file, so peak transient allocation stays O(one tensor) rather than O(file).
+Writes go to a new file beside the target that then replaces it
+(:func:`open_replacing`), so a file that is still mapped as an input can be
+overwritten safely.
+
+Finite checks: a float is NaN or infinite exactly when its exponent bits are
+all ones, for F16, F32 and F64 alike. :func:`first_non_finite` tests those
+bits through an unsigned view, one block of :data:`BLOCK_ELEMENTS` at a time;
+it is the only finite check in the toolkit. :meth:`TensorMap.non_finite_tensors`
+is the only caller that scans a whole map, and it memoises its answer on maps
+whose values cannot change: maps :func:`read_checkpoint` maps from a file, and
+maps the ``vector_ops`` kernels build from arrays they allocated and checked.
+A map built from a caller's arrays is scanned on every call, because the
+caller may still write to them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import json
 import mmap
 import os
+import secrets
+import stat
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import BinaryIO, Iterator, Mapping
 
 import numpy as np
 
@@ -91,9 +108,43 @@ class TensorMeta:
         return self.num_elements * self.dtype.itemsize
 
 
-def _first_non_finite_index(arr: np.ndarray) -> int:
-    finite = np.isfinite(arr.reshape(-1))
-    return int(np.argmin(finite))
+BLOCK_ELEMENTS = 1 << 15  # elements per block of a blocked pass; fits in L2 with its scratch
+
+_EXPONENT_BITS = {2: np.uint16(0x7C00), 4: np.uint32(0x7F800000),
+                  8: np.uint64(0x7FF0000000000000)}
+
+
+def first_non_finite(values: np.ndarray, scratch: np.ndarray) -> int | None:
+    """Flat index of the first NaN or infinity in ``values``, or None.
+
+    Reads the exponent bits through an unsigned view of the same width, one
+    block at a time; ``scratch`` is a uint64 array of at least
+    ``min(values.size, BLOCK_ELEMENTS)`` elements.
+    """
+    exponent = _EXPONENT_BITS[values.itemsize]
+    bits = values.reshape(-1).view(exponent.dtype)
+    work = scratch.view(exponent.dtype)
+    for start in range(0, bits.size, BLOCK_ELEMENTS):
+        block = bits[start : start + BLOCK_ELEMENTS]
+        masked = np.bitwise_and(block, exponent, out=work[: block.size])
+        if masked.max() == exponent:
+            return start + int(np.argmax(masked == exponent))
+    return None
+
+
+def require_finite(tmap: "TensorMap", message: str) -> None:
+    """Raise for the first tensor of ``tmap``, in name order, that is not finite.
+
+    ``message`` is formatted with the tensor's ``name`` and the flat ``index``.
+    """
+    bad = tmap.non_finite_tensors()
+    if bad:
+        name, index = next(iter(bad.items()))
+        raise non_finite_error(message, name, index)
+
+
+def non_finite_error(message: str, name: str, index: int) -> NonFiniteValueError:
+    return NonFiniteValueError(message.format(name=name, index=index), tensor=name, index=index)
 
 
 class TensorMap:
@@ -108,9 +159,13 @@ class TensorMap:
     Non-finite values are legal in a map (they are accepted on read and
     reported by :meth:`non_finite_tensors`); arithmetic operations reject
     them unless explicitly told not to.
+
+    ``_buffer`` keeps the file mapping behind the values alive; ``_non_finite``
+    is the already known answer of :meth:`non_finite_tensors`. Either marks
+    the values as unchangeable, so that the answer is computed at most once.
     """
 
-    __slots__ = ("_entries", "_metadata", "_buffer")
+    __slots__ = ("_entries", "_metadata", "_buffer", "_non_finite", "_scan_lock")
 
     def __init__(
         self,
@@ -118,6 +173,7 @@ class TensorMap:
         metadata: Mapping[str, str] | None = None,
         *,
         _buffer: object = None,
+        _non_finite: dict[str, int] | None = None,
     ):
         normalized: dict[str, np.ndarray] = {}
         for name in sorted(entries):
@@ -140,6 +196,14 @@ class TensorMap:
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ValidationError("metadata must map strings to strings")
         self._buffer = _buffer
+        self._non_finite = _non_finite
+        memoise = _buffer is not None or _non_finite is not None
+        self._scan_lock = threading.Lock() if memoise else None
+
+    def with_metadata(self, metadata: Mapping[str, str] | None) -> "TensorMap":
+        """The same tensors under other metadata, sharing values and scan memo."""
+        return TensorMap(self._entries, metadata, _buffer=self._buffer,
+                         _non_finite=self._non_finite)
 
     @property
     def metadata(self) -> dict[str, str]:
@@ -176,10 +240,21 @@ class TensorMap:
 
     def non_finite_tensors(self) -> dict[str, int]:
         """Names of tensors containing NaN/inf, mapped to the first bad index."""
+        if self._scan_lock is None:  # the caller may still write to the values
+            return self._scan()
+        with self._scan_lock:  # one scan, even when sweep workers ask at once
+            if self._non_finite is None:
+                self._non_finite = self._scan()
+        return dict(self._non_finite)
+
+    def _scan(self) -> dict[str, int]:
+        largest = max((arr.size for arr in self._entries.values()), default=0)
+        scratch = np.empty(min(largest, BLOCK_ELEMENTS), dtype=np.uint64)
         out = {}
         for name, arr in self._entries.items():
-            if arr.size and not np.isfinite(arr).all():
-                out[name] = _first_non_finite_index(arr)
+            index = first_non_finite(arr, scratch)
+            if index is not None:
+                out[name] = index
         return out
 
     def has_non_finite(self) -> bool:
@@ -420,18 +495,39 @@ def read_checkpoint(path: str | Path) -> TensorMap:
         return TensorMap(entries, raw_metadata, _buffer=buffer)
 
 
+@contextlib.contextmanager
+def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file that replaces ``path`` once the ``with`` block completes.
+
+    The data goes to a new file in the same directory, which ``os.replace``
+    then moves over ``path``: an existing ``path`` is never truncated (its
+    old contents stay valid for anyone who still maps them), and a failed
+    write leaves it as it was. The file gets the mode ``open(path, "wb")``
+    would give it. It is not fsynced.
+    """
+    path = Path(path)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None  # a new file: 0o666 less the umask, as open() creates it
+    temp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    handle = os.fdopen(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+    try:
+        with handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), mode)
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_checkpoint(tmap: TensorMap, path: str | Path, *, allow_non_finite: bool = False) -> None:
     """Write a map in canonical form; byte-identical output for equal inputs."""
     if not allow_non_finite:
-        bad = tmap.non_finite_tensors()
-        if bad:
-            name, index = next(iter(bad.items()))
-            raise NonFiniteValueError(
-                f"tensor {name!r} has a non-finite value at flat index {index}; "
-                "pass allow_non_finite=True to write anyway",
-                tensor=name,
-                index=index,
-            )
+        require_finite(tmap, "tensor {name!r} has a non-finite value at flat index {index}; "
+                             "pass allow_non_finite=True to write anyway")
     header: dict[str, object] = {}
     if tmap.metadata:
         header["__metadata__"] = {key: tmap.metadata[key] for key in sorted(tmap.metadata)}
@@ -445,9 +541,9 @@ def write_checkpoint(tmap: TensorMap, path: str | Path, *, allow_non_finite: boo
         }
         offset += nbytes
     blob = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as handle:
+    with open_replacing(path) as handle:
         handle.write(len(blob).to_bytes(8, "little"))
         handle.write(blob)
         for _, arr in tmap.items():
             if arr.size:
-                handle.write(arr.tobytes())
+                handle.write(np.ascontiguousarray(arr).data)

@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TrainingDivergedError, ValidationError
+from .sweep_harness import DEFAULT_LAMBDA_GRID, validate_lambda_grid
 from .tensor_store import TensorMap
 from .vector_ops import (
     Provenance,
@@ -39,8 +40,6 @@ _STRUCTURE_STREAM = 0
 _BASE_NOISE_STREAM = 1
 _EXTRA_NOISE_STREAM = 2
 _CHANNEL_STREAM = 3
-
-DEFAULT_LAMBDA_GRID = tuple(round(i / 10, 1) for i in range(11))
 
 WEIGHT_TENSOR = "linear.weight"
 BIAS_TENSOR = "linear.bias"
@@ -448,17 +447,6 @@ def _derived_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1, np.uint64)[0])
 
 
-def _validated_grid(lambda_grid: Sequence[float]) -> tuple[float, ...]:
-    grid = tuple(float(v) for v in lambda_grid)
-    if not grid:
-        raise ValidationError("lambda grid must be non-empty")
-    if any(not math.isfinite(v) for v in grid):
-        raise ValidationError("lambda grid values must be finite")
-    if len(set(grid)) != len(grid):
-        raise ValidationError("lambda grid values must be unique")
-    return tuple(sorted(grid))
-
-
 def _source_data(spec: ToyDataSpec, domain: str, condition: str) -> ToyDataset:
     return generate_toy_data(spec, domain, condition, "train")
 
@@ -535,7 +523,7 @@ def _run_protocol(
     ensemble: bool,
     num_vectors: int | None = None,
 ) -> ProtocolReport:
-    grid = _validated_grid(lambda_grid)
+    grid = validate_lambda_grid(lambda_grid)
     if num_seeds < 1:
         raise ValidationError("num_seeds must be positive")
     if num_vectors is not None and not 1 <= num_vectors <= data_spec.num_source_domains:

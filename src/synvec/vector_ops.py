@@ -12,6 +12,15 @@ means) runs in F64 with a deterministic, fixed reduction order regardless of
 storage dtype. Small deltas between large weights survive this; they would
 not survive F16 arithmetic.
 
+Compute, apply and scale share one elementwise kernel: each tensor is
+processed in blocks of ``tensor_store.BLOCK_ELEMENTS`` elements, widened into
+a compute-dtype scratch row allocated once per call, operated on in place,
+narrowed straight into the preallocated output and checked for NaN/inf while
+the block is still in cache. The result map records that it was checked, so
+writing it, wrapping it in a :class:`TaskVector` or applying it again scans
+nothing. Inputs are checked through ``TensorMap.non_finite_tensors``, which
+reads a file-backed map once however many sweep points use it.
+
 Dot products and squared norms are ``np.sum`` over the F64 product of the
 exactly widened tensors, one tensor at a time, so their pairwise reduction
 order is numpy's; each vector's squared sums are computed once and cached.
@@ -35,17 +44,20 @@ import numpy as np
 
 from .errors import (
     FingerprintMismatchError,
-    NonFiniteValueError,
     SchemaMismatchError,
     ValidationError,
     ZeroNormError,
 )
 from .tensor_store import (
+    BLOCK_ELEMENTS,
     Dtype,
     Fingerprint,
     TensorMap,
     fingerprint,
+    first_non_finite,
+    non_finite_error,
     read_checkpoint,
+    require_finite,
     schema_compatible,
     schema_of,
     write_checkpoint,
@@ -71,7 +83,7 @@ _RESERVED_KEYS = {
     CREATED_FROM_KEY,
 }
 
-_MEAN_CHUNK_ELEMENTS = 1 << 20  # bounds transient memory of ensemble averaging
+_NON_FINITE_DELTA = "task vector tensor {name!r} has a non-finite delta at flat index {index}"
 _F16_EXACT_MAX_K = 1 << 13  # F64 sums of fewer F16 values than this are exact
 
 
@@ -100,14 +112,7 @@ class TaskVector:
                 f"delta schema hash {actual[:12]}... does not match recorded "
                 f"base schema {self.base_schema.schema_hash[:12]}..."
             )
-        bad = self.deltas.non_finite_tensors()
-        if bad:
-            name, index = next(iter(bad.items()))
-            raise NonFiniteValueError(
-                f"task vector tensor {name!r} has a non-finite delta at flat index {index}",
-                tensor=name,
-                index=index,
-            )
+        require_finite(self.deltas, _NON_FINITE_DELTA)
 
     @functools.cached_property
     def _squared_sums(self) -> dict[str, float]:
@@ -142,15 +147,45 @@ def _require_compatible(a: TensorMap, b: TensorMap) -> None:
 
 
 def _require_finite(tmap: TensorMap, role: str) -> None:
-    bad = tmap.non_finite_tensors()
-    if bad:
-        name, index = next(iter(bad.items()))
-        raise NonFiniteValueError(
-            f"{role} tensor {name!r} has a non-finite value at flat index {index}; "
-            "pass allow_non_finite=True to proceed anyway",
-            tensor=name,
-            index=index,
-        )
+    require_finite(tmap, f"{role} tensor {{name!r}} has a non-finite value at flat index "
+                         "{index}; pass allow_non_finite=True to proceed anyway")
+
+
+def _elementwise(op, operands: Sequence[TensorMap], message: str | None,
+                 metadata: dict[str, str] | None = None) -> TensorMap:
+    """One blocked pass of ``op`` over schema-compatible maps.
+
+    For each tensor of ``operands[0]`` and each block of it, ``op(row,
+    *blocks)`` writes its result into ``row`` in the tensor's compute dtype;
+    the row is narrowed (round to nearest even) into a new array of the
+    storage dtype. Unless ``message`` is None, each narrowed block is checked
+    at once, and the first NaN or infinity raises ``NonFiniteValueError``
+    with ``message`` (formatted as in ``require_finite``); the returned map
+    then records that it is finite.
+    """
+    block = min(_largest_size(operands[0]), BLOCK_ELEMENTS)
+    wide = np.empty(block, dtype=np.float64)  # rows for storage narrower than compute
+    bits = np.empty(block, dtype=np.uint64)
+    out = {}
+    with np.errstate(over="ignore"):  # an overflow is an infinity, which the check reports
+        for name, arr in operands[0].items():
+            compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
+            flats = [tmap[name].reshape(-1) for tmap in operands]
+            result = np.empty(arr.shape, dtype=arr.dtype)
+            narrowed = result.reshape(-1)
+            for start in range(0, arr.size, BLOCK_ELEMENTS):
+                stop = min(start + BLOCK_ELEMENTS, arr.size)
+                target = narrowed[start:stop]
+                row = target if arr.dtype == compute else wide.view(compute)[: stop - start]
+                op(row, *(flat[start:stop] for flat in flats))
+                if row is not target:
+                    np.copyto(target, row, casting="same_kind")
+                if message is not None:
+                    index = first_non_finite(target, bits)
+                    if index is not None:
+                        raise non_finite_error(message, name, start + index)
+            out[name] = result
+    return TensorMap(out, metadata, _non_finite=None if message is None else {})
 
 
 def compute_task_vector(
@@ -169,13 +204,12 @@ def compute_task_vector(
     if not allow_non_finite:
         _require_finite(real, "real model")
         _require_finite(syn, "synthetic model")
-    deltas = {}
-    for name, real_arr in real.items():
-        compute = _COMPUTE_DTYPE[Dtype.from_numpy(real_arr.dtype)]
-        delta = real_arr.astype(compute) - syn[name].astype(compute)
-        deltas[name] = delta.astype(real_arr.dtype)
+
+    def subtract(row, real_block, syn_block):
+        np.subtract(real_block, syn_block, out=row, dtype=row.dtype)
+
     return TaskVector(
-        deltas=TensorMap(deltas),
+        deltas=_elementwise(subtract, (real, syn), _NON_FINITE_DELTA),
         base_schema=fingerprint(real),
         provenance=provenance or Provenance(),
     )
@@ -200,23 +234,16 @@ def apply_task_vector(
     if not allow_non_finite:
         _require_finite(model, "model")
     if lam == 0.0:
-        return TensorMap(dict(model.items()), model.metadata)
-    out = {}
-    for name, arr in model.items():
-        compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
-        shifted = arr.astype(compute) + compute(lam) * tau.deltas[name].astype(compute)
-        with np.errstate(over="ignore"):  # overflow is detected and reported below
-            narrowed = shifted.astype(arr.dtype)
-        if not allow_non_finite and narrowed.size and not np.isfinite(narrowed).all():
-            index = int(np.argmin(np.isfinite(narrowed.reshape(-1))))
-            raise NonFiniteValueError(
-                f"applying scale {lam} produced a non-finite value in tensor "
-                f"{name!r} at flat index {index}",
-                tensor=name,
-                index=index,
-            )
-        out[name] = narrowed
-    return TensorMap(out, model.metadata)
+        return model.with_metadata(model.metadata)
+
+    def shift(row, model_block, delta_block):
+        np.multiply(delta_block, row.dtype.type(lam), out=row, dtype=row.dtype)
+        np.add(model_block, row, out=row, dtype=row.dtype)
+
+    message = None if allow_non_finite else (
+        f"applying scale {lam} produced a non-finite value in tensor {{name!r}} "
+        "at flat index {index}")
+    return _elementwise(shift, (model, tau.deltas), message, model.metadata)
 
 
 def _merged_provenance(vectors: Sequence[TaskVector]) -> Provenance:
@@ -282,16 +309,17 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
     if len(vectors) == 1:
         return vectors[0]
     k = len(vectors)
-    chunk = min(_largest_size(vectors[0].deltas), _MEAN_CHUNK_ELEMENTS)
-    scratch = np.empty((k + 1, chunk), dtype=np.float64)
+    block = min(_largest_size(vectors[0].deltas), BLOCK_ELEMENTS)
+    scratch = np.empty((k + 1, block), dtype=np.float64)
+    bits = np.empty(block, dtype=np.uint64)
     deltas = {}
     for name, first in vectors[0].deltas.items():
         flat_inputs = [v.deltas[name].reshape(-1) for v in vectors]
         exact_sum = first.dtype == np.float16 and k < _F16_EXACT_MAX_K  # one schema, one dtype
         out = np.empty(first.shape, dtype=first.dtype)
         out_flat = out.reshape(-1)
-        for start in range(0, first.size, _MEAN_CHUNK_ELEMENTS):
-            stop = min(start + _MEAN_CHUNK_ELEMENTS, first.size)
+        for start in range(0, first.size, BLOCK_ELEMENTS):
+            stop = min(start + BLOCK_ELEMENTS, first.size)
             rows = list(scratch[:, : stop - start])
             for row, flat in zip(rows, flat_inputs):
                 row[...] = flat[start:stop]
@@ -304,9 +332,13 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
             for row in rows[1:k]:
                 np.add(total, row, out=total)
             out_flat[start:stop] = np.divide(total, k, out=total)
+            # Only F64 inputs can overflow; a mean of finite F16/F32 values fits their range.
+            index = first_non_finite(out_flat[start:stop], bits)
+            if index is not None:
+                raise non_finite_error(_NON_FINITE_DELTA, name, start + index)
         deltas[name] = out
     return TaskVector(
-        deltas=TensorMap(deltas),
+        deltas=TensorMap(deltas, _non_finite={}),
         base_schema=Fingerprint(schema_hash=hashes.pop()),
         provenance=_merged_provenance(vectors),
     )
@@ -420,13 +452,12 @@ def scale_task_vector(tau: TaskVector, factor: float) -> TaskVector:
     """Multiply all deltas by a finite scalar, keeping schema and provenance."""
     if not math.isfinite(factor):
         raise ValidationError(f"scale factor must be finite, got {factor!r}")
-    deltas = {}
-    for name, arr in tau.deltas.items():
-        compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
-        deltas[name] = (arr.astype(compute) * compute(factor)).astype(arr.dtype)
-    return TaskVector(
-        deltas=TensorMap(deltas), base_schema=tau.base_schema, provenance=tau.provenance
-    )
+
+    def scale(row, delta_block):
+        np.multiply(delta_block, row.dtype.type(factor), out=row, dtype=row.dtype)
+
+    return TaskVector(deltas=_elementwise(scale, (tau.deltas,), _NON_FINITE_DELTA),
+                      base_schema=tau.base_schema, provenance=tau.provenance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,7 +529,7 @@ def save_task_vector(tau: TaskVector, path: str | Path) -> None:
         metadata[SYN_LABEL_KEY] = prov.syn_condition_label
     if prov.created_from is not None:
         metadata[CREATED_FROM_KEY] = json.dumps(list(prov.created_from), separators=(",", ":"))
-    write_checkpoint(TensorMap(dict(tau.deltas.items()), metadata), path)
+    write_checkpoint(tau.deltas.with_metadata(metadata), path)
 
 
 def load_task_vector(path: str | Path) -> TaskVector:
@@ -530,6 +561,6 @@ def load_task_vector(path: str | Path) -> TaskVector:
         created_from=created_from,
     )
     plain = {k: v for k, v in metadata.items() if k not in _RESERVED_KEYS}
-    deltas = TensorMap(dict(tmap.items()), plain)
+    deltas = tmap.with_metadata(plain)  # keeps the mapping, so one scan serves every use
     return TaskVector(deltas=deltas, base_schema=Fingerprint(schema_hash=actual),
                       provenance=provenance)

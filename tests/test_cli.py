@@ -352,3 +352,51 @@ def test_console_script_entry_point(fixture_paths):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tensors"] == 1
+
+
+def run_cli_process(*args):
+    # A separate process: writing over a mapped input used to end in SIGBUS.
+    return subprocess.run([sys.executable, "-m", "synvec.cli", *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_apply_may_write_over_its_model(fixture_paths):
+    tmp_path, real_path, syn_path = fixture_paths
+    tau_path = tmp_path / "tau.st"
+    save_task_vector(compute_task_vector(read_checkpoint(real_path),
+                                         read_checkpoint(syn_path)), tau_path)
+    before = syn_path.read_bytes()
+    proc = run_cli_process("apply", syn_path, tau_path, "--lambda", "0", "--out", syn_path)
+    assert proc.returncode == 0, proc.stderr
+    assert syn_path.read_bytes() == before
+
+
+def test_ensemble_may_write_over_its_input(fixture_paths):
+    tmp_path, real_path, syn_path = fixture_paths
+    tau_path = tmp_path / "tau.st"
+    save_task_vector(compute_task_vector(read_checkpoint(real_path),
+                                         read_checkpoint(syn_path)), tau_path)
+    before = tau_path.read_bytes()
+    proc = run_cli_process("ensemble", tau_path, "--out", tau_path)
+    assert proc.returncode == 0, proc.stderr
+    assert tau_path.read_bytes() == before
+
+
+def test_ablate_honours_workers(capsys, fixture_paths):
+    tmp_path, real_path, syn_path = fixture_paths
+    taus = []
+    for i in range(3):
+        path = tmp_path / f"tau{i}.st"
+        save_task_vector(compute_task_vector(read_checkpoint(real_path),
+                                             read_checkpoint(syn_path)), path)
+        taus.append(path)
+    outputs = []
+    for workers in (1, 3):
+        code, payload, _ = run_cli(capsys, "ablate", syn_path, *taus, "--lambda", "0.5",
+                                   "--evaluator", CONSTANT_EVALUATOR,
+                                   "--workdir", tmp_path / f"w{workers}",
+                                   "--workers", workers)
+        assert code == 0
+        outputs.append(payload)
+    assert outputs[0] == outputs[1]
+    assert [p["k"] for p in outputs[0]["points"]] == [1, 2, 3]

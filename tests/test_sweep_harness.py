@@ -1,8 +1,10 @@
 """Relative-WER arithmetic, evaluator-driven sweeps, and domain ablations."""
 
 import json
+import os
 import shlex
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,10 +18,12 @@ from synvec.sweep_harness import (
     SweepConfig,
     SweepResult,
     best_lambda,
+    invoke_evaluator,
     relative_wer,
     run_domain_ablation,
     run_lambda_sweep,
 )
+from synvec import tensor_store
 from synvec.tensor_store import TensorMap, read_checkpoint, write_checkpoint
 from synvec.vector_ops import compute_task_vector, ensemble_average
 
@@ -376,3 +380,91 @@ def test_ablation_determinism(tmp_path):
                                 seeds=(0, 1, 2)).to_json()
         )
     assert outputs[0] == outputs[1]
+
+
+# --- one model scan per sweep, parallel ablation points, evaluator process groups ---
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_scans_the_model_on_disk_once(tmp_path, monkeypatch, workers):
+    in_memory = TensorMap({"a": np.ones(5, np.float16), "b": np.zeros(3, np.float32)})
+    vectors = [compute_task_vector(
+        TensorMap({"a": np.full(5, 2.0, np.float16), "b": np.ones(3, np.float32)}), in_memory)]
+    write_checkpoint(in_memory, tmp_path / "model.st")
+    model = read_checkpoint(tmp_path / "model.st")
+    scanned = []
+    original = tensor_store.first_non_finite
+
+    def counting(values, scratch):
+        scanned.extend(name for name, arr in model.items() if np.shares_memory(arr, values))
+        return original(values, scratch)
+
+    monkeypatch.setattr(tensor_store, "first_non_finite", counting)
+    config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path / "w",
+                         parallel_workers=workers)
+    result = run_lambda_sweep(model, vectors, config)
+    assert len(result.records) == 11
+    assert sorted(scanned) == ["a", "b"]
+
+
+def failing_l2_evaluator(reference_path, failing_wer):
+    # l2_evaluator, but exits 3 where the norm equals failing_wer.
+    return (
+        f'{PY} -c "import json,sys,numpy; from synvec.tensor_store import read_checkpoint; '
+        "a = read_checkpoint(sys.argv[1]); b = read_checkpoint(sys.argv[2]); "
+        "sq = sum(float(numpy.sum((a[n].astype('f8')-b[n].astype('f8'))**2)) for n in a.names()); "
+        f"sys.exit(3) if abs(sq ** 0.5 - {failing_wer}) < 1e-6 else None; "
+        "print(json.dumps({'wer': sq ** 0.5}))\" "
+        f"{{checkpoint}} {shlex.quote(str(reference_path))}"
+    )
+
+
+@pytest.mark.parametrize("policy, seeds", [("prefix", (0,)), ("random", (0, 0, 1))])
+def test_parallel_ablation_matches_serial_bytes(tmp_path, policy, seeds):
+    model, vectors = fixture_model_and_vectors(values=((1.0,), (3.0,), (5.0,)))
+    model_path = tmp_path / "model.st"
+    write_checkpoint(model, model_path)
+    evaluator = failing_l2_evaluator(model_path, 2.0)  # the mean of 1 and 3 fails
+    outputs = []
+    for workers in (1, 2):
+        config = SweepConfig(evaluator=evaluator, workdir=tmp_path / f"w{workers}",
+                             parallel_workers=workers, keep_checkpoints=True)
+        result = run_domain_ablation(model, vectors, 1.0, config, policy=policy, seeds=seeds)
+        tasks = len(seeds) * 3 if policy == "random" else 3
+        assert len(list(config.workdir.iterdir())) == tasks  # one file per (k, seed) task
+        outputs.append(result.to_json())
+    assert outputs[0] == outputs[1]
+    if policy == "prefix":
+        parsed = json.loads(outputs[0])
+        assert [p["k"] for p in parsed["points"]] == [1, 3]
+        assert [f["kind"] for f in parsed["failures"]] == ["exit"]
+
+
+def test_evaluator_error_fields():
+    err = EvaluatorError("boom", "exit", evaluator_exit_code=4, stderr="trace")
+    assert (err.failure_kind, err.evaluator_exit_code, err.stderr) == ("exit", 4, "trace")
+    assert err.exit_code == 3  # the CLI status for evaluator failures
+    assert EvaluatorError("all failed").failure_kind == "unknown"
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_timeout_kills_the_evaluators_background_children(tmp_path, monkeypatch):
+    monkeypatch.setenv("SYNVEC_EVAL_TIMEOUT_SECS", "1")
+    pid_file = tmp_path / "child.pid"
+    command = f"sh -c {shlex.quote(f'sleep 30 & echo $! > {pid_file}; wait')}"
+    with pytest.raises(EvaluatorError) as exc:
+        invoke_evaluator(command, tmp_path / "unused.st")
+    assert exc.value.failure_kind == "timeout"
+    child = int(pid_file.read_text())
+    deadline = time.monotonic() + 5
+    while _alive(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(child)

@@ -1,6 +1,8 @@
 """Container format: round-trips, canonical bytes, malformed-file errors."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -15,10 +17,14 @@ from synvec.errors import (
     UnknownDtypeError,
     ValidationError,
 )
+from synvec import tensor_store
 from synvec.tensor_store import (
+    BLOCK_ELEMENTS,
     Dtype,
     TensorMap,
     fingerprint,
+    first_non_finite,
+    open_replacing,
     read_checkpoint,
     schema_compatible,
     schema_of,
@@ -415,3 +421,103 @@ def test_round_trip_property(tmp_path, seed):
     again = tmp_path / "prop2.st"
     write_checkpoint(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+# --- the bit-level finite check, its memo, and replacing writes ---
+
+
+def test_first_non_finite_matches_isfinite_on_every_f16_pattern():
+    values = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16).view(np.float16)
+    scratch = np.empty(1, dtype=np.uint64)
+    flagged = [first_non_finite(values[i:i + 1], scratch) == 0 for i in range(values.size)]
+    assert flagged == list(~np.isfinite(values))
+    whole = np.empty(BLOCK_ELEMENTS, dtype=np.uint64)
+    assert first_non_finite(values, whole) == int(np.argmin(np.isfinite(values)))
+
+
+@pytest.mark.parametrize("dtype, patterns", [
+    (np.float32, [0x00000000, 0x80000000, 0x00000001, 0x007FFFFF, 0x00800000, 0x7F7FFFFF,
+                  0xFF7FFFFF, 0x7F000000, 0x3F800000, 0x7F800000, 0xFF800000, 0x7FC00000,
+                  0x7F800001, 0xFFFFFFFF, 0x7FBFFFFF]),
+    (np.float64, [0x0, 0x8000000000000000, 0x1, 0x000FFFFFFFFFFFFF, 0x0010000000000000,
+                  0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF, 0x7FE0000000000000,
+                  0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                  0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF]),
+])
+def test_first_non_finite_matches_isfinite_on_edge_values(dtype, patterns):
+    uint = np.dtype(dtype).str.replace("f", "u")
+    values = np.array(patterns, dtype=uint).view(dtype)
+    scratch = np.empty(1, dtype=np.uint64)
+    flagged = [first_non_finite(values[i:i + 1], scratch) == 0 for i in range(values.size)]
+    assert flagged == list(~np.isfinite(values))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("index", [0, BLOCK_ELEMENTS - 1, BLOCK_ELEMENTS, 2 * BLOCK_ELEMENTS + 3])
+def test_first_non_finite_finds_the_first_index_across_blocks(dtype, index):
+    values = np.ones(3 * BLOCK_ELEMENTS + 5, dtype=dtype)
+    values[index] = np.nan
+    values[index + 1] = np.inf
+    scratch = np.empty(BLOCK_ELEMENTS, dtype=np.uint64)
+    assert first_non_finite(values, scratch) == index
+    assert first_non_finite(values[: index], scratch) is None
+
+
+def test_map_of_writeable_arrays_is_scanned_on_every_call(tmp_path):
+    values = np.ones(4, dtype=np.float32)
+    tmap = TensorMap({"w": values})
+    assert tmap.non_finite_tensors() == {}
+    values[2] = np.nan  # the caller still owns a writeable array behind the map
+    with pytest.raises(NonFiniteValueError) as exc:
+        write_checkpoint(tmap, tmp_path / "nan.st")
+    assert exc.value.tensor == "w" and exc.value.index == 2
+
+
+def test_mapped_file_is_scanned_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.st"
+    write_checkpoint(TensorMap({"a": np.ones(3, np.float16), "b": np.zeros(2, np.float64)}),
+                     path)
+    calls = []
+    original = tensor_store.first_non_finite
+    monkeypatch.setattr(tensor_store, "first_non_finite",
+                        lambda values, scratch: calls.append(1) or original(values, scratch))
+    loaded = read_checkpoint(path)
+    for _ in range(3):
+        assert loaded.non_finite_tensors() == {}
+    assert loaded.with_metadata({"k": "v"}).non_finite_tensors() == {}  # shares the answer
+    assert len(calls) == 2  # one per tensor
+
+
+def test_write_replaces_a_file_that_is_still_mapped(tmp_path):
+    path = tmp_path / "m.st"
+    write_checkpoint(TensorMap({"w": np.arange(4096, dtype=np.float32)}), path)
+    loaded = read_checkpoint(path)
+    write_checkpoint(loaded, path)  # the values are views of the file being replaced
+    assert read_checkpoint(path) == loaded
+    assert [p.name for p in tmp_path.iterdir()] == ["m.st"]
+
+
+def test_replaced_file_gets_the_mode_open_would_give(tmp_path):
+    previous = os.umask(0o027)
+    try:
+        write_checkpoint(TensorMap({"w": np.ones(1, np.float32)}), tmp_path / "new.st")
+        with open(tmp_path / "plain", "wb"):
+            pass
+        assert stat.S_IMODE(os.stat(tmp_path / "new.st").st_mode) == 0o640
+        assert os.stat(tmp_path / "plain").st_mode == os.stat(tmp_path / "new.st").st_mode
+        os.chmod(tmp_path / "new.st", 0o604)
+        write_checkpoint(TensorMap({"w": np.zeros(1, np.float32)}), tmp_path / "new.st")
+        assert stat.S_IMODE(os.stat(tmp_path / "new.st").st_mode) == 0o604
+    finally:
+        os.umask(previous)
+
+
+def test_failed_write_leaves_the_target_and_no_temp_file(tmp_path):
+    path = tmp_path / "keep.txt"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with open_replacing(path) as handle:
+            handle.write(b"new")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]

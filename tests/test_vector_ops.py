@@ -15,7 +15,7 @@ from synvec.errors import (
     ValidationError,
     ZeroNormError,
 )
-from synvec.tensor_store import Dtype, TensorMap, fingerprint, schema_of
+from synvec.tensor_store import BLOCK_ELEMENTS, Dtype, TensorMap, fingerprint, schema_of
 from synvec.vector_ops import (
     Provenance,
     TaskVector,
@@ -558,3 +558,89 @@ def test_saved_vector_uses_reserved_metadata_keys(tmp_path, rng):
     assert metadata["synvec.domain"] == "music"
     assert metadata["synvec.real_label"] == "studio"
     assert metadata["synvec.syn_label"] == "tts_a"
+
+
+# --- the blocked elementwise kernel against a whole-tensor astype reference ---
+
+_WIDE = {np.float16: np.float32, np.float32: np.float32, np.float64: np.float64}
+BLOCK_SIZES = (BLOCK_ELEMENTS - 1, BLOCK_ELEMENTS, BLOCK_ELEMENTS + 1, 3 * BLOCK_ELEMENTS + 5)
+
+
+def reference_compute(real, syn):
+    wide = _WIDE[real.dtype.type]
+    return (real.astype(wide) - syn.astype(wide)).astype(real.dtype)
+
+
+def reference_apply(model, delta, lam):
+    wide = _WIDE[model.dtype.type]
+    return (model.astype(wide) + wide(lam) * delta.astype(wide)).astype(model.dtype)
+
+
+def reference_scale(delta, factor):
+    wide = _WIDE[delta.dtype.type]
+    return (delta.astype(wide) * wide(factor)).astype(delta.dtype)
+
+
+def blocked_operands(rng, dtype, size):
+    # Magnitudes over many binades, so that narrowing rounds, ties included.
+    scale = np.exp2(rng.integers(-12, 8, size))
+    real = (rng.standard_normal(size) * scale).astype(dtype)
+    syn = (real.astype(np.float64) + 1e-3 * rng.standard_normal(size) * scale).astype(dtype)
+    return real, syn
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_blocked_kernel_matches_astype_reference_bitwise(rng, dtype, size):
+    real, syn = blocked_operands(rng, dtype, size)
+    model = real * dtype(0.75)
+    tau = compute_task_vector(TensorMap({"w": real, "x": real[:7]}),
+                              TensorMap({"w": syn, "x": syn[:7]}))
+    delta = tau.deltas["w"]
+    assert delta.tobytes() == reference_compute(real, syn).tobytes()
+    assert tau.deltas["x"].tobytes() == reference_compute(real[:7], syn[:7]).tobytes()
+    for lam in (0.3, -1.7, np.float32(0.1)):
+        applied = apply_task_vector(TensorMap({"w": model, "x": real[:7]}), tau, lam)
+        assert applied["w"].tobytes() == reference_apply(model, delta, lam).tobytes()
+        assert applied["x"].tobytes() == reference_apply(real[:7], tau.deltas["x"], lam).tobytes()
+        scaled = scale_task_vector(tau, lam)
+        assert scaled.deltas["w"].tobytes() == reference_scale(delta, lam).tobytes()
+
+
+def test_overflow_in_a_later_block_keeps_tensor_index_and_message():
+    size, index = 3 * BLOCK_ELEMENTS + 5, 2 * BLOCK_ELEMENTS + 3
+    model = np.zeros(size, dtype=np.float16)
+    model[index] = 60000.0
+    big = np.zeros(size, dtype=np.float16)
+    big[index] = 30000.0
+    tau = compute_task_vector(TensorMap({"a": np.zeros(2, np.float16), "w": big}),
+                              TensorMap({"a": np.zeros(2, np.float16),
+                                         "w": np.zeros(size, np.float16)}))
+    with pytest.raises(NonFiniteValueError) as exc:
+        apply_task_vector(TensorMap({"a": np.zeros(2, np.float16), "w": model}), tau, 1.0)
+    assert (exc.value.tensor, exc.value.index) == ("w", index)
+    assert str(exc.value) == (
+        f"applying scale 1.0 produced a non-finite value in tensor 'w' at flat index {index}")
+
+    with pytest.raises(NonFiniteValueError) as exc:
+        scale_task_vector(tau, 4.0)
+    assert (exc.value.tensor, exc.value.index) == ("w", index)
+    assert str(exc.value) == f"task vector tensor 'w' has a non-finite delta at flat index {index}"
+
+    top = np.zeros(size, dtype=np.float32)
+    top[index] = np.finfo(np.float32).max
+    with pytest.raises(NonFiniteValueError) as exc:
+        compute_task_vector(TensorMap({"w": top}), TensorMap({"w": -top}))
+    assert (exc.value.tensor, exc.value.index) == ("w", index)
+    assert str(exc.value) == f"task vector tensor 'w' has a non-finite delta at flat index {index}"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_f64_ensemble_overflow_is_reported():
+    top = np.full(BLOCK_ELEMENTS + 2, np.finfo(np.float64).max)
+    top[: BLOCK_ELEMENTS + 1] = 1.0
+    zero = TensorMap({"w": np.zeros_like(top)})
+    tau = compute_task_vector(TensorMap({"w": top}), zero)
+    with pytest.raises(NonFiniteValueError) as exc:
+        ensemble_average([tau, tau])
+    assert (exc.value.tensor, exc.value.index) == ("w", BLOCK_ELEMENTS + 1)
