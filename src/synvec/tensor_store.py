@@ -503,9 +503,10 @@ def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
     then moves over ``path``: an existing ``path`` is never truncated (its
     old contents stay valid for anyone who still maps them), and a failed
     write leaves it as it was. The file gets the mode ``open(path, "wb")``
-    would give it. It is not fsynced.
+    would give it. It is not fsynced. A symlink is written through, as
+    ``open`` would: its target is replaced, not the link.
     """
-    path = Path(path)
+    path = Path(os.path.realpath(path))
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:

@@ -521,3 +521,13 @@ def test_failed_write_leaves_the_target_and_no_temp_file(tmp_path):
             raise RuntimeError("interrupted")
     assert path.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+
+
+def test_write_through_a_symlink_replaces_its_target(tmp_path):
+    target = tmp_path / "target.st"
+    write_checkpoint(TensorMap({"w": np.ones(2, np.float32)}), target)
+    (tmp_path / "link.st").symlink_to(target)
+    written = TensorMap({"w": np.zeros(2, np.float32)})
+    write_checkpoint(written, tmp_path / "link.st")
+    assert (tmp_path / "link.st").is_symlink()
+    assert read_checkpoint(target) == written
