@@ -25,8 +25,9 @@ all ones, for F16, F32 and F64 alike. :func:`first_non_finite` tests those
 bits through an unsigned view, one block of :data:`BLOCK_ELEMENTS` at a time;
 it is the only finite check in the toolkit. :meth:`TensorMap.non_finite_tensors`
 is the only caller that scans a whole map, and it memoises its answer on maps
-whose values cannot change: maps :func:`read_checkpoint` maps from a file, and
-maps the ``vector_ops`` kernels build from arrays they allocated and checked.
+whose values cannot change: maps :func:`read_checkpoint` returns (views of a
+read-only file mapping), and maps the ``vector_ops`` kernels build from
+arrays they allocated and checked.
 A map built from a caller's arrays is scanned on every call, because the
 caller may still write to them.
 """
@@ -108,7 +109,7 @@ class TensorMeta:
         return self.num_elements * self.dtype.itemsize
 
 
-BLOCK_ELEMENTS = 1 << 15  # elements per block of a blocked pass; fits in L2 with its scratch
+BLOCK_ELEMENTS = 1 << 15  # per block of a blocked pass: a block and its scratch stay in cache
 
 _EXPONENT_BITS = {2: np.uint16(0x7C00), 4: np.uint32(0x7F800000),
                   8: np.uint64(0x7FF0000000000000)}
@@ -147,6 +148,11 @@ def non_finite_error(message: str, name: str, index: int) -> NonFiniteValueError
     return NonFiniteValueError(message.format(name=name, index=index), tensor=name, index=index)
 
 
+# Serialises first scans of memoising maps, so sweep workers that ask at once
+# share one scan. Module-level, so that maps stay picklable.
+_MEMO_LOCK = threading.Lock()
+
+
 class TensorMap:
     """An ordered collection of named float tensors plus string metadata.
 
@@ -165,7 +171,7 @@ class TensorMap:
     the values as unchangeable, so that the answer is computed at most once.
     """
 
-    __slots__ = ("_entries", "_metadata", "_buffer", "_non_finite", "_scan_lock")
+    __slots__ = ("_entries", "_metadata", "_buffer", "_non_finite", "_memoise")
 
     def __init__(
         self,
@@ -197,8 +203,7 @@ class TensorMap:
                 raise ValidationError("metadata must map strings to strings")
         self._buffer = _buffer
         self._non_finite = _non_finite
-        memoise = _buffer is not None or _non_finite is not None
-        self._scan_lock = threading.Lock() if memoise else None
+        self._memoise = _buffer is not None or _non_finite is not None
 
     def with_metadata(self, metadata: Mapping[str, str] | None) -> "TensorMap":
         """The same tensors under other metadata, sharing values and scan memo."""
@@ -240,11 +245,12 @@ class TensorMap:
 
     def non_finite_tensors(self) -> dict[str, int]:
         """Names of tensors containing NaN/inf, mapped to the first bad index."""
-        if self._scan_lock is None:  # the caller may still write to the values
+        if not self._memoise:  # the caller may still write to the values
             return self._scan()
-        with self._scan_lock:  # one scan, even when sweep workers ask at once
-            if self._non_finite is None:
-                self._non_finite = self._scan()
+        if self._non_finite is None:
+            with _MEMO_LOCK:
+                if self._non_finite is None:
+                    self._non_finite = self._scan()
         return dict(self._non_finite)
 
     def _scan(self) -> dict[str, int]:

@@ -380,23 +380,3 @@ def test_ensemble_may_write_over_its_input(fixture_paths):
     proc = run_cli_process("ensemble", tau_path, "--out", tau_path)
     assert proc.returncode == 0, proc.stderr
     assert tau_path.read_bytes() == before
-
-
-def test_ablate_honours_workers(capsys, fixture_paths):
-    tmp_path, real_path, syn_path = fixture_paths
-    taus = []
-    for i in range(3):
-        path = tmp_path / f"tau{i}.st"
-        save_task_vector(compute_task_vector(read_checkpoint(real_path),
-                                             read_checkpoint(syn_path)), path)
-        taus.append(path)
-    outputs = []
-    for workers in (1, 3):
-        code, payload, _ = run_cli(capsys, "ablate", syn_path, *taus, "--lambda", "0.5",
-                                   "--evaluator", CONSTANT_EVALUATOR,
-                                   "--workdir", tmp_path / f"w{workers}",
-                                   "--workers", workers)
-        assert code == 0
-        outputs.append(payload)
-    assert outputs[0] == outputs[1]
-    assert [p["k"] for p in outputs[0]["points"]] == [1, 2, 3]

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -644,3 +645,9 @@ def test_f64_ensemble_overflow_is_reported():
     with pytest.raises(NonFiniteValueError) as exc:
         ensemble_average([tau, tau])
     assert (exc.value.tensor, exc.value.index) == ("w", BLOCK_ELEMENTS + 1)
+
+
+def test_kernel_outputs_pickle(rng):
+    real, syn = random_map_pair(rng)
+    tau = compute_task_vector(real, syn)
+    assert pickle.loads(pickle.dumps(tau)).deltas == tau.deltas
