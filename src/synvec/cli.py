@@ -9,10 +9,13 @@ Human-readable logs go to stderr only. Exit codes: 0 success, 1 domain error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
+import signal
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -447,6 +450,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def _termination_unwinds():
+    """While the block runs, SIGTERM and SIGHUP raise SystemExit(128 + signal).
+
+    Unwinding lets a sweep kill its evaluators, which run in sessions of their
+    own and so miss a signal sent to synvec's process group. Signals that are
+    ignored or handled already are left alone.
+    """
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGTERM, signal.SIGHUP):
+            if signal.getsignal(signum) == signal.SIG_DFL:
+                previous[signum] = signal.signal(signum, _exit_on_signal)
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -460,7 +487,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        payload = args.func(args)
+        with _termination_unwinds():
+            payload = args.func(args)
     except SynvecError as exc:
         _emit_error(exc.kind, str(exc))
         return exc.exit_code

@@ -6,7 +6,10 @@ print a single-line JSON object ``{"wer": <number>}`` to stdout and exit 0.
 Anything else counts as a per-grid-point failure; a sweep only fails outright
 when every grid point fails. ``SYNVEC_EVAL_TIMEOUT_SECS`` (default 3600)
 bounds each invocation. Each evaluator runs in a session of its own, so a
-timeout or an interrupt kills it together with any children it started.
+timeout kills it together with any children it started. Being in its own
+session, it does not see a Ctrl-C or a signal sent to synvec's process group,
+so an exception that ends a sweep or an ablation (KeyboardInterrupt included)
+kills every evaluator group the run still has, and the run starts no more.
 
 Sweep points and ablation points alike run through one thread pool of
 ``parallel_workers`` threads; results are gathered back in grid order, and
@@ -19,6 +22,7 @@ evaluator produce identical bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -26,6 +30,7 @@ import os
 import shlex
 import signal
 import subprocess
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -198,14 +203,54 @@ def _format_lambda(lam: float) -> str:
     return repr(float(lam))
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the session ``proc`` leads; a shell's background jobs die too."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+class _LiveEvaluators:
+    """The evaluators one run has started and not yet reaped.
+
+    :meth:`stop` kills them all, and kills at once any that is added after it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._procs: set[subprocess.Popen] = set()
+        self._stopped = False
+
+    def add(self, proc: subprocess.Popen) -> None:
+        with self._lock:
+            if not self._stopped:
+                self._procs.add(proc)
+                return
+        _kill_group(proc)
+
+    def discard(self, proc: subprocess.Popen) -> None:
+        with self._lock:
+            self._procs.discard(proc)
+
+    def stop(self) -> None:
+        with self._lock:
+            self._stopped = True
+            for proc in self._procs:
+                if proc.poll() is None:  # not reaped, so the group id is still its own
+                    _kill_group(proc)
+
+
 def invoke_evaluator(
-    command: str, checkpoint: Path, lam: float | None = None
+    command: str, checkpoint: Path, lam: float | None = None,
+    live: _LiveEvaluators | None = None,
 ) -> tuple[float, str, float]:
     """Run the evaluator once; return (wer, raw stdout, wall seconds).
 
     Raises EvaluatorError on spawn failure, nonzero exit, timeout, or output
     that is not a JSON object with a finite non-negative numeric "wer". On a
     timeout or an interrupt the evaluator's whole process group is killed.
+    ``live``, if given, holds the evaluator while it runs.
     """
     argv = []
     for token in shlex.split(command):
@@ -221,14 +266,11 @@ def invoke_evaluator(
     except OSError as exc:
         raise EvaluatorError(f"could not spawn evaluator {argv[0]!r}: {exc}", "spawn") from exc
     try:
+        if live is not None:
+            live.add(proc)
         stdout, stderr = proc.communicate(timeout=timeout)
     except BaseException as exc:
-        # The group is the evaluator's session: a shell's background jobs die too.
-        # Its leader is not reaped yet, so the group id cannot have been reused.
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
+        _kill_group(proc)  # its leader is not reaped yet, so the group id is still its own
         proc.communicate()
         if isinstance(exc, subprocess.TimeoutExpired):
             raise EvaluatorError(
@@ -236,6 +278,9 @@ def invoke_evaluator(
                 "timeout",
             ) from exc
         raise
+    finally:
+        if live is not None:
+            live.discard(proc)
     wall = time.monotonic() - start
     if proc.returncode != 0:
         raise EvaluatorError(
@@ -275,6 +320,7 @@ def _evaluate_point(
     lam: float,
     checkpoint: Path,
     config: SweepConfig,
+    live: _LiveEvaluators,
 ) -> EvalRecord | EvalFailure:
     try:
         applied = apply_task_vector(model, average, lam)
@@ -282,7 +328,7 @@ def _evaluate_point(
     except OSError as exc:
         return EvalFailure(lam=lam, kind="io", message=str(exc))
     try:
-        wer, stdout, wall = invoke_evaluator(config.evaluator, checkpoint, lam)
+        wer, stdout, wall = invoke_evaluator(config.evaluator, checkpoint, lam, live)
         logger.debug("lambda=%g wer=%g (%.2fs)", lam, wer, wall)
         return EvalRecord(
             lam=lam,
@@ -301,11 +347,21 @@ def _evaluate_point(
 
 
 def _run_points(point: Callable, tasks: list, workers: int) -> list:
-    """``point`` of every task, on up to ``workers`` threads, in task order."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(point, tasks))
-    return [point(task) for task in tasks]
+    """``point(task, live)`` of every task, on up to ``workers`` threads, in task order.
+
+    If any point raises, or the wait is interrupted, the evaluators in ``live``
+    are killed before the exception goes on, so the pool's threads end soon.
+    """
+    live = _LiveEvaluators()
+    if workers == 1:  # an interrupt reaches the one running invoke_evaluator itself
+        return [point(task, live) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            # map cancels the points not yet started when its iteration ends early
+            return list(pool.map(point, tasks, itertools.repeat(live)))
+        except BaseException:
+            live.stop()
+            raise
 
 
 def run_lambda_sweep(
@@ -323,12 +379,13 @@ def run_lambda_sweep(
     """
     vector_list = _normalize_vectors(vectors)
     average = ensemble_average(vector_list)
+    model.non_finite_tensors()  # a mapped model keeps this scan; the points then skip it
     config.workdir.mkdir(parents=True, exist_ok=True)
 
-    def point(indexed: tuple[int, float]) -> EvalRecord | EvalFailure:
+    def point(indexed: tuple[int, float], live: _LiveEvaluators) -> EvalRecord | EvalFailure:
         index, lam = indexed
         checkpoint = config.workdir / f"sweep_{index:03d}_lambda_{lam:g}.safetensors"
-        return _evaluate_point(model, average, lam, checkpoint, config)
+        return _evaluate_point(model, average, lam, checkpoint, config, live)
 
     outcomes = _run_points(point, list(enumerate(config.lambda_grid)), config.parallel_workers)
 
@@ -418,6 +475,7 @@ def run_domain_ablation(
     seed_list = [int(s) for s in seeds]
     if policy == "random" and not seed_list:
         raise ValidationError("random policy needs at least one seed")
+    model.non_finite_tensors()  # a mapped model keeps this scan; the points then skip it
     config.workdir.mkdir(parents=True, exist_ok=True)
 
     tasks: list[tuple[int, int, list[TaskVector]]] = []  # (k, seed, subset), in (k, seed) order
@@ -430,10 +488,10 @@ def run_domain_ablation(
             chosen = rng.choice(total, size=k, replace=False)
             tasks.append((k, seed, [vector_list[i] for i in chosen]))
 
-    def point(indexed: tuple[int, tuple]) -> EvalRecord | EvalFailure:
+    def point(indexed: tuple[int, tuple], live: _LiveEvaluators) -> EvalRecord | EvalFailure:
         index, (k, seed, subset) = indexed
         checkpoint = config.workdir / f"ablate_{index:03d}_k{k:02d}_seed{seed}.safetensors"
-        return _evaluate_point(model, ensemble_average(subset), lam, checkpoint, config)
+        return _evaluate_point(model, ensemble_average(subset), lam, checkpoint, config, live)
 
     outcomes = _run_points(point, list(enumerate(tasks)), config.parallel_workers)
     per_k: dict[int, list[float]] = {k: [] for k in ks}

@@ -42,7 +42,6 @@ import mmap
 import os
 import secrets
 import stat
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator, Mapping
@@ -148,11 +147,6 @@ def non_finite_error(message: str, name: str, index: int) -> NonFiniteValueError
     return NonFiniteValueError(message.format(name=name, index=index), tensor=name, index=index)
 
 
-# Serialises first scans of memoising maps, so sweep workers that ask at once
-# share one scan. Module-level, so that maps stay picklable.
-_MEMO_LOCK = threading.Lock()
-
-
 class TensorMap:
     """An ordered collection of named float tensors plus string metadata.
 
@@ -168,10 +162,11 @@ class TensorMap:
 
     ``_buffer`` keeps the file mapping behind the values alive; ``_non_finite``
     is the already known answer of :meth:`non_finite_tensors`. Either marks
-    the values as unchangeable, so that the answer is computed at most once.
+    the values as unchangeable, so that the answer is kept once computed
+    (threads that ask before that may each scan, and get the same answer).
     """
 
-    __slots__ = ("_entries", "_metadata", "_buffer", "_non_finite", "_memoise")
+    __slots__ = ("_entries", "_metadata", "_buffer", "_non_finite")
 
     def __init__(
         self,
@@ -203,7 +198,6 @@ class TensorMap:
                 raise ValidationError("metadata must map strings to strings")
         self._buffer = _buffer
         self._non_finite = _non_finite
-        self._memoise = _buffer is not None or _non_finite is not None
 
     def with_metadata(self, metadata: Mapping[str, str] | None) -> "TensorMap":
         """The same tensors under other metadata, sharing values and scan memo."""
@@ -245,12 +239,10 @@ class TensorMap:
 
     def non_finite_tensors(self) -> dict[str, int]:
         """Names of tensors containing NaN/inf, mapped to the first bad index."""
-        if not self._memoise:  # the caller may still write to the values
-            return self._scan()
         if self._non_finite is None:
-            with _MEMO_LOCK:
-                if self._non_finite is None:
-                    self._non_finite = self._scan()
+            if self._buffer is None:  # the caller may still write to the values
+                return self._scan()
+            self._non_finite = self._scan()
         return dict(self._non_finite)
 
     def _scan(self) -> dict[str, int]:
@@ -501,22 +493,43 @@ def read_checkpoint(path: str | Path) -> TensorMap:
         return TensorMap(entries, raw_metadata, _buffer=buffer)
 
 
+def _is_std_stream(info: os.stat_result) -> bool:
+    for fd in (1, 2):
+        try:
+            if os.path.samestat(info, os.fstat(fd)):
+                return True
+        except OSError:  # the descriptor is closed
+            pass
+    return False
+
+
 @contextlib.contextmanager
 def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
     """A binary file that replaces ``path`` once the ``with`` block completes.
 
-    The data goes to a new file in the same directory, which ``os.replace``
-    then moves over ``path``: an existing ``path`` is never truncated (its
-    old contents stay valid for anyone who still maps them), and a failed
-    write leaves it as it was. The file gets the mode ``open(path, "wb")``
-    would give it. It is not fsynced. A symlink is written through, as
-    ``open`` would: its target is replaced, not the link.
+    When ``path`` is a regular file or does not exist, the data goes to a new
+    file in the same directory, which ``os.replace`` then moves over ``path``:
+    an existing ``path`` is never truncated (its old contents stay valid for
+    anyone who still maps them), and a failed write leaves it as it was. The
+    file gets the mode ``open(path, "wb")`` would give it. It is not fsynced.
+    A symlink is written through, as ``open`` would: its target is replaced,
+    not the link.
+
+    Anything else (a FIFO, a terminal, ``/dev/null``), and a file that is this
+    process's stdout or stderr (``/dev/stdout`` redirected to a file), is
+    opened with ``open(path, "wb")`` and written in place.
     """
-    path = Path(os.path.realpath(path))
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        info = os.stat(path)
     except FileNotFoundError:
-        mode = None  # a new file: 0o666 less the umask, as open() creates it
+        info = None
+    if info is not None and (not stat.S_ISREG(info.st_mode) or _is_std_stream(info)):
+        with open(path, "wb") as handle:
+            yield handle
+        return
+    path = Path(os.path.realpath(path))
+    # 0o666 less the umask for a new file, as open() creates it
+    mode = None if info is None else stat.S_IMODE(info.st_mode)
     temp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
     handle = os.fdopen(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
     try:

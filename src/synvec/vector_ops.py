@@ -311,11 +311,13 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
     k = len(vectors)
     block = min(_largest_size(vectors[0].deltas), BLOCK_ELEMENTS)
     scratch = np.empty((k + 1, block), dtype=np.float64)
-    bits = np.empty(block, dtype=np.uint64)
+    bits = np.empty(block, dtype=np.uint64)  # for the F64 sum checks; untouched otherwise
     deltas = {}
     for name, first in vectors[0].deltas.items():
         flat_inputs = [v.deltas[name].reshape(-1) for v in vectors]
         exact_sum = first.dtype == np.float16 and k < _F16_EXACT_MAX_K  # one schema, one dtype
+        # Only an F64 sum can overflow; a mean of finite F16/F32 values fits their range.
+        check_sum = first.dtype == np.float64
         out = np.empty(first.shape, dtype=first.dtype)
         out_flat = out.reshape(-1)
         for start in range(0, first.size, BLOCK_ELEMENTS):
@@ -332,10 +334,10 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
             for row in rows[1:k]:
                 np.add(total, row, out=total)
             out_flat[start:stop] = np.divide(total, k, out=total)
-            # Only F64 inputs can overflow; a mean of finite F16/F32 values fits their range.
-            index = first_non_finite(out_flat[start:stop], bits)
-            if index is not None:
-                raise non_finite_error(_NON_FINITE_DELTA, name, start + index)
+            if check_sum:
+                index = first_non_finite(out_flat[start:stop], bits)
+                if index is not None:
+                    raise non_finite_error(_NON_FINITE_DELTA, name, start + index)
         deltas[name] = out
     return TaskVector(
         deltas=TensorMap(deltas, _non_finite={}),

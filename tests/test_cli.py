@@ -1,9 +1,12 @@
 """CLI: thin wrapping of module ops, JSON stdout, exit-code contract."""
 
 import json
+import os
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -354,10 +357,10 @@ def test_console_script_entry_point(fixture_paths):
     assert json.loads(proc.stdout)["tensors"] == 1
 
 
-def run_cli_process(*args):
+def run_cli_process(*args, stderr=subprocess.PIPE):
     # A separate process: writing over a mapped input used to end in SIGBUS.
     return subprocess.run([sys.executable, "-m", "synvec.cli", *map(str, args)],
-                          capture_output=True, text=True, timeout=120)
+                          stdout=subprocess.PIPE, stderr=stderr, text=True, timeout=120)
 
 
 def test_apply_may_write_over_its_model(fixture_paths):
@@ -380,3 +383,38 @@ def test_ensemble_may_write_over_its_input(fixture_paths):
     proc = run_cli_process("ensemble", tau_path, "--out", tau_path)
     assert proc.returncode == 0, proc.stderr
     assert tau_path.read_bytes() == before
+
+
+
+def sweep_args(fixture_paths):
+    tmp_path, real_path, syn_path = fixture_paths
+    tau_path = tmp_path / "tau.st"
+    save_task_vector(compute_task_vector(read_checkpoint(real_path),
+                                         read_checkpoint(syn_path)), tau_path)
+    return ["sweep", syn_path, tau_path, "--evaluator", CONSTANT_EVALUATOR,
+            "--workdir", tmp_path / "work", "--lambdas", "0,1"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_json_out_may_be_a_fifo(capsys, fixture_paths):
+    fifo = fixture_paths[0] / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, payload, _ = run_cli(capsys, *sweep_args(fixture_paths), "--json-out", fifo)
+    reader.join(timeout=30)
+    assert code == 0
+    assert json.loads(received[0]) == payload
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_json_out_to_redirected_stderr_writes_in_place(fixture_paths):
+    out = fixture_paths[0] / "stderr.json"
+    with open(out, "wb") as handle:
+        inode = os.fstat(handle.fileno()).st_ino
+        proc = run_cli_process(*sweep_args(fixture_paths), "--json-out", "/dev/stderr",
+                               stderr=handle)
+    assert proc.returncode == 0
+    assert os.stat(out).st_ino == inode  # written into the file the shell opened, not replaced
+    assert json.loads(out.read_text()) == json.loads(proc.stdout)

@@ -3,7 +3,10 @@
 import json
 import os
 import shlex
+import signal
+import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -25,7 +28,7 @@ from synvec.sweep_harness import (
 )
 from synvec import tensor_store
 from synvec.tensor_store import TensorMap, read_checkpoint, write_checkpoint
-from synvec.vector_ops import compute_task_vector, ensemble_average
+from synvec.vector_ops import compute_task_vector, ensemble_average, save_task_vector
 
 PY = shlex.quote(sys.executable)
 
@@ -468,3 +471,66 @@ def test_timeout_kills_the_evaluators_background_children(tmp_path, monkeypatch)
     while _alive(child) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not _alive(child)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+@pytest.mark.skipif(signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
+                    reason="needs SIGINT to raise KeyboardInterrupt")
+def test_interrupting_a_threaded_sweep_kills_its_evaluators(tmp_path):
+    model, vectors = fixture_model_and_vectors()
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    # Each evaluator shell names a file after itself, holding its background child's pid.
+    command = f"sh -c {shlex.quote(f'sleep 60 & echo $! > {pid_dir}/$$; wait')}"
+    config = SweepConfig(evaluator=command, workdir=tmp_path / "w",
+                         lambda_grid=(0.0, 0.5, 1.0, 1.5), parallel_workers=2)
+    main_thread = threading.main_thread().ident
+
+    def interrupt_once_both_run():
+        deadline = time.monotonic() + 30
+        while len(list(pid_dir.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        signal.pthread_kill(main_thread, signal.SIGINT)  # what Ctrl-C does to synvec
+
+    threading.Thread(target=interrupt_once_both_run, daemon=True).start()
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_lambda_sweep(model, vectors, config)
+    assert time.monotonic() - start < 30  # not held up by the 60 s sleeps
+    shells = [int(path.name) for path in pid_dir.iterdir()]
+    children = [int(path.read_text()) for path in pid_dir.iterdir()]
+    assert len(shells) == 2  # the two points not yet started never start
+    deadline = time.monotonic() + 5
+    while any(map(_alive, shells + children)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_alive, shells + children))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_sigterm_to_the_cli_kills_a_threaded_sweeps_evaluators(tmp_path):
+    model, vectors = fixture_model_and_vectors()
+    write_checkpoint(model, tmp_path / "model.st")
+    save_task_vector(vectors[0], tmp_path / "tau.st")
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    command = f"sh -c {shlex.quote(f'touch {pid_dir}/$$; exec sleep 60')}"
+    cli = subprocess.Popen(
+        [sys.executable, "-m", "synvec.cli", "sweep", str(tmp_path / "model.st"),
+         str(tmp_path / "tau.st"), "--evaluator", command, "--workdir", str(tmp_path / "w"),
+         "--lambdas", "0,0.5,1", "--workers", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while len(list(pid_dir.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        cli.terminate()
+        assert cli.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        cli.kill()
+    evaluators = [int(path.name) for path in pid_dir.iterdir()]
+    assert len(evaluators) == 2
+    deadline = time.monotonic() + 5
+    while any(map(_alive, evaluators)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_alive, evaluators))
