@@ -1,10 +1,12 @@
 """Toy data generator, softmax trainer, and the end-to-end adaptation protocol."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from synvec import toy_experiment
 from synvec.errors import TrainingDivergedError, ValidationError
 from synvec.tensor_store import read_checkpoint, write_checkpoint
 from synvec.toy_experiment import (
@@ -24,7 +26,7 @@ from synvec.toy_experiment import (
     train,
     training_loss,
 )
-from synvec.vector_ops import apply_task_vector, compute_task_vector
+from synvec.vector_ops import apply_task_vector, compute_task_vector, save_task_vector
 
 
 def small_spec(**kw):
@@ -311,6 +313,61 @@ def test_domain_vectors_carry_provenance():
     vectors = build_domain_task_vectors(spec, quick_config(epochs=4))
     assert [v.provenance.source_domain_label for v in vectors] == ["source_0", "source_1"]
     assert all(v.provenance.syn_condition_label == "synthetic_v0" for v in vectors)
+
+
+def _three_domain_args():
+    spec = small_spec(num_source_domains=3, samples_per_class=12, num_classes_per_domain=4,
+                      feature_dim=8)
+    return spec, quick_config(epochs=8)
+
+
+@pytest.mark.parametrize(
+    "num_vectors, digest",
+    [
+        ("single", "39bace276e86decbc4fbc39c466e31b4b9e7eb7c95dc4560ec1c4e03a89410ea"),
+        (1, "c96e9851fbafba469cccb73f903f2543341311fb9d88e5887155d90b4366e59e"),
+        (2, "57c32c19fdb60b6b1518ab2ca74d274fbd491518285cb48a36a686ad6a03eb8c"),
+        (3, "1d01a09fdb61a95bf988425fb59f1d30ba489e385791aee631ab15177625b4c1"),
+        (None, "1d01a09fdb61a95bf988425fb59f1d30ba489e385791aee631ab15177625b4c1"),
+    ],
+)
+def test_protocol_report_golden_digest(num_vectors, digest):
+    # Pinned output bytes; k = 3 and None average the same three vectors.
+    spec, config = _three_domain_args()
+    if num_vectors == "single":
+        report = run_adaptation_protocol(spec, config, num_seeds=2)
+    else:
+        report = run_ensemble_protocol(spec, config, num_seeds=2, num_vectors=num_vectors)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_domain_task_vectors_golden_digest(tmp_path):
+    spec, config = _three_domain_args()
+    h = hashlib.sha256()
+    for i, tau in enumerate(build_domain_task_vectors(spec, config)):
+        path = tmp_path / f"tau_{i}.st"
+        save_task_vector(tau, path)
+        h.update(path.read_bytes())
+    assert h.hexdigest() == (
+        "54f3f932c53e46ffc310e9e44dab683f599944868efbeb1cc0a95a31fd345255"
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ensemble_protocol_trains_only_the_vectors_it_averages(monkeypatch, k):
+    # Per seed: the pretrain, the target fine-tune, and a real and a synthetic
+    # fine-tune for each of the k averaged domains.
+    calls = []
+    real_train = toy_experiment.train
+
+    def counting_train(*args, **kwargs):
+        calls.append(1)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(toy_experiment, "train", counting_train)
+    spec, config = _three_domain_args()
+    run_ensemble_protocol(spec, config, lambda_grid=(0.0, 0.5), num_seeds=2, num_vectors=k)
+    assert len(calls) == 2 * (2 + 2 * k)
 
 
 def test_report_json_shape():
