@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import json
 import logging
-import os
 import signal
 import sys
 import threading
@@ -45,7 +44,6 @@ from .toy_experiment import (
 from .vector_ops import (
     Provenance,
     apply_ensemble,
-    apply_task_vector,
     compute_task_vector,
     cosine_similarity,
     ensemble_average,
@@ -130,10 +128,7 @@ def _cmd_diff(args) -> dict:
 def _cmd_apply(args) -> dict:
     model = read_checkpoint(args.model)
     vectors = _load_vectors(args.vectors)
-    if len(vectors) == 1:
-        applied = apply_task_vector(model, vectors[0], args.lam)
-    else:
-        applied = apply_ensemble(model, vectors, args.lam)
+    applied = apply_ensemble(model, vectors, args.lam)
     write_checkpoint(applied, args.out)
     return {
         "out": str(args.out),
@@ -189,13 +184,12 @@ def _cmd_inspect(args) -> dict:
 
 
 def _sweep_config(args) -> SweepConfig:
-    workers = max(1, min(args.workers, args.threads))
     return SweepConfig(
         evaluator=args.evaluator,
         workdir=Path(args.workdir),
         lambda_grid=_parse_floats(args.lambdas) if args.lambdas else DEFAULT_LAMBDA_GRID,
         keep_checkpoints=args.keep_checkpoints,
-        parallel_workers=workers,
+        parallel_workers=args.workers,
     )
 
 
@@ -335,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"synvec {__version__}")
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="upper bound on internal parallelism")
     parser.add_argument("--seed", type=int, default=0, help="default seed for seeded commands")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -30,9 +30,9 @@ from .tensor_store import TensorMap
 from .vector_ops import (
     Provenance,
     TaskVector,
-    apply_ensemble,
     apply_task_vector,
     compute_task_vector,
+    ensemble_average,
 )
 
 # Stream tags for deriving independent generator streams from one seed.
@@ -69,15 +69,6 @@ class ConditionShift:
         for name in ("channel_scale", "channel_bias_scale", "extra_noise_stddev"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be non-negative")
-
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.channel_gain == 1.0
-            and self.channel_scale == 0
-            and self.channel_bias_scale == 0
-            and self.extra_noise_stddev == 0
-        )
 
 
 ZERO_SHIFT = ConditionShift(1.0, 0.0, 0.0, 0.0)
@@ -466,12 +457,14 @@ def _pretrain(spec: ToyDataSpec, config: TrainConfig) -> ToyModel:
 def _curve_outcome(
     seed_index: int,
     target_model: ToyModel,
-    adapted_at: dict[float, ToyModel],
+    tau: TaskVector,
     eval_data: ToyDataset,
     grid: tuple[float, ...],
 ) -> SeedOutcome:
     baseline = evaluate_error(target_model, eval_data)
-    curve = tuple((lam, evaluate_error(adapted_at[lam], eval_data)) for lam in grid)
+    target_map = target_model.to_tensor_map()
+    adapted = (ToyModel.from_tensor_map(apply_task_vector(target_map, tau, lam)) for lam in grid)
+    curve = tuple((lam, evaluate_error(model, eval_data)) for lam, model in zip(grid, adapted))
     best_lam, best_err = curve[0]
     for lam, err in curve[1:]:  # ascending grid; strict < keeps the smaller lambda on ties
         if err < best_err:
@@ -487,6 +480,27 @@ def _curve_outcome(
     )
 
 
+def _condition_vector(
+    parent: ToyModel,
+    spec: ToyDataSpec,
+    config: TrainConfig,
+    domains: Sequence[str],
+    label: str,
+) -> TaskVector:
+    """Fine-tune parent on the pooled real and on the pooled synthetic train
+    sets of domains; the task vector is real minus synthetic."""
+    real_model, syn_model = (
+        train(parent, concat_datasets([_source_data(spec, d, condition) for d in domains]),
+              config)
+        for condition in ("real", "synthetic")
+    )
+    return compute_task_vector(
+        real_model.to_tensor_map(),
+        syn_model.to_tensor_map(),
+        Provenance(label, "real", f"synthetic_v{spec.channel_variant}"),
+    )
+
+
 def build_domain_task_vectors(
     spec: ToyDataSpec,
     config: TrainConfig,
@@ -495,23 +509,7 @@ def build_domain_task_vectors(
     """One real-minus-synthetic task vector per source domain, from a shared
     pretrained parent."""
     parent = pretrained if pretrained is not None else _pretrain(spec, config)
-    vectors = []
-    for j in range(spec.num_source_domains):
-        domain = f"source_{j}"
-        real_model = train(parent, _source_data(spec, domain, "real"), config)
-        syn_model = train(parent, _source_data(spec, domain, "synthetic"), config)
-        vectors.append(
-            compute_task_vector(
-                real_model.to_tensor_map(),
-                syn_model.to_tensor_map(),
-                Provenance(
-                    source_domain_label=domain,
-                    real_condition_label="real",
-                    syn_condition_label=f"synthetic_v{spec.channel_variant}",
-                ),
-            )
-        )
-    return vectors
+    return [_condition_vector(parent, spec, config, [d], d) for d in spec.domain_labels()[:-1]]
 
 
 def _run_protocol(
@@ -537,47 +535,15 @@ def _run_protocol(
         parent = _pretrain(spec, config)
         target_model = train(parent, generate_toy_data(spec, "target", "synthetic", "train"),
                              config)
-        target_map = target_model.to_tensor_map()
-        eval_data = generate_toy_data(spec, "target", "real", "eval")
+        sources = spec.domain_labels()[:-1]
         if ensemble:
-            vectors = build_domain_task_vectors(spec, config, pretrained=parent)
-            if num_vectors is not None:
-                vectors = vectors[:num_vectors]
-            adapted_at = {
-                lam: ToyModel.from_tensor_map(apply_ensemble(target_map, vectors, lam))
-                for lam in grid
-            }
+            tau = ensemble_average(
+                [_condition_vector(parent, spec, config, [d], d) for d in sources[:num_vectors]]
+            )
         else:
-            real_model = train(
-                parent,
-                concat_datasets(
-                    [_source_data(spec, f"source_{j}", "real")
-                     for j in range(spec.num_source_domains)]
-                ),
-                config,
-            )
-            syn_model = train(
-                parent,
-                concat_datasets(
-                    [_source_data(spec, f"source_{j}", "synthetic")
-                     for j in range(spec.num_source_domains)]
-                ),
-                config,
-            )
-            tau = compute_task_vector(
-                real_model.to_tensor_map(),
-                syn_model.to_tensor_map(),
-                Provenance(
-                    source_domain_label="source",
-                    real_condition_label="real",
-                    syn_condition_label=f"synthetic_v{spec.channel_variant}",
-                ),
-            )
-            adapted_at = {
-                lam: ToyModel.from_tensor_map(apply_task_vector(target_map, tau, lam))
-                for lam in grid
-            }
-        outcomes.append(_curve_outcome(index, target_model, adapted_at, eval_data, grid))
+            tau = _condition_vector(parent, spec, config, sources, "source")
+        eval_data = generate_toy_data(spec, "target", "real", "eval")
+        outcomes.append(_curve_outcome(index, target_model, tau, eval_data, grid))
     return ProtocolReport(
         protocol="ensemble" if ensemble else "single",
         lambda_grid=grid,
@@ -607,9 +573,9 @@ def run_ensemble_protocol(
     """Full pipeline with per-domain task vectors averaged at application time.
 
     ``num_vectors`` limits the ensemble to the first that many domain vectors
-    while keeping the rest of the world (pretraining pool, target model)
-    fixed, which isolates the effect of ensemble size. With one source domain
-    this reduces exactly to the pooled protocol.
+    (only those are trained) while keeping the rest of the world (pretraining
+    pool, target model) fixed, which isolates the effect of ensemble size.
+    With one source domain this reduces exactly to the pooled protocol.
     """
     return _run_protocol(
         data_spec, train_config, lambda_grid, num_seeds, ensemble=True,

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from synvec import cli
 from synvec.cli import main
 from synvec.tensor_store import TensorMap, read_checkpoint, write_checkpoint
 from synvec.vector_ops import (
@@ -200,6 +201,26 @@ def test_sweep_command(capsys, fixture_paths, tmp_path):
     assert payload["best_lambda"] == 0.4
     assert json.loads(json_out.read_text())["best_lambda"] == 0.4
     assert csv_out.read_text().splitlines()[0] == "lambda,wer"
+
+
+def test_sweep_workers_reach_config_as_given(capsys, monkeypatch, fixture_paths, tmp_path):
+    _, real_path, syn_path = fixture_paths
+    tau_path = tmp_path / "tau.st"
+    run_cli(capsys, "diff", real_path, syn_path, "--out", tau_path)
+    configs = []
+    real_sweep = cli.run_lambda_sweep
+
+    def recording_sweep(model, vectors, config):
+        configs.append(config)
+        return real_sweep(model, vectors, config)
+
+    monkeypatch.setattr(cli, "run_lambda_sweep", recording_sweep)
+    code, _, _ = run_cli(
+        capsys, "sweep", syn_path, tau_path, "--evaluator", CONSTANT_EVALUATOR,
+        "--workdir", tmp_path / "work", "--lambdas", "0.0,0.5", "--workers", 3,
+    )
+    assert code == 0
+    assert [c.parallel_workers for c in configs] == [3]
 
 
 def test_sweep_all_failures_exits_3(capsys, fixture_paths, tmp_path):
