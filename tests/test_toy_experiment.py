@@ -184,6 +184,67 @@ def test_divergence_reports_epoch_and_batch():
     assert exc.value.epoch is not None and exc.value.batch is not None
 
 
+def _model_digest(model):
+    return hashlib.sha256(model.weights.tobytes() + model.bias.tobytes()).hexdigest()
+
+
+def _train_cases():
+    spec_a = small_spec(seed=3)
+    spec_b = small_spec(seed=4, samples_per_class=11)
+    rng = np.random.default_rng(9)
+    init = ToyModel(rng.standard_normal((6, 6)) * 0.3, rng.standard_normal(6) * 0.1)
+    return {
+        "one_batch": (ToyModel.zeros(6, 6), generate_toy_data(spec_a, "source_0", "real", "train"),
+                      TrainConfig(epochs=5, seed=1)),
+        "last_batch_of_one": (ToyModel.zeros(6, 6),
+                              generate_toy_data(spec_b, "target", "synthetic", "train"),
+                              TrainConfig(epochs=3, batch_size=8, l2_penalty=0.0, seed=7)),
+        "random_init": (init, generate_toy_data(spec_a, "target", "real", "train"),
+                        TrainConfig(epochs=4, batch_size=5, l2_penalty=1e-2, seed=2)),
+    }
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("one_batch", "b3c078255c7ac1fc1300b6372627fcaabdaeaed69bb58a385fccad7b9ea18941"),
+        ("last_batch_of_one", "3343f41f7b670b97023b566d0821843f814903f017e10af9ba1f55c4ba671a8e"),
+        ("random_init", "62c83f6147a962e2cc39bd29d1aa0f4851c6b390e07dc1d911641f93a3d28c02"),
+    ],
+)
+def test_train_golden_digest(case, digest):
+    # Pinned weight and bias bytes: one batch, a last batch of one sample, a random init.
+    assert _model_digest(train(*_train_cases()[case])) == digest
+
+
+def test_pretrain_golden_digest():
+    from synvec.toy_experiment import _pretrain
+
+    assert _model_digest(_pretrain(*_three_domain_args())) == (
+        "f8e1a580a3c99018e006a659a3ab5234935fe8d5f1e45b221ea51644ef9a3da6"
+    )
+
+
+def _diverging_data(scale):
+    # Zero features leave the weights at zero; otherwise lr * l2 = 3 doubles
+    # them every step, so a smaller scale overflows later.
+    rng = np.random.default_rng(1)
+    labels = np.array([0, 1, 2, 0, 1, 2, 0, 1], dtype=np.int64)
+    return ToyDataset(features=scale * rng.standard_normal((8, 4)), labels=labels)
+
+
+DIVERGING_CONFIG = TrainConfig(learning_rate=1.0, l2_penalty=3.0, epochs=600, batch_size=4,
+                               seed=5)
+
+
+@pytest.mark.parametrize("scale, epoch", [(1e-150, 506), (1.0, 257)])
+def test_divergence_point_is_pinned(scale, epoch):
+    with pytest.raises(TrainingDivergedError) as exc:
+        train(ToyModel.zeros(3, 4), _diverging_data(scale), DIVERGING_CONFIG)
+    assert (exc.value.epoch, exc.value.batch) == (epoch, 0)
+    assert str(exc.value) == f"non-finite training loss inf at epoch {epoch}, batch 0"
+
+
 def test_training_is_deterministic():
     spec = small_spec()
     data = generate_toy_data(spec, "source_0", "synthetic", "train")
