@@ -286,27 +286,37 @@ def _loss_and_grads(
     features: np.ndarray,
     labels: np.ndarray,
     l2_penalty: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean softmax cross-entropy plus 0.5 * l2 * ||W||^2 (bias unpenalized)."""
-    n = features.shape[0]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean softmax cross-entropy plus 0.5 * l2 * ||W||^2 (bias unpenalized)
+    of M models stacked on axis 0.
+
+    weights [M, classes, dim], bias [M, classes], features [M, n, dim] and
+    labels [M, n] give losses [M] and gradients shaped like weights and bias.
+    Every matmul and reduction runs per model slice in the order a lone model's
+    would, so each model's numbers do not depend on the others.
+    """
+    m, n = labels.shape
+    rows, cols = np.arange(m)[:, None], np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught by the caller
-        logits = features @ weights.T + bias
-        shift = logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits - shift)
-        denom = exp.sum(axis=1, keepdims=True)
-        log_probs = (logits - shift) - np.log(denom)
-        nll = -float(log_probs[np.arange(n), labels].mean())
-        loss = nll + 0.5 * l2_penalty * float(np.sum(weights * weights))
+        logits = features @ weights.transpose(0, 2, 1) + bias[:, None, :]
+        shifted = logits - logits.max(axis=2, keepdims=True)
+        exp = np.exp(shifted)
+        denom = exp.sum(axis=2, keepdims=True)
+        # The labels' log-probabilities, as shifted - log(denom) gives them, and
+        # their mean, as .mean(axis=1) gives it.
+        log_probs = shifted[rows, cols, labels] - np.log(denom[:, :, 0])
+        nll = -(log_probs.sum(axis=1) / n)
+        loss = nll + 0.5 * l2_penalty * (weights * weights).reshape(m, -1).sum(axis=1)
         grad_logits = exp / denom
-        grad_logits[np.arange(n), labels] -= 1.0
+        grad_logits[rows, cols, labels] -= 1.0
         grad_logits /= n
-        grad_w = grad_logits.T @ features + l2_penalty * weights
-        grad_b = grad_logits.sum(axis=0)
+        grad_w = grad_logits.transpose(0, 2, 1) @ features + l2_penalty * weights
+        grad_b = grad_logits.sum(axis=1)
     return loss, grad_w, grad_b
 
 
 def training_loss(model: ToyModel, data: ToyDataset, l2_penalty: float = 0.0) -> float:
-    loss, _, _ = _loss_and_grads(model.weights, model.bias, data.features, data.labels, l2_penalty)
+    loss, _, _ = loss_gradients(model, data, l2_penalty)
     return loss
 
 
@@ -314,7 +324,77 @@ def loss_gradients(
     model: ToyModel, data: ToyDataset, l2_penalty: float = 0.0
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss plus analytic gradients w.r.t. weights and bias."""
-    return _loss_and_grads(model.weights, model.bias, data.features, data.labels, l2_penalty)
+    loss, grad_w, grad_b = _loss_and_grads(
+        model.weights[None], model.bias[None], data.features[None], data.labels[None], l2_penalty
+    )
+    return float(loss[0]), grad_w[0], grad_b[0]
+
+
+def _train_lockstep(
+    inits: Sequence[ToyModel],
+    features: np.ndarray,
+    labels: np.ndarray,
+    configs: Sequence[TrainConfig],
+) -> list[ToyModel | TrainingDivergedError]:
+    """Train M independent models in one minibatch gradient-descent loop.
+
+    Model m starts from inits[m] and trains on features[m] ([n, dim]) and
+    labels[m] ([n]), shuffled per (configs[m].seed, epoch); the configs may
+    differ only in their seeds. Each step updates all M models with one NumPy
+    call per op, and each result is bit-identical to training that model
+    alone. A model whose loss turns non-finite gets, in place of its model,
+    the TrainingDivergedError its lone run would raise; the others train on.
+    """
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValidationError("models trained together must share all settings but the seed")
+    weights = np.stack([init.weights for init in inits])
+    bias = np.stack([init.bias for init in inits])
+    num_models, n = labels.shape
+    if n == 0:
+        raise ValidationError("cannot train on an empty dataset")
+    if features.shape[2] != weights.shape[2]:
+        raise ValidationError(
+            f"feature dim {features.shape[2]} does not match model dim {weights.shape[2]}"
+        )
+    if int(labels.max()) >= weights.shape[1] or int(labels.min()) < 0:
+        raise ValidationError("labels fall outside the model's class range")
+    flat_features = features.reshape(num_models * n, -1)
+    flat_labels = labels.reshape(-1)
+    offsets = np.arange(num_models)[:, None] * n
+    diverged: dict[int, TrainingDivergedError] = {}
+    # A diverged model keeps stepping on non-finite weights until all have diverged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = offsets + np.stack([
+                np.random.default_rng(np.random.SeedSequence([c.seed, epoch])).permutation(n)
+                for c in configs
+            ])
+            for batch_index, start in enumerate(range(0, n, config.batch_size)):
+                idx = order[:, start:start + config.batch_size]
+                loss, grad_w, grad_b = _loss_and_grads(
+                    weights, bias, flat_features[idx], flat_labels[idx], config.l2_penalty
+                )
+                if not np.isfinite(loss).all():
+                    for m in np.flatnonzero(~np.isfinite(loss)).tolist():
+                        diverged.setdefault(m, TrainingDivergedError(
+                            f"non-finite training loss {float(loss[m])!r} at epoch {epoch}, "
+                            f"batch {batch_index}",
+                            epoch=epoch,
+                            batch=batch_index,
+                        ))
+                    if len(diverged) == num_models:
+                        return [diverged[m] for m in range(num_models)]
+                weights -= config.learning_rate * grad_w
+                bias -= config.learning_rate * grad_b
+    return [diverged[m] if m in diverged else ToyModel(weights[m], bias[m])
+            for m in range(num_models)]
+
+
+def _trained(result: ToyModel | TrainingDivergedError) -> ToyModel:
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    return result
 
 
 def train(init: ToyModel, data: ToyDataset, config: TrainConfig) -> ToyModel:
@@ -323,36 +403,8 @@ def train(init: ToyModel, data: ToyDataset, config: TrainConfig) -> ToyModel:
     Zero epochs returns init unchanged. A non-finite loss aborts with the
     epoch and batch where training diverged.
     """
-    if len(data) == 0:
-        raise ValidationError("cannot train on an empty dataset")
-    if data.features.shape[1] != init.weights.shape[1]:
-        raise ValidationError(
-            f"feature dim {data.features.shape[1]} does not match model dim "
-            f"{init.weights.shape[1]}"
-        )
-    if int(data.labels.max()) >= init.weights.shape[0] or int(data.labels.min()) < 0:
-        raise ValidationError("labels fall outside the model's class range")
-    weights = init.weights.copy()
-    bias = init.bias.copy()
-    n = len(data)
-    for epoch in range(config.epochs):
-        order = np.random.default_rng(
-            np.random.SeedSequence([config.seed, epoch])
-        ).permutation(n)
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start:start + config.batch_size]
-            loss, grad_w, grad_b = _loss_and_grads(
-                weights, bias, data.features[idx], data.labels[idx], config.l2_penalty
-            )
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite training loss {loss!r} at epoch {epoch}, batch {batch_index}",
-                    epoch=epoch,
-                    batch=batch_index,
-                )
-            weights -= config.learning_rate * grad_w
-            bias -= config.learning_rate * grad_b
-    return ToyModel(weights, bias)
+    result, = _train_lockstep([init], data.features[None], data.labels[None], [config])
+    return _trained(result)
 
 
 def evaluate_error(model: ToyModel, data: ToyDataset) -> float:
@@ -442,16 +494,41 @@ def _source_data(spec: ToyDataSpec, domain: str, condition: str) -> ToyDataset:
     return generate_toy_data(spec, domain, condition, "train")
 
 
+def _stack_train_sets(
+    models: Sequence[Sequence[tuple[ToyDataSpec, str, str]]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each model's concatenated (spec, domain, condition) train sets, stacked
+    into features [M, n, dim] and labels [M, n].
+
+    The stack is filled one model at a time, so no list of data sets is held
+    beside it.
+    """
+    features = labels = None
+    for m, parts in enumerate(models):
+        data = concat_datasets([_source_data(*part) for part in parts])
+        if features is None:
+            features = np.empty((len(models), *data.features.shape))
+            labels = np.empty((len(models), len(data)), dtype=np.int64)
+        features[m], labels[m] = data.features, data.labels
+    return features, labels
+
+
+def _pretrain_all(
+    specs: Sequence[ToyDataSpec], configs: Sequence[TrainConfig]
+) -> list[ToyModel | TrainingDivergedError]:
+    """Every world's parent, trained from the zero model on its pooled source
+    real and synthetic train sets, in one lockstep run."""
+    features, labels = _stack_train_sets([
+        [(spec, f"source_{j}", condition)
+         for j in range(spec.num_source_domains) for condition in ("real", "synthetic")]
+        for spec in specs
+    ])
+    init = ToyModel.zeros(specs[0].num_classes_total, specs[0].feature_dim)
+    return _train_lockstep([init] * len(specs), features, labels, configs)
+
+
 def _pretrain(spec: ToyDataSpec, config: TrainConfig) -> ToyModel:
-    pooled = concat_datasets(
-        [
-            _source_data(spec, f"source_{j}", condition)
-            for j in range(spec.num_source_domains)
-            for condition in ("real", "synthetic")
-        ]
-    )
-    init = ToyModel.zeros(spec.num_classes_total, spec.feature_dim)
-    return train(init, pooled, config)
+    return _trained(_pretrain_all([spec], [config])[0])
 
 
 def _curve_outcome(
@@ -480,25 +557,30 @@ def _curve_outcome(
     )
 
 
-def _condition_vector(
+def _condition_vectors(
     parent: ToyModel,
     spec: ToyDataSpec,
     config: TrainConfig,
-    domains: Sequence[str],
-    label: str,
-) -> TaskVector:
+    domain_groups: Sequence[Sequence[str]],
+    names: Sequence[str],
+) -> list[TaskVector]:
     """Fine-tune parent on the pooled real and on the pooled synthetic train
-    sets of domains; the task vector is real minus synthetic."""
-    real_model, syn_model = (
-        train(parent, concat_datasets([_source_data(spec, d, condition) for d in domains]),
-              config)
-        for condition in ("real", "synthetic")
-    )
-    return compute_task_vector(
-        real_model.to_tensor_map(),
-        syn_model.to_tensor_map(),
-        Provenance(label, "real", f"synthetic_v{spec.channel_variant}"),
-    )
+    sets of each domain group, all in one lockstep run; each group's task
+    vector, named in turn from names, is real minus synthetic."""
+    features, labels = _stack_train_sets([
+        [(spec, domain, condition) for domain in domains]
+        for domains in domain_groups for condition in ("real", "synthetic")
+    ])
+    runs = _train_lockstep([parent] * len(labels), features, labels, [config] * len(labels))
+    # Unwrapped pair by pair, so a failure surfaces where one-at-a-time training raised it.
+    return [
+        compute_task_vector(
+            _trained(real).to_tensor_map(),
+            _trained(syn).to_tensor_map(),
+            Provenance(name, "real", f"synthetic_v{spec.channel_variant}"),
+        )
+        for name, real, syn in zip(names, runs[0::2], runs[1::2])
+    ]
 
 
 def build_domain_task_vectors(
@@ -509,7 +591,8 @@ def build_domain_task_vectors(
     """One real-minus-synthetic task vector per source domain, from a shared
     pretrained parent."""
     parent = pretrained if pretrained is not None else _pretrain(spec, config)
-    return [_condition_vector(parent, spec, config, [d], d) for d in spec.domain_labels()[:-1]]
+    sources = spec.domain_labels()[:-1]
+    return _condition_vectors(parent, spec, config, [[d] for d in sources], sources)
 
 
 def _run_protocol(
@@ -528,20 +611,23 @@ def _run_protocol(
         raise ValidationError(
             f"num_vectors must lie in 1..{data_spec.num_source_domains}, got {num_vectors}"
         )
+    specs = [replace(data_spec, seed=_derived_seed(data_spec.seed, i)) for i in range(num_seeds)]
+    configs = [replace(train_config, seed=_derived_seed(train_config.seed, i))
+               for i in range(num_seeds)]
+    parents = _pretrain_all(specs, configs)
     outcomes = []
-    for index in range(num_seeds):
-        spec = replace(data_spec, seed=_derived_seed(data_spec.seed, index))
-        config = replace(train_config, seed=_derived_seed(train_config.seed, index))
-        parent = _pretrain(spec, config)
+    for index, (spec, config, parent) in enumerate(zip(specs, configs, parents)):
+        parent = _trained(parent)  # a seed's failure surfaces after earlier seeds' stages
         target_model = train(parent, generate_toy_data(spec, "target", "synthetic", "train"),
                              config)
         sources = spec.domain_labels()[:-1]
         if ensemble:
+            chosen = sources[:num_vectors]
             tau = ensemble_average(
-                [_condition_vector(parent, spec, config, [d], d) for d in sources[:num_vectors]]
+                _condition_vectors(parent, spec, config, [[d] for d in chosen], chosen)
             )
         else:
-            tau = _condition_vector(parent, spec, config, sources, "source")
+            tau, = _condition_vectors(parent, spec, config, [sources], ["source"])
         eval_data = generate_toy_data(spec, "target", "real", "eval")
         outcomes.append(_curve_outcome(index, target_model, tau, eval_data, grid))
     return ProtocolReport(

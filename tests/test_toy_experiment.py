@@ -414,21 +414,100 @@ def test_domain_task_vectors_golden_digest(tmp_path):
     )
 
 
+def _record_lockstep_runs(monkeypatch, inject=None):
+    """Record the model count of every lockstep run; inject(run_index, results) may
+    replace results to simulate a failure."""
+    runs = []
+    real_lockstep = toy_experiment._train_lockstep
+
+    def recording_lockstep(inits, features, labels, configs):
+        runs.append(len(inits))
+        results = real_lockstep(inits, features, labels, configs)
+        return inject(len(runs) - 1, results) if inject else results
+
+    monkeypatch.setattr(toy_experiment, "_train_lockstep", recording_lockstep)
+    return runs
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ensemble_protocol_trains_only_the_vectors_it_averages(monkeypatch, k):
     # Per seed: the pretrain, the target fine-tune, and a real and a synthetic
-    # fine-tune for each of the k averaged domains.
-    calls = []
-    real_train = toy_experiment.train
-
-    def counting_train(*args, **kwargs):
-        calls.append(1)
-        return real_train(*args, **kwargs)
-
-    monkeypatch.setattr(toy_experiment, "train", counting_train)
+    # fine-tune for each of the k averaged domains. One run pretrains every
+    # seed; per seed, one run fine-tunes the target and one the 2k conditions.
+    runs = _record_lockstep_runs(monkeypatch)
     spec, config = _three_domain_args()
     run_ensemble_protocol(spec, config, lambda_grid=(0.0, 0.5), num_seeds=2, num_vectors=k)
-    assert len(calls) == 2 * (2 + 2 * k)
+    assert sum(runs) == 2 * (2 + 2 * k)
+    assert len(runs) == 1 + 2 * 2
+
+
+def test_lockstep_models_equal_training_each_alone():
+    # Mixed data seeds, shuffle seeds and inits, one shared n; 13 samples
+    # with batch 4 end every epoch on a batch of one.
+    rng = np.random.default_rng(3)
+    datasets = [
+        generate_toy_data(small_spec(seed=s, samples_per_class=13, num_classes_per_domain=2),
+                          "source_0", c, "train")
+        for s, c in [(1, "real"), (2, "synthetic"), (3, "real")]
+    ]
+    inits = [ToyModel.zeros(4, 6), ToyModel(rng.standard_normal((4, 6)), rng.standard_normal(4)),
+             ToyModel.zeros(4, 6)]
+    configs = [TrainConfig(epochs=3, batch_size=4, l2_penalty=1e-2, seed=s) for s in (7, 8, 7)]
+    results = toy_experiment._train_lockstep(
+        inits, np.stack([d.features for d in datasets]), np.stack([d.labels for d in datasets]),
+        configs,
+    )
+    for init, data, config, result in zip(inits, datasets, configs, results):
+        assert _model_digest(result) == _model_digest(train(init, data, config))
+
+
+def test_lockstep_divergence_matches_training_each_alone():
+    # [ok, diverges late, diverges early]: each entry is what training the model
+    # alone gives, so callers that unwrap in order raise the late (lower-index) one.
+    datasets = [_diverging_data(scale) for scale in (0.0, 1e-150, 1.0)]
+    init = ToyModel.zeros(3, 4)
+    results = toy_experiment._train_lockstep(
+        [init] * 3, np.stack([d.features for d in datasets]),
+        np.stack([d.labels for d in datasets]), [DIVERGING_CONFIG] * 3,
+    )
+    assert _model_digest(results[0]) == _model_digest(train(init, datasets[0], DIVERGING_CONFIG))
+    for data, result in zip(datasets[1:], results[1:]):
+        assert isinstance(result, TrainingDivergedError)
+        with pytest.raises(TrainingDivergedError) as alone:
+            train(init, data, DIVERGING_CONFIG)
+        assert (result.epoch, result.batch, str(result)) == \
+            (alone.value.epoch, alone.value.batch, str(alone.value))
+    assert (results[1].epoch, results[2].epoch) == (506, 257)
+
+
+def test_lockstep_rejects_models_with_different_settings():
+    data = generate_toy_data(small_spec(), "source_0", "real", "train")
+    with pytest.raises(ValidationError):
+        toy_experiment._train_lockstep(
+            [ToyModel.zeros(6, 6)] * 2, np.stack([data.features] * 2),
+            np.stack([data.labels] * 2), [quick_config(), quick_config(epochs=6)],
+        )
+
+
+def _fail_last_model(*run_indices):
+    def inject(index, results):
+        if index in run_indices:
+            results = [*results[:-1], TrainingDivergedError(f"injected {index}", epoch=1, batch=0)]
+        return results
+    return inject
+
+
+@pytest.mark.parametrize("failing_runs, raised", [((0,), "injected 0"), ((0, 2), "injected 2")])
+def test_protocol_raises_failures_in_serial_order(monkeypatch, failing_runs, raised):
+    # Runs: 0 pretrains both seeds; 1 and 2 are seed 0's target and
+    # conditions. Seed 1's failed pretrain (the last model of run 0) is raised
+    # only after seed 0's stages, and a failure there comes first, as it did
+    # when every model was trained one at a time.
+    runs = _record_lockstep_runs(monkeypatch, inject=_fail_last_model(*failing_runs))
+    spec, config = _three_domain_args()
+    with pytest.raises(TrainingDivergedError, match=raised):
+        run_ensemble_protocol(spec, config, lambda_grid=(0.0,), num_seeds=2, num_vectors=2)
+    assert runs == [2, 1, 4]
 
 
 def test_report_json_shape():
