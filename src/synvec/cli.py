@@ -90,6 +90,17 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ValidationError(f"expected a comma-separated list of integers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts, so a bad value is a usage error that names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _load_vectors(paths: list[str]):
     return [load_task_vector(path) for path in paths]
 
@@ -318,7 +329,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambdas", default=None,
                         help="comma-separated grid (default 0.0,0.1,...,1.0)")
     parser.add_argument("--keep-checkpoints", action="store_true")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_positive_int, default=1,
                         help="parallel evaluator subprocesses (default 1)")
     parser.add_argument("--json-out", default=None)
     parser.add_argument("--csv-out", default=None)
@@ -407,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="defaults to the global --seed")
     p.add_argument("--lambdas", default=None,
                    help="comma-separated grid (default 0.0,0.1,...,1.0)")
-    p.add_argument("--num-seeds", type=int, default=10)
+    p.add_argument("--num-seeds", type=_positive_int, default=10)
     p.add_argument("--json-out", default=None)
     p.add_argument("--csv-out", default=None)
     p.set_defaults(func=_cmd_toy_run)

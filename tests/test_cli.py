@@ -335,6 +335,27 @@ def test_usage_error_exits_64(capsys):
     assert json.loads(captured.err)["error"]["kind"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["toy-run", "--num-seeds", "0"], "--num-seeds"),
+        (["sweep", "SYN", "TAU", "--evaluator", CONSTANT_EVALUATOR, "--workdir", "WORK",
+          "--workers", "0"], "--workers"),
+        (["ablate", "SYN", "TAU", "--lambda", "0.5", "--evaluator", CONSTANT_EVALUATOR,
+          "--workdir", "WORK", "--workers", "-2"], "--workers"),
+    ],
+)
+def test_non_positive_counts_are_usage_errors(capsys, fixture_paths, tmp_path, argv, flag):
+    _, real_path, syn_path = fixture_paths
+    tau_path = tmp_path / "tau.st"
+    run_cli(capsys, "diff", real_path, syn_path, "--out", tau_path)
+    paths = {"SYN": syn_path, "TAU": tau_path, "WORK": tmp_path / "work"}
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 64
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "usage"
+    assert flag in error["message"]
+
+
 def test_help_exits_zero_and_lists_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
