@@ -354,7 +354,7 @@ def fingerprint(tmap: TensorMap, *, include_content: bool = False) -> Fingerprin
     if include_content:
         digest = hashlib.sha256()
         for _, arr in tmap.items():
-            digest.update(arr.tobytes())
+            digest.update(np.ascontiguousarray(arr).data)  # no copy unless strided
         content = digest.hexdigest()
     return Fingerprint(schema_hash=schema_of(tmap).schema_hash, content_hash=content)
 

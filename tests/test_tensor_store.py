@@ -1,5 +1,6 @@
 """Container format: round-trips, canonical bytes, malformed-file errors."""
 
+import hashlib
 import json
 import os
 import stat
@@ -183,6 +184,18 @@ def test_content_hash_optional(rng):
     fp = fingerprint(tmap, include_content=True)
     assert fp.content_hash is not None
     assert fingerprint(tmap, include_content=True) == fp
+
+
+def test_content_hash_is_sha256_of_c_order_bytes(rng):
+    # Contiguous tensors are hashed in place, strided ones in C order, as tobytes() gives.
+    tmap = TensorMap({
+        "a.strided": rng.standard_normal((5, 7)).astype(np.float16).T,
+        "b.matrix": rng.standard_normal((3, 4)).astype(np.float32),
+        "c.scalar": np.array(1.5),
+        "d.empty": np.zeros((0, 3), dtype=np.float32),
+    })
+    expected = hashlib.sha256(b"".join(arr.tobytes() for _, arr in tmap.items()))
+    assert fingerprint(tmap, include_content=True).content_hash == expected.hexdigest()
 
 
 def test_zero_sized_tensor_round_trip(tmp_path):
