@@ -98,6 +98,12 @@ def test_unknown_domain_and_condition_rejected():
         generate_toy_data(spec, "target", "real", "test")
 
 
+@pytest.mark.parametrize("domain", ["source_9", "target2"])
+def test_unknown_domain_label_rejected(domain):
+    with pytest.raises(ValidationError, match="unknown domain"):
+        generate_toy_data(small_spec(num_source_domains=3), domain, "real", "train")
+
+
 def test_channel_is_shared_across_seeds_within_variant():
     base = small_spec(base_noise_stddev=0.0)
     a = generate_toy_data(dataclasses.replace(base, seed=1), "source_0", "synthetic", "train")

@@ -223,17 +223,25 @@ def _edge_case_addends(rng, dtype, k, n=512):
     return list(rows)
 
 
-@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, "mixed"])
 @pytest.mark.parametrize("k", range(2, 18))
 def test_ensemble_matches_sorted_sum_bitwise(dtype, k):
-    rng = np.random.default_rng(1000 * k + np.dtype(dtype).itemsize)
-    addends = _edge_case_addends(rng, dtype, k)
+    # "mixed" holds F16, F32 and F64 tensors in one map: one call takes both sum paths.
+    dtypes = (np.float16, np.float32, np.float64) if dtype == "mixed" else (dtype,)
+    entries = [{} for _ in range(k)]
+    for dt in dtypes:
+        rng = np.random.default_rng(1000 * k + np.dtype(dt).itemsize)
+        prefix = np.dtype(dt).name if dtype == "mixed" else ""
+        for entry, values in zip(entries, _edge_case_addends(rng, dt, k)):
+            entry[prefix + "w"] = values.reshape(16, -1)
+            entry[prefix + "s"] = values[:1].reshape(())
     vectors = []
-    for values in addends:
-        tmap = TensorMap({"w": values.reshape(16, -1), "s": values[:1].reshape(())})
+    for entry in entries:
+        tmap = TensorMap(entry)
         vectors.append(TaskVector(deltas=tmap, base_schema=fingerprint(tmap)))
     avg = ensemble_average(vectors)
-    for name in ("w", "s"):
+    assert len(avg.deltas) == 2 * len(dtypes)
+    for name in avg.deltas.names():
         expected = _sorted_mean([v.deltas[name] for v in vectors])
         assert avg.deltas[name].dtype == expected.dtype
         assert avg.deltas[name].tobytes() == expected.tobytes()
