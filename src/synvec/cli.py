@@ -76,18 +76,12 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"kind": kind, "message": message}}) + "\n")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, convert=float) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        return tuple(convert(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise ValidationError(f"expected a comma-separated list of numbers, got {text!r}")
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ValidationError(f"expected a comma-separated list of integers, got {text!r}")
+        raise ValidationError(f"expected a comma-separated list of {convert.__name__} values, "
+                              f"got {text!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -105,10 +99,18 @@ def _load_vectors(paths: list[str]):
     return [load_task_vector(path) for path in paths]
 
 
-def _maybe_write(path: str | None, text: str) -> None:
-    if path:
-        with open_replacing(path) as handle:
-            handle.write(text.encode("utf-8"))
+def _write_result(args, result) -> dict:
+    """Write ``result`` to ``--json-out`` and ``--csv-out`` when given; return its JSON."""
+    for path, text in ((args.json_out, result.to_json()), (args.csv_out, result.to_csv())):
+        if path:
+            with open_replacing(path) as handle:
+                handle.write(text.encode("utf-8"))
+    return result.to_json_obj()
+
+
+def _write_bundle(bundle, args) -> dict:
+    out_dir = bundle.write(args.out_dir)
+    return {"out_dir": str(out_dir), "files": [f.name for _, f in bundle.files()]}
 
 
 def _cmd_diff(args) -> dict:
@@ -198,7 +200,7 @@ def _sweep_config(args) -> SweepConfig:
     return SweepConfig(
         evaluator=args.evaluator,
         workdir=Path(args.workdir),
-        lambda_grid=_parse_floats(args.lambdas) if args.lambdas else DEFAULT_LAMBDA_GRID,
+        lambda_grid=_parse_list(args.lambdas) if args.lambdas else DEFAULT_LAMBDA_GRID,
         keep_checkpoints=args.keep_checkpoints,
         parallel_workers=args.workers,
     )
@@ -207,10 +209,7 @@ def _sweep_config(args) -> SweepConfig:
 def _cmd_sweep(args) -> dict:
     model = read_checkpoint(args.model)
     vectors = _load_vectors(args.vectors)
-    result = run_lambda_sweep(model, vectors, _sweep_config(args))
-    _maybe_write(args.json_out, result.to_json())
-    _maybe_write(args.csv_out, result.to_csv())
-    return result.to_json_obj()
+    return _write_result(args, run_lambda_sweep(model, vectors, _sweep_config(args)))
 
 
 def _cmd_ablate(args) -> dict:
@@ -221,13 +220,11 @@ def _cmd_ablate(args) -> dict:
         vectors,
         args.lam,
         _sweep_config(args),
-        ks=_parse_ints(args.ks) if args.ks else None,
+        ks=_parse_list(args.ks, int) if args.ks else None,
         policy=args.policy,
-        seeds=_parse_ints(args.seeds) if args.seeds else (args.seed,),
+        seeds=_parse_list(args.seeds, int) if args.seeds else (args.seed,),
     )
-    _maybe_write(args.json_out, result.to_json())
-    _maybe_write(args.csv_out, result.to_csv())
-    return result.to_json_obj()
+    return _write_result(args, result)
 
 
 def _cmd_toy_run(args) -> dict:
@@ -255,12 +252,9 @@ def _cmd_toy_run(args) -> dict:
         l2_penalty=args.l2_penalty,
         seed=args.train_seed if args.train_seed is not None else args.seed,
     )
-    grid = _parse_floats(args.lambdas) if args.lambdas else DEFAULT_LAMBDA_GRID
+    grid = _parse_list(args.lambdas) if args.lambdas else DEFAULT_LAMBDA_GRID
     runner = run_ensemble_protocol if args.protocol == "ensemble" else run_adaptation_protocol
-    report = runner(spec, config, grid, args.num_seeds)
-    _maybe_write(args.json_out, report.to_json())
-    _maybe_write(args.csv_out, report.to_csv())
-    return report.to_json_obj()
+    return _write_result(args, runner(spec, config, grid, args.num_seeds))
 
 
 def _vector_labels(args, vectors) -> list[str]:
@@ -285,8 +279,7 @@ def _cmd_report_similarity(args) -> dict:
     bundle = report_mod.build_similarity_report(
         list(zip(labels, vectors)), granularity=args.granularity, name=args.name
     )
-    out_dir = bundle.write(args.out_dir)
-    return {"out_dir": str(out_dir), "files": [f.name for _, f in bundle.files()]}
+    return _write_bundle(bundle, args)
 
 
 def _cmd_report_sweep(args) -> dict:
@@ -299,9 +292,7 @@ def _cmd_report_sweep(args) -> dict:
         if args.labels
         else [Path(path).stem for path in args.results]
     )
-    bundle = report_mod.build_sweep_report(results, labels, name=args.name)
-    out_dir = bundle.write(args.out_dir)
-    return {"out_dir": str(out_dir), "files": [f.name for _, f in bundle.files()]}
+    return _write_bundle(report_mod.build_sweep_report(results, labels, name=args.name), args)
 
 
 def _load_wer_map(path: str) -> dict[str, float]:
@@ -318,8 +309,7 @@ def _cmd_report_table(args) -> dict:
     bundle = report_mod.build_table_report(
         _load_wer_map(args.baseline), _load_wer_map(args.adapted), name=args.name
     )
-    out_dir = bundle.write(args.out_dir)
-    return {"out_dir": str(out_dir), "files": [f.name for _, f in bundle.files()]}
+    return _write_bundle(bundle, args)
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:

@@ -175,15 +175,17 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def best_point(curve: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """The (lambda, error) pair with the lowest error on a curve sorted by lambda;
+    ``min`` keeps the first of equal pairs, so ties break toward the smaller lambda."""
+    return min(curve, key=lambda point: point[1])
+
+
 def best_lambda(result: SweepResult) -> float:
     """Scaling factor with the lowest WER; ties break toward the smaller one."""
     if not result.records:
         raise ValidationError("sweep produced no successful records")
-    best = result.records[0]
-    for record in result.records[1:]:  # records sorted ascending by lambda
-        if record.wer < best.wer:
-            best = record
-    return best.lam
+    return best_point([(r.lam, r.wer) for r in result.records])[0]
 
 
 def _eval_timeout() -> float:

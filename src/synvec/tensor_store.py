@@ -226,9 +226,6 @@ class TensorMap:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._entries[name]
 
-    def dtype_of(self, name: str) -> Dtype:
-        return Dtype.from_numpy(self._entries[name].dtype)
-
     @property
     def num_elements(self) -> int:
         return sum(arr.size for arr in self._entries.values())

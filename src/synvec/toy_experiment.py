@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TrainingDivergedError, ValidationError
-from .sweep_harness import DEFAULT_LAMBDA_GRID, validate_lambda_grid
+from .sweep_harness import DEFAULT_LAMBDA_GRID, best_point, relative_wer, validate_lambda_grid
 from .tensor_store import TensorMap
 from .vector_ops import (
     Provenance,
@@ -133,19 +133,13 @@ class ToyDataset:
 
 
 def _domain_index(spec: ToyDataSpec, domain: str) -> int:
-    if domain == "target":
-        return spec.num_source_domains
-    if domain.startswith("source_"):
-        try:
-            index = int(domain[len("source_"):])
-        except ValueError:
-            index = -1
-        if 0 <= index < spec.num_source_domains:
-            return index
-    raise ValidationError(
-        f"unknown domain {domain!r}; expected 'target' or 'source_0'..'source_"
-        f"{spec.num_source_domains - 1}'"
-    )
+    labels = spec.domain_labels()
+    if domain not in labels:
+        raise ValidationError(
+            f"unknown domain {domain!r}; expected 'target' or 'source_0'..'source_"
+            f"{spec.num_source_domains - 1}'"
+        )
+    return labels.index(domain)
 
 
 def _structure(spec: ToyDataSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -542,11 +536,8 @@ def _curve_outcome(
     target_map = target_model.to_tensor_map()
     adapted = (ToyModel.from_tensor_map(apply_task_vector(target_map, tau, lam)) for lam in grid)
     curve = tuple((lam, evaluate_error(model, eval_data)) for lam, model in zip(grid, adapted))
-    best_lam, best_err = curve[0]
-    for lam, err in curve[1:]:  # ascending grid; strict < keeps the smaller lambda on ties
-        if err < best_err:
-            best_lam, best_err = lam, err
-    reduction = 100.0 * (baseline - best_err) / baseline if baseline > 0 else 0.0
+    best_lam, best_err = best_point(curve)
+    reduction = relative_wer(baseline, best_err) if baseline > 0 else 0.0
     return SeedOutcome(
         seed_index=seed_index,
         baseline_error=baseline,
@@ -561,15 +552,14 @@ def _condition_vectors(
     parent: ToyModel,
     spec: ToyDataSpec,
     config: TrainConfig,
-    domain_groups: Sequence[Sequence[str]],
-    names: Sequence[str],
+    groups: dict[str, Sequence[str]],
 ) -> list[TaskVector]:
     """Fine-tune parent on the pooled real and on the pooled synthetic train
-    sets of each domain group, all in one lockstep run; each group's task
-    vector, named in turn from names, is real minus synthetic."""
+    sets of each named domain group, all in one lockstep run; each group's
+    task vector, named after it, is real minus synthetic."""
     features, labels = _stack_train_sets([
         [(spec, domain, condition) for domain in domains]
-        for domains in domain_groups for condition in ("real", "synthetic")
+        for domains in groups.values() for condition in ("real", "synthetic")
     ])
     runs = _train_lockstep([parent] * len(labels), features, labels, [config] * len(labels))
     # Unwrapped pair by pair, so a failure surfaces where one-at-a-time training raised it.
@@ -579,20 +569,15 @@ def _condition_vectors(
             _trained(syn).to_tensor_map(),
             Provenance(name, "real", f"synthetic_v{spec.channel_variant}"),
         )
-        for name, real, syn in zip(names, runs[0::2], runs[1::2])
+        for name, real, syn in zip(groups, runs[0::2], runs[1::2])
     ]
 
 
-def build_domain_task_vectors(
-    spec: ToyDataSpec,
-    config: TrainConfig,
-    pretrained: ToyModel | None = None,
-) -> list[TaskVector]:
+def build_domain_task_vectors(spec: ToyDataSpec, config: TrainConfig) -> list[TaskVector]:
     """One real-minus-synthetic task vector per source domain, from a shared
     pretrained parent."""
-    parent = pretrained if pretrained is not None else _pretrain(spec, config)
     sources = spec.domain_labels()[:-1]
-    return _condition_vectors(parent, spec, config, [[d] for d in sources], sources)
+    return _condition_vectors(_pretrain(spec, config), spec, config, {d: [d] for d in sources})
 
 
 def _run_protocol(
@@ -600,17 +585,14 @@ def _run_protocol(
     train_config: TrainConfig,
     lambda_grid: Sequence[float],
     num_seeds: int,
-    *,
-    ensemble: bool,
-    num_vectors: int | None = None,
+    protocol: str,
+    groups: dict[str, Sequence[str]],
 ) -> ProtocolReport:
+    """Per seed, the mean of the task vectors of the named domain groups
+    (see :func:`_condition_vectors`) adapts the target model."""
     grid = validate_lambda_grid(lambda_grid)
     if num_seeds < 1:
         raise ValidationError("num_seeds must be positive")
-    if num_vectors is not None and not 1 <= num_vectors <= data_spec.num_source_domains:
-        raise ValidationError(
-            f"num_vectors must lie in 1..{data_spec.num_source_domains}, got {num_vectors}"
-        )
     specs = [replace(data_spec, seed=_derived_seed(data_spec.seed, i)) for i in range(num_seeds)]
     configs = [replace(train_config, seed=_derived_seed(train_config.seed, i))
                for i in range(num_seeds)]
@@ -620,18 +602,11 @@ def _run_protocol(
         parent = _trained(parent)  # a seed's failure surfaces after earlier seeds' stages
         target_model = train(parent, generate_toy_data(spec, "target", "synthetic", "train"),
                              config)
-        sources = spec.domain_labels()[:-1]
-        if ensemble:
-            chosen = sources[:num_vectors]
-            tau = ensemble_average(
-                _condition_vectors(parent, spec, config, [[d] for d in chosen], chosen)
-            )
-        else:
-            tau, = _condition_vectors(parent, spec, config, [sources], ["source"])
+        tau = ensemble_average(_condition_vectors(parent, spec, config, groups))
         eval_data = generate_toy_data(spec, "target", "real", "eval")
         outcomes.append(_curve_outcome(index, target_model, tau, eval_data, grid))
     return ProtocolReport(
-        protocol="ensemble" if ensemble else "single",
+        protocol=protocol,
         lambda_grid=grid,
         num_source_domains=data_spec.num_source_domains,
         outcomes=tuple(outcomes),
@@ -645,7 +620,8 @@ def run_adaptation_protocol(
     num_seeds: int = 10,
 ) -> ProtocolReport:
     """Full pipeline with one pooled task vector over all source domains."""
-    return _run_protocol(data_spec, train_config, lambda_grid, num_seeds, ensemble=False)
+    groups = {"source": data_spec.domain_labels()[:-1]}
+    return _run_protocol(data_spec, train_config, lambda_grid, num_seeds, "single", groups)
 
 
 def run_ensemble_protocol(
@@ -663,7 +639,10 @@ def run_ensemble_protocol(
     pool, target model) fixed, which isolates the effect of ensemble size.
     With one source domain this reduces exactly to the pooled protocol.
     """
-    return _run_protocol(
-        data_spec, train_config, lambda_grid, num_seeds, ensemble=True,
-        num_vectors=num_vectors,
-    )
+    if num_vectors is not None and not 1 <= num_vectors <= data_spec.num_source_domains:
+        raise ValidationError(
+            f"num_vectors must lie in 1..{data_spec.num_source_domains}, got {num_vectors}"
+        )
+    sources = data_spec.domain_labels()[:-1][:num_vectors]
+    return _run_protocol(data_spec, train_config, lambda_grid, num_seeds, "ensemble",
+                         {d: [d] for d in sources})

@@ -12,14 +12,16 @@ means) runs in F64 with a deterministic, fixed reduction order regardless of
 storage dtype. Small deltas between large weights survive this; they would
 not survive F16 arithmetic.
 
-Compute, apply and scale share one elementwise kernel: each tensor is
-processed in blocks of ``tensor_store.BLOCK_ELEMENTS`` elements, widened into
-a compute-dtype scratch row allocated once per call, operated on in place,
-narrowed straight into the preallocated output and checked for NaN/inf while
-the block is still in cache. The result map records that it was checked, so
-writing it, wrapping it in a :class:`TaskVector` or applying it again scans
-nothing. Inputs are checked through ``TensorMap.non_finite_tensors``, which
-reads a file-backed map once however many sweep points use it.
+Four operations share one elementwise kernel: compute, apply, scale and the
+ensemble mean. Each tensor is processed in blocks of
+``tensor_store.BLOCK_ELEMENTS`` elements, widened into compute-dtype scratch
+allocated once per call, operated on, narrowed straight into the
+preallocated output and checked for NaN/inf while the block is still in
+cache; every kernel output is checked this way. The result map records that
+it was checked, so writing it, wrapping it in a :class:`TaskVector` or
+applying it again scans nothing. Inputs are checked through
+``TensorMap.non_finite_tensors``, which reads a file-backed map once however
+many sweep points use it.
 
 Dot products and squared norms are ``np.sum`` over the F64 product of the
 exactly widened tensors, one tensor at a time, so their pairwise reduction
@@ -152,16 +154,18 @@ def _require_finite(tmap: TensorMap, role: str) -> None:
 
 
 def _elementwise(op, operands: Sequence[TensorMap], message: str | None,
-                 metadata: dict[str, str] | None = None) -> TensorMap:
+                 metadata: dict[str, str] | None = None, *, _compute=None) -> TensorMap:
     """One blocked pass of ``op`` over schema-compatible maps.
 
     For each tensor of ``operands[0]`` and each block of it, ``op(row,
-    *blocks)`` writes its result into ``row`` in the tensor's compute dtype;
-    the row is narrowed (round to nearest even) into a new array of the
-    storage dtype. Unless ``message`` is None, each narrowed block is checked
-    at once, and the first NaN or infinity raises ``NonFiniteValueError``
-    with ``message`` (formatted as in ``require_finite``); the returned map
-    then records that it is finite.
+    *blocks)`` returns the array that holds its result in the compute dtype:
+    ``_compute`` if given, else the tensor's ``_COMPUTE_DTYPE``. ``row`` is
+    a scratch row of that dtype, or the output block itself when the storage
+    dtype is the compute dtype. A result that is not the output block is
+    narrowed (round to nearest even) into it. Unless ``message`` is None,
+    each output block is checked at once, and the first NaN or infinity
+    raises ``NonFiniteValueError`` with ``message`` (formatted as in
+    ``require_finite``); the returned map then records that it is finite.
     """
     block = min(_largest_size(operands[0]), BLOCK_ELEMENTS)
     wide = np.empty(block, dtype=np.float64)  # rows for storage narrower than compute
@@ -169,7 +173,7 @@ def _elementwise(op, operands: Sequence[TensorMap], message: str | None,
     out = {}
     with np.errstate(over="ignore"):  # an overflow is an infinity, which the check reports
         for name, arr in operands[0].items():
-            compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
+            compute = _compute or _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
             flats = [tmap[name].reshape(-1) for tmap in operands]
             result = np.empty(arr.shape, dtype=arr.dtype)
             narrowed = result.reshape(-1)
@@ -177,9 +181,9 @@ def _elementwise(op, operands: Sequence[TensorMap], message: str | None,
                 stop = min(start + BLOCK_ELEMENTS, arr.size)
                 target = narrowed[start:stop]
                 row = target if arr.dtype == compute else wide.view(compute)[: stop - start]
-                op(row, *(flat[start:stop] for flat in flats))
-                if row is not target:
-                    np.copyto(target, row, casting="same_kind")
+                values = op(row, *(flat[start:stop] for flat in flats))
+                if values is not target:
+                    np.copyto(target, values, casting="same_kind")
                 if message is not None:
                     index = first_non_finite(target, bits)
                     if index is not None:
@@ -206,7 +210,7 @@ def compute_task_vector(
         _require_finite(syn, "synthetic model")
 
     def subtract(row, real_block, syn_block):
-        np.subtract(real_block, syn_block, out=row, dtype=row.dtype)
+        return np.subtract(real_block, syn_block, out=row, dtype=row.dtype)
 
     return TaskVector(
         deltas=_elementwise(subtract, (real, syn), _NON_FINITE_DELTA),
@@ -238,7 +242,7 @@ def apply_task_vector(
 
     def shift(row, model_block, delta_block):
         np.multiply(delta_block, row.dtype.type(lam), out=row, dtype=row.dtype)
-        np.add(model_block, row, out=row, dtype=row.dtype)
+        return np.add(model_block, row, out=row, dtype=row.dtype)
 
     message = None if allow_non_finite else (
         f"applying scale {lam} produced a non-finite value in tensor {{name!r}} "
@@ -309,38 +313,28 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
     if len(vectors) == 1:
         return vectors[0]
     k = len(vectors)
+    # One F64 row per addend plus one the network swaps through. The sum stays in
+    # these rows: summing into the kernel's row measured slower (F32, k=4).
     block = min(_largest_size(vectors[0].deltas), BLOCK_ELEMENTS)
     scratch = np.empty((k + 1, block), dtype=np.float64)
-    bits = np.empty(block, dtype=np.uint64)  # for the F64 sum checks; untouched otherwise
-    deltas = {}
-    for name, first in vectors[0].deltas.items():
-        flat_inputs = [v.deltas[name].reshape(-1) for v in vectors]
-        exact_sum = first.dtype == np.float16 and k < _F16_EXACT_MAX_K  # one schema, one dtype
-        # Only an F64 sum can overflow; a mean of finite F16/F32 values fits their range.
-        check_sum = first.dtype == np.float64
-        out = np.empty(first.shape, dtype=first.dtype)
-        out_flat = out.reshape(-1)
-        for start in range(0, first.size, BLOCK_ELEMENTS):
-            stop = min(start + BLOCK_ELEMENTS, first.size)
-            rows = list(scratch[:, : stop - start])
-            for row, flat in zip(rows, flat_inputs):
-                row[...] = flat[start:stop]
-            if not exact_sum:
-                for lo, hi in _batcher_network(k):
-                    np.minimum(rows[lo], rows[hi], out=rows[k])
-                    np.maximum(rows[lo], rows[hi], out=rows[hi])
-                    rows[lo], rows[k] = rows[k], rows[lo]
-            total = np.add(rows[0], 0.0, out=rows[0])  # the +0.0 start
-            for row in rows[1:k]:
-                np.add(total, row, out=total)
-            out_flat[start:stop] = np.divide(total, k, out=total)
-            if check_sum:
-                index = first_non_finite(out_flat[start:stop], bits)
-                if index is not None:
-                    raise non_finite_error(_NON_FINITE_DELTA, name, start + index)
-        deltas[name] = out
+
+    def mean(row, *blocks):
+        rows = list(scratch[:, : row.size])
+        for wide, values in zip(rows, blocks):
+            wide[...] = values
+        if blocks[0].dtype != np.float16 or k >= _F16_EXACT_MAX_K:
+            for lo, hi in _batcher_network(k):
+                np.minimum(rows[lo], rows[hi], out=rows[k])
+                np.maximum(rows[lo], rows[hi], out=rows[hi])
+                rows[lo], rows[k] = rows[k], rows[lo]
+        total = np.add(rows[0], 0.0, out=rows[0])  # the +0.0 start
+        for addend in rows[1:k]:
+            np.add(total, addend, out=total)
+        return np.divide(total, k, out=total)
+
     return TaskVector(
-        deltas=TensorMap(deltas, _non_finite={}),
+        deltas=_elementwise(mean, [v.deltas for v in vectors], _NON_FINITE_DELTA,
+                            _compute=np.float64),
         base_schema=Fingerprint(schema_hash=hashes.pop()),
         provenance=_merged_provenance(vectors),
     )
@@ -456,7 +450,7 @@ def scale_task_vector(tau: TaskVector, factor: float) -> TaskVector:
         raise ValidationError(f"scale factor must be finite, got {factor!r}")
 
     def scale(row, delta_block):
-        np.multiply(delta_block, row.dtype.type(factor), out=row, dtype=row.dtype)
+        return np.multiply(delta_block, row.dtype.type(factor), out=row, dtype=row.dtype)
 
     return TaskVector(deltas=_elementwise(scale, (tau.deltas,), _NON_FINITE_DELTA),
                       base_schema=tau.base_schema, provenance=tau.provenance)
