@@ -43,6 +43,7 @@ from .toy_experiment import (
 )
 from .vector_ops import (
     Provenance,
+    _task_vector_from_map,
     apply_ensemble,
     compute_task_vector,
     cosine_similarity,
@@ -84,15 +85,18 @@ def _parse_list(text: str, convert=float) -> tuple:
                               f"got {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts, so a bad value is a usage error that names the flag."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _count(minimum: int):
+    """argparse type for a count of at least ``minimum``, so a bad value is a
+    usage error that names the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 def _load_vectors(paths: list[str]):
@@ -189,8 +193,8 @@ def _cmd_inspect(args) -> dict:
             for name, dtype, shape in schema.entries
         ],
     }
-    if tmap.metadata.get("synvec.kind") == "task_vector" and not tmap.has_non_finite():
-        stats = norm_stats(load_task_vector(args.path))
+    if tmap.metadata.get("synvec.kind") == "task_vector" and not payload["non_finite"]:
+        stats = norm_stats(_task_vector_from_map(tmap, args.path))
         payload["global_l2"] = stats.total.l2_norm
         payload["max_abs"] = stats.total.max_abs
     return payload
@@ -319,7 +323,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambdas", default=None,
                         help="comma-separated grid (default 0.0,0.1,...,1.0)")
     parser.add_argument("--keep-checkpoints", action="store_true")
-    parser.add_argument("--workers", type=_positive_int, default=1,
+    parser.add_argument("--workers", type=_count(1), default=1,
                         help="parallel evaluator subprocesses (default 1)")
     parser.add_argument("--json-out", default=None)
     parser.add_argument("--csv-out", default=None)
@@ -384,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toy-run", help="run the desk-scale adaptation experiment")
     p.add_argument("--protocol", default="single", choices=["single", "ensemble"])
-    p.add_argument("--num-classes-per-domain", type=int, default=10)
-    p.add_argument("--feature-dim", type=int, default=32)
-    p.add_argument("--num-source-domains", type=int, default=1)
+    p.add_argument("--num-classes-per-domain", type=_count(2), default=10)
+    p.add_argument("--feature-dim", type=_count(1), default=32)
+    p.add_argument("--num-source-domains", type=_count(1), default=1)
     p.add_argument("--class-mean-scale", type=float, default=ToyDataSpec.class_mean_scale)
     p.add_argument("--domain-offset-scale", type=float, default=ToyDataSpec.domain_offset_scale)
     p.add_argument("--base-noise-stddev", type=float, default=ToyDataSpec.base_noise_stddev)
@@ -396,19 +400,20 @@ def build_parser() -> argparse.ArgumentParser:
                    default=ConditionShift.channel_bias_scale)
     p.add_argument("--extra-noise-stddev", type=float,
                    default=ConditionShift.extra_noise_stddev)
-    p.add_argument("--samples-per-class", type=int, default=ToyDataSpec.samples_per_class)
+    p.add_argument("--samples-per-class", type=_count(1),
+                   default=ToyDataSpec.samples_per_class)
     p.add_argument("--channel-variant", type=int, default=0)
     p.add_argument("--data-seed", type=int, default=None,
                    help="defaults to the global --seed")
     p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--epochs", type=_count(0), default=30)
+    p.add_argument("--batch-size", type=_count(1), default=32)
     p.add_argument("--l2-penalty", type=float, default=1e-4)
     p.add_argument("--train-seed", type=int, default=None,
                    help="defaults to the global --seed")
     p.add_argument("--lambdas", default=None,
                    help="comma-separated grid (default 0.0,0.1,...,1.0)")
-    p.add_argument("--num-seeds", type=_positive_int, default=10)
+    p.add_argument("--num-seeds", type=_count(1), default=10)
     p.add_argument("--json-out", default=None)
     p.add_argument("--csv-out", default=None)
     p.set_defaults(func=_cmd_toy_run)

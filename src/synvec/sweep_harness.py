@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import EvaluatorError, ValidationError
 from .tensor_store import TensorMap, write_checkpoint
-from .vector_ops import TaskVector, apply_task_vector, ensemble_average
+from .vector_ops import TaskVector, apply_task_vector, ensemble_average, require_finite_real
 
 logger = logging.getLogger(__name__)
 
@@ -53,12 +53,10 @@ DEFAULT_LAMBDA_GRID = tuple(round(i / 10, 1) for i in range(11))
 
 
 def validate_lambda_grid(values: Sequence[float]) -> tuple[float, ...]:
-    """The grid as sorted floats; it must be non-empty, finite and unique."""
-    grid = tuple(float(v) for v in values)
+    """The grid as sorted floats; it must be non-empty, finite, real and unique."""
+    grid = tuple(float(require_finite_real(v, "lambda grid value")) for v in values)
     if not grid:
         raise ValidationError("lambda grid must be non-empty")
-    if any(not math.isfinite(v) for v in grid):
-        raise ValidationError("lambda grid values must be finite")
     if len(set(grid)) != len(grid):
         raise ValidationError("lambda grid values must be unique")
     return tuple(sorted(grid))
@@ -462,8 +460,7 @@ def run_domain_ablation(
     points run on up to ``parallel_workers`` threads, as sweep points do.
     """
     vector_list = _normalize_vectors(vectors)
-    if not math.isfinite(lam):
-        raise ValidationError(f"scaling factor must be finite, got {lam!r}")
+    require_finite_real(lam, "scaling factor")
     if policy not in ("prefix", "random"):
         raise ValidationError(f"policy must be 'prefix' or 'random', got {policy!r}")
     total = len(vector_list)

@@ -252,9 +252,6 @@ class TensorMap:
                 out[name] = index
         return out
 
-    def has_non_finite(self) -> bool:
-        return bool(self.non_finite_tensors())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorMap):
             return NotImplemented

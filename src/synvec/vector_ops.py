@@ -142,6 +142,14 @@ def _widened(arr: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return wide
 
 
+def require_finite_real(value, what: str):
+    """``value`` if it is a finite real number other than a bool; else a
+    ValidationError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValidationError(f"{what} must be a finite real number, got {value!r}")
+    return value
+
+
 def _require_compatible(a: TensorMap, b: TensorMap) -> None:
     report = schema_compatible(a, b)
     if not report.ok:
@@ -232,8 +240,7 @@ def apply_task_vector(
     A non-finite result (e.g. an F16 overflow after narrowing) is an error
     naming the tensor and the first offending element.
     """
-    if not isinstance(lam, numbers.Real) or not math.isfinite(lam):
-        raise ValidationError(f"scaling factor must be a finite scalar, got {lam!r}")
+    require_finite_real(lam, "scaling factor")
     _require_compatible(model, tau.deltas)
     if not allow_non_finite:
         _require_finite(model, "model")
@@ -446,8 +453,7 @@ def norm_stats(tau: TaskVector) -> NormReport:
 
 def scale_task_vector(tau: TaskVector, factor: float) -> TaskVector:
     """Multiply all deltas by a finite scalar, keeping schema and provenance."""
-    if not math.isfinite(factor):
-        raise ValidationError(f"scale factor must be finite, got {factor!r}")
+    require_finite_real(factor, "scale factor")
 
     def scale(row, delta_block):
         return np.multiply(delta_block, row.dtype.type(factor), out=row, dtype=row.dtype)
@@ -530,7 +536,11 @@ def save_task_vector(tau: TaskVector, path: str | Path) -> None:
 
 def load_task_vector(path: str | Path) -> TaskVector:
     """Read a task vector container written by :func:`save_task_vector`."""
-    tmap = read_checkpoint(path)
+    return _task_vector_from_map(read_checkpoint(path), path)
+
+
+def _task_vector_from_map(tmap: TensorMap, path: str | Path) -> TaskVector:
+    """The task vector held by ``tmap``, the map read from the container at ``path``."""
     metadata = tmap.metadata
     if metadata.get(KIND_KEY) != TASK_VECTOR_KIND:
         raise ValidationError(

@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from synvec import cli
+from synvec import cli, vector_ops
 from synvec.cli import main
 from synvec.tensor_store import TensorMap, read_checkpoint, write_checkpoint
 from synvec.vector_ops import (
@@ -185,6 +185,25 @@ def test_inspect_command(capsys, fixture_paths):
     assert payload["content_hash"]
 
 
+def test_inspect_reads_a_task_vector_once(capsys, monkeypatch, fixture_paths):
+    tmp_path, real_path, syn_path = fixture_paths
+    tau_path = tmp_path / "tau.st"
+    tau = compute_task_vector(read_checkpoint(real_path), read_checkpoint(syn_path))
+    save_task_vector(tau, tau_path)
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_checkpoint(path)
+
+    monkeypatch.setattr(cli, "read_checkpoint", counting_read)
+    monkeypatch.setattr(vector_ops, "read_checkpoint", counting_read)
+    code, payload, _ = run_cli(capsys, "inspect", tau_path)
+    assert code == 0 and len(reads) == 1
+    assert payload["non_finite"] == {}
+    assert payload["global_l2"] == norm_stats(tau).total.l2_norm
+
+
 def test_sweep_command(capsys, fixture_paths, tmp_path):
     _, real_path, syn_path = fixture_paths
     tau_path = tmp_path / "tau.st"
@@ -351,6 +370,17 @@ def test_non_positive_counts_are_usage_errors(capsys, fixture_paths, tmp_path, a
     run_cli(capsys, "diff", real_path, syn_path, "--out", tau_path)
     paths = {"SYN": syn_path, "TAU": tau_path, "WORK": tmp_path / "work"}
     assert main([str(paths.get(arg, arg)) for arg in argv]) == 64
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "usage"
+    assert flag in error["message"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--batch-size", "0"), ("--epochs", "-1"), ("--num-source-domains", "0"),
+    ("--feature-dim", "0"), ("--samples-per-class", "0"), ("--num-classes-per-domain", "1"),
+])
+def test_toy_count_flags_below_their_minimum_are_usage_errors(capsys, flag, value):
+    assert main(["toy-run", flag, value]) == 64
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == "usage"
     assert flag in error["message"]

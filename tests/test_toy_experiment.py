@@ -98,7 +98,7 @@ def test_unknown_domain_and_condition_rejected():
         generate_toy_data(spec, "target", "real", "test")
 
 
-@pytest.mark.parametrize("domain", ["source_9", "target2"])
+@pytest.mark.parametrize("domain", ["source_9", "target2", "source_01", "source_+1", "source_ 1"])
 def test_unknown_domain_label_rejected(domain):
     with pytest.raises(ValidationError, match="unknown domain"):
         generate_toy_data(small_spec(num_source_domains=3), domain, "real", "train")

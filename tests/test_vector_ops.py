@@ -16,6 +16,7 @@ from synvec.errors import (
     ValidationError,
     ZeroNormError,
 )
+from synvec.sweep_harness import SweepConfig, run_domain_ablation, validate_lambda_grid
 from synvec.tensor_store import BLOCK_ELEMENTS, Dtype, TensorMap, fingerprint, schema_of
 from synvec.vector_ops import (
     Provenance,
@@ -113,11 +114,19 @@ def test_apply_accepts_real_scalars(lam):
     assert apply_task_vector(model, tau, lam) == expected
 
 
-@pytest.mark.parametrize("lam", [np.float32("nan"), np.float64("inf"), "0.5", 1j, None])
-def test_apply_rejects_non_finite_or_non_real_lambda(lam):
+@pytest.mark.parametrize("lam", [np.float32("nan"), np.float64("inf"), "0.5", 1j, None, True, "x"])
+def test_apply_rejects_non_finite_or_non_real_lambda(lam, tmp_path):
+    # Apply's lambda, scale's factor, ablation's lambda and each grid value share one rule.
     model = TensorMap({"w": np.zeros(1, dtype=np.float32)})
+    tau = simple_vector([1.0])
     with pytest.raises(ValidationError):
-        apply_task_vector(model, simple_vector([1.0]), lam)
+        apply_task_vector(model, tau, lam)
+    with pytest.raises(ValidationError):
+        scale_task_vector(tau, lam)
+    with pytest.raises(ValidationError):
+        run_domain_ablation(model, [tau], lam, SweepConfig(evaluator="true", workdir=tmp_path))
+    with pytest.raises(ValidationError):
+        validate_lambda_grid([lam])
 
 
 def test_apply_reports_overflowing_tensor():
