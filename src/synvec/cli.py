@@ -15,7 +15,6 @@ import logging
 import signal
 import sys
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
