@@ -162,15 +162,14 @@ def _require_finite(tmap: TensorMap, role: str) -> None:
 
 
 def _elementwise(op, operands: Sequence[TensorMap], message: str | None,
-                 metadata: dict[str, str] | None = None, *, _compute=None) -> TensorMap:
+                 metadata: dict[str, str] | None = None) -> TensorMap:
     """One blocked pass of ``op`` over schema-compatible maps.
 
     For each tensor of ``operands[0]`` and each block of it, ``op(row,
-    *blocks)`` returns the array that holds its result in the compute dtype:
-    ``_compute`` if given, else the tensor's ``_COMPUTE_DTYPE``. ``row`` is
-    a scratch row of that dtype, or the output block itself when the storage
-    dtype is the compute dtype. A result that is not the output block is
-    narrowed (round to nearest even) into it. Unless ``message`` is None,
+    *blocks)`` returns the array that holds its result. ``row`` is a scratch
+    row of the tensor's ``_COMPUTE_DTYPE``, or the output block itself when
+    the storage dtype is the compute dtype. A result that is not the output
+    block is narrowed (round to nearest even) into it. Unless ``message`` is None,
     each output block is checked at once, and the first NaN or infinity
     raises ``NonFiniteValueError`` with ``message`` (formatted as in
     ``require_finite``); the returned map then records that it is finite.
@@ -181,7 +180,7 @@ def _elementwise(op, operands: Sequence[TensorMap], message: str | None,
     out = {}
     with np.errstate(over="ignore"):  # an overflow is an infinity, which the check reports
         for name, arr in operands[0].items():
-            compute = _compute or _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
+            compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
             flats = [tmap[name].reshape(-1) for tmap in operands]
             result = np.empty(arr.shape, dtype=arr.dtype)
             narrowed = result.reshape(-1)
@@ -325,7 +324,7 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
     block = min(_largest_size(vectors[0].deltas), BLOCK_ELEMENTS)
     scratch = np.empty((k + 1, block), dtype=np.float64)
 
-    def mean(row, *blocks):
+    def mean(row, *blocks):  # row gives only the block length; the sum is in F64 scratch
         rows = list(scratch[:, : row.size])
         for wide, values in zip(rows, blocks):
             wide[...] = values
@@ -340,8 +339,7 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
         return np.divide(total, k, out=total)
 
     return TaskVector(
-        deltas=_elementwise(mean, [v.deltas for v in vectors], _NON_FINITE_DELTA,
-                            _compute=np.float64),
+        deltas=_elementwise(mean, [v.deltas for v in vectors], _NON_FINITE_DELTA),
         base_schema=Fingerprint(schema_hash=hashes.pop()),
         provenance=_merged_provenance(vectors),
     )
