@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from synvec import tensor_store, vector_ops
 from synvec.errors import (
     FingerprintMismatchError,
     NonFiniteValueError,
@@ -17,7 +18,15 @@ from synvec.errors import (
     ZeroNormError,
 )
 from synvec.sweep_harness import SweepConfig, run_domain_ablation, validate_lambda_grid
-from synvec.tensor_store import BLOCK_ELEMENTS, Dtype, TensorMap, fingerprint, schema_of
+from synvec.tensor_store import (
+    BLOCK_ELEMENTS,
+    Dtype,
+    TensorMap,
+    fingerprint,
+    read_checkpoint,
+    schema_of,
+    write_checkpoint,
+)
 from synvec.vector_ops import (
     Provenance,
     TaskVector,
@@ -651,6 +660,53 @@ def test_overflow_in_a_later_block_keeps_tensor_index_and_message():
         compute_task_vector(TensorMap({"w": top}), TensorMap({"w": -top}))
     assert (exc.value.tensor, exc.value.index) == ("w", index)
     assert str(exc.value) == f"task vector tensor 'w' has a non-finite delta at flat index {index}"
+
+
+def test_arithmetic_scans_none_of_its_inputs(tmp_path, monkeypatch, rng):
+    real, syn = random_map_pair(rng)
+    write_checkpoint(real, tmp_path / "real.st")
+    write_checkpoint(syn, tmp_path / "syn.st")
+    inputs = [read_checkpoint(tmp_path / name) for name in ("real.st", "syn.st", "syn.st")]
+    scanned = []
+    original = tensor_store.first_non_finite
+
+    def counting(values, scratch):
+        scanned.extend(name for tmap in inputs for name, arr in tmap.items()
+                       if np.shares_memory(arr, values))
+        return original(values, scratch)
+
+    monkeypatch.setattr(tensor_store, "first_non_finite", counting)
+    monkeypatch.setattr(vector_ops, "first_non_finite", counting)
+    real, syn, model = inputs
+    tau = compute_task_vector(real, syn)
+    apply_task_vector(model, tau, 0.5)
+    assert scanned == []
+
+
+@pytest.mark.parametrize("bad_real, bad_syn, role", [
+    (False, True, "synthetic model"), (True, False, "real model"), (True, True, "real model")])
+def test_kernel_names_the_non_finite_operand(bad_real, bad_syn, role):
+    size, index = BLOCK_ELEMENTS + 5, BLOCK_ELEMENTS + 3
+    real, syn = np.ones(size, np.float16), np.zeros(size, np.float16)
+    if bad_real:
+        real[index] = np.inf
+    if bad_syn:
+        syn[index] = np.nan
+    with pytest.raises(NonFiniteValueError) as exc:
+        compute_task_vector(TensorMap({"a": np.ones(2, np.float16), "w": real}),
+                            TensorMap({"a": np.zeros(2, np.float16), "w": syn}))
+    assert (exc.value.tensor, exc.value.index) == ("w", index)
+    assert str(exc.value) == f"{role} tensor 'w' has a non-finite value at flat index {index}"
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+def test_non_finite_model_is_named(lam):
+    model = np.zeros(5, np.float32)
+    model[3] = np.inf
+    with pytest.raises(NonFiniteValueError) as exc:
+        apply_task_vector(TensorMap({"w": model}), simple_vector([1.0] * 5), lam)
+    assert (exc.value.tensor, exc.value.index) == ("w", 3)
+    assert str(exc.value) == "model tensor 'w' has a non-finite value at flat index 3"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
