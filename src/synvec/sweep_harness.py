@@ -379,7 +379,6 @@ def run_lambda_sweep(
     """
     vector_list = _normalize_vectors(vectors)
     average = ensemble_average(vector_list)
-    model.non_finite_tensors()  # a mapped model keeps this scan; the points then skip it
     config.workdir.mkdir(parents=True, exist_ok=True)
 
     def point(indexed: tuple[int, float], live: _LiveEvaluators) -> EvalRecord | EvalFailure:
@@ -474,7 +473,6 @@ def run_domain_ablation(
     seed_list = [int(s) for s in seeds]
     if policy == "random" and not seed_list:
         raise ValidationError("random policy needs at least one seed")
-    model.non_finite_tensors()  # a mapped model keeps this scan; the points then skip it
     config.workdir.mkdir(parents=True, exist_ok=True)
 
     tasks: list[tuple[int, int, list[TaskVector]]] = []  # (k, seed, subset), in (k, seed) order

@@ -20,16 +20,19 @@ Writes go to a new file beside the target that then replaces it
 (:func:`open_replacing`), so a file that is still mapped as an input can be
 overwritten safely.
 
-Finite checks: a float is NaN or infinite exactly when its exponent bits are
-all ones, for F16, F32 and F64 alike. :func:`first_non_finite` tests those
-bits through an unsigned view, one block of :data:`BLOCK_ELEMENTS` at a time;
-it is the only finite check in the toolkit. :meth:`TensorMap.non_finite_tensors`
-is the only caller that scans a whole map, and it memoises its answer on maps
-whose values cannot change: maps :func:`read_checkpoint` returns (views of a
-read-only file mapping), and maps the ``vector_ops`` kernels build from
-arrays they allocated and checked.
-A map built from a caller's arrays is scanned on every call, because the
-caller may still write to them.
+Finite values: reading accepts NaN and infinity, and
+:meth:`TensorMap.non_finite_tensors` reports them; :func:`write_checkpoint`
+refuses them, so synvec never writes one. A float is NaN or infinite exactly
+when its exponent bits are all ones, for F16, F32 and F64 alike.
+:func:`first_non_finite` tests those bits through an unsigned view, one block
+of :data:`BLOCK_ELEMENTS` at a time; it is the only finite check in the
+toolkit. ``vector_ops``'s kernel calls it on each output block, and
+:meth:`TensorMap.non_finite_tensors` is the only caller that scans a whole
+map. It memoises its answer on maps whose values cannot change: maps
+:func:`read_checkpoint` returns (views of a read-only file mapping), and
+maps the kernel builds from arrays it allocated and checked. A map built
+from a caller's arrays is scanned on every call, because the caller may
+still write to them.
 """
 
 from __future__ import annotations
@@ -157,8 +160,8 @@ class TensorMap:
     to share across threads.
 
     Non-finite values are legal in a map (they are accepted on read and
-    reported by :meth:`non_finite_tensors`); arithmetic operations reject
-    them unless explicitly told not to.
+    reported by :meth:`non_finite_tensors`); arithmetic and writing reject
+    them.
 
     ``_buffer`` keeps the file mapping behind the values alive; ``_non_finite``
     is the already known answer of :meth:`non_finite_tensors`. Either marks
@@ -537,11 +540,12 @@ def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
-def write_checkpoint(tmap: TensorMap, path: str | Path, *, allow_non_finite: bool = False) -> None:
-    """Write a map in canonical form; byte-identical output for equal inputs."""
-    if not allow_non_finite:
-        require_finite(tmap, "tensor {name!r} has a non-finite value at flat index {index}; "
-                             "pass allow_non_finite=True to write anyway")
+def write_checkpoint(tmap: TensorMap, path: str | Path) -> None:
+    """Write a map in canonical form; byte-identical output for equal inputs.
+
+    A map holding a NaN or infinity is refused: synvec writes finite values only.
+    """
+    require_finite(tmap, "tensor {name!r} has a non-finite value at flat index {index}")
     header: dict[str, object] = {}
     if tmap.metadata:
         header["__metadata__"] = {key: tmap.metadata[key] for key in sorted(tmap.metadata)}

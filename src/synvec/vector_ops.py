@@ -17,11 +17,11 @@ ensemble mean. Each tensor is processed in blocks of
 ``tensor_store.BLOCK_ELEMENTS`` elements, widened into compute-dtype scratch
 allocated once per call, operated on, narrowed straight into the
 preallocated output and checked for NaN/inf while the block is still in
-cache; every kernel output is checked this way. The result map records that
-it was checked, so writing it, wrapping it in a :class:`TaskVector` or
-applying it again scans nothing. Inputs are checked through
-``TensorMap.non_finite_tensors``, which reads a file-backed map once however
-many sweep points use it.
+cache. It is the arithmetic's only finite check: a NaN or infinity in an
+operand makes the output at its index non-finite, so the error path can name
+that operand without a scan of the inputs. The result map records that it
+was checked, so writing it, wrapping it in a :class:`TaskVector` or applying
+it again scans nothing. No operation produces a non-finite value.
 
 Dot products and squared norms are ``np.sum`` over the F64 product of the
 exactly widened tensors, one tensor at a time, so their pairwise reduction
@@ -86,6 +86,7 @@ _RESERVED_KEYS = {
 }
 
 _NON_FINITE_DELTA = "task vector tensor {name!r} has a non-finite delta at flat index {index}"
+_NON_FINITE_VALUE = " tensor {name!r} has a non-finite value at flat index {index}"
 _F16_EXACT_MAX_K = 1 << 13  # F64 sums of fewer F16 values than this are exact
 
 
@@ -156,32 +157,27 @@ def _require_compatible(a: TensorMap, b: TensorMap) -> None:
         raise SchemaMismatchError(report)
 
 
-def _require_finite(tmap: TensorMap, role: str) -> None:
-    require_finite(tmap, f"{role} tensor {{name!r}} has a non-finite value at flat index "
-                         "{index}; pass allow_non_finite=True to proceed anyway")
-
-
-def _elementwise(op, operands: Sequence[TensorMap], message: str | None,
+def _elementwise(op, operands: Sequence[tuple[str, TensorMap]], message: str,
                  metadata: dict[str, str] | None = None) -> TensorMap:
-    """One blocked pass of ``op`` over schema-compatible maps.
+    """One blocked pass of ``op`` over schema-compatible (role, map) operands.
 
-    For each tensor of ``operands[0]`` and each block of it, ``op(row,
+    For each tensor of the first map and each block of it, ``op(row,
     *blocks)`` returns the array that holds its result. ``row`` is a scratch
     row of the tensor's ``_COMPUTE_DTYPE``, or the output block itself when
     the storage dtype is the compute dtype. A result that is not the output
-    block is narrowed (round to nearest even) into it. Unless ``message`` is None,
-    each output block is checked at once, and the first NaN or infinity
-    raises ``NonFiniteValueError`` with ``message`` (formatted as in
-    ``require_finite``); the returned map then records that it is finite.
+    block is narrowed (round to nearest even) into it. Each output block is
+    checked at once. The first NaN or infinity raises ``NonFiniteValueError``
+    naming the role of the first operand not finite at that index, or else
+    (an overflow) with ``message``, formatted as in ``require_finite``.
     """
-    block = min(_largest_size(operands[0]), BLOCK_ELEMENTS)
+    block = min(_largest_size(operands[0][1]), BLOCK_ELEMENTS)
     wide = np.empty(block, dtype=np.float64)  # rows for storage narrower than compute
     bits = np.empty(block, dtype=np.uint64)
     out = {}
     with np.errstate(over="ignore"):  # an overflow is an infinity, which the check reports
-        for name, arr in operands[0].items():
+        for name, arr in operands[0][1].items():
             compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
-            flats = [tmap[name].reshape(-1) for tmap in operands]
+            flats = [tmap[name].reshape(-1) for _, tmap in operands]
             result = np.empty(arr.shape, dtype=arr.dtype)
             narrowed = result.reshape(-1)
             for start in range(0, arr.size, BLOCK_ELEMENTS):
@@ -191,69 +187,62 @@ def _elementwise(op, operands: Sequence[TensorMap], message: str | None,
                 values = op(row, *(flat[start:stop] for flat in flats))
                 if values is not target:
                     np.copyto(target, values, casting="same_kind")
-                if message is not None:
-                    index = first_non_finite(target, bits)
-                    if index is not None:
-                        raise non_finite_error(message, name, start + index)
+                index = first_non_finite(target, bits)
+                if index is not None:
+                    index += start
+                    culprit = next((role for (role, _), flat in zip(operands, flats)
+                                    if not math.isfinite(flat[index])), None)
+                    raise non_finite_error(
+                        message if culprit is None else culprit + _NON_FINITE_VALUE,
+                        name, index)
             out[name] = result
-    return TensorMap(out, metadata, _non_finite=None if message is None else {})
+    return TensorMap(out, metadata, _non_finite={})
 
 
-def compute_task_vector(
-    real: TensorMap,
-    syn: TensorMap,
-    provenance: Provenance | None = None,
-    *,
-    allow_non_finite: bool = False,
-) -> TaskVector:
+def compute_task_vector(real: TensorMap, syn: TensorMap,
+                        provenance: Provenance | None = None) -> TaskVector:
     """Subtract two schema-compatible parameter sets: delta = real - syn.
 
     Differences are computed per tensor in the widened dtype and narrowed back
-    to the storage dtype, so the output schema equals the input schema.
+    to the storage dtype, so the output schema equals the input schema. A
+    non-finite input value, or a difference that overflows, is an error naming
+    the tensor and the first offending element.
     """
     _require_compatible(real, syn)
-    if not allow_non_finite:
-        _require_finite(real, "real model")
-        _require_finite(syn, "synthetic model")
 
     def subtract(row, real_block, syn_block):
         return np.subtract(real_block, syn_block, out=row, dtype=row.dtype)
 
     return TaskVector(
-        deltas=_elementwise(subtract, (real, syn), _NON_FINITE_DELTA),
+        deltas=_elementwise(subtract, (("real model", real), ("synthetic model", syn)),
+                            _NON_FINITE_DELTA),
         base_schema=fingerprint(real),
         provenance=provenance or Provenance(),
     )
 
 
-def apply_task_vector(
-    model: TensorMap,
-    tau: TaskVector,
-    lam: float,
-    *,
-    allow_non_finite: bool = False,
-) -> TensorMap:
+def apply_task_vector(model: TensorMap, tau: TaskVector, lam: float) -> TensorMap:
     """Return model + lam * deltas, keeping the model's dtypes and metadata.
 
-    lam == 0 is a bitwise no-op: the returned map shares the model's values.
-    A non-finite result (e.g. an F16 overflow after narrowing) is an error
-    naming the tensor and the first offending element.
+    lam == 0 is a bitwise no-op: the returned map shares the model's values,
+    which are scanned for NaN/inf since no kernel runs. A non-finite model
+    value or result (e.g. an F16 overflow after narrowing) is an error naming
+    the tensor and the first offending element.
     """
     require_finite_real(lam, "scaling factor")
     _require_compatible(model, tau.deltas)
-    if not allow_non_finite:
-        _require_finite(model, "model")
     if lam == 0.0:
+        require_finite(model, "model" + _NON_FINITE_VALUE)
         return model.with_metadata(model.metadata)
 
     def shift(row, model_block, delta_block):
         np.multiply(delta_block, row.dtype.type(lam), out=row, dtype=row.dtype)
         return np.add(model_block, row, out=row, dtype=row.dtype)
 
-    message = None if allow_non_finite else (
-        f"applying scale {lam} produced a non-finite value in tensor {{name!r}} "
-        "at flat index {index}")
-    return _elementwise(shift, (model, tau.deltas), message, model.metadata)
+    message = (f"applying scale {lam} produced a non-finite value in tensor {{name!r}} "
+               "at flat index {index}")
+    return _elementwise(shift, (("model", model), ("task vector", tau.deltas)), message,
+                        model.metadata)
 
 
 def _merged_provenance(vectors: Sequence[TaskVector]) -> Provenance:
@@ -339,23 +328,16 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
         return np.divide(total, k, out=total)
 
     return TaskVector(
-        deltas=_elementwise(mean, [v.deltas for v in vectors], _NON_FINITE_DELTA),
+        deltas=_elementwise(mean, [("task vector", v.deltas) for v in vectors],
+                            _NON_FINITE_DELTA),
         base_schema=Fingerprint(schema_hash=hashes.pop()),
         provenance=_merged_provenance(vectors),
     )
 
 
-def apply_ensemble(
-    model: TensorMap,
-    vectors: Sequence[TaskVector],
-    lam: float,
-    *,
-    allow_non_finite: bool = False,
-) -> TensorMap:
+def apply_ensemble(model: TensorMap, vectors: Sequence[TaskVector], lam: float) -> TensorMap:
     """model + (lam / k) * sum of k task vectors, via their ensemble average."""
-    return apply_task_vector(
-        model, ensemble_average(vectors), lam, allow_non_finite=allow_non_finite
-    )
+    return apply_task_vector(model, ensemble_average(vectors), lam)
 
 
 def cosine_similarity(
@@ -456,7 +438,8 @@ def scale_task_vector(tau: TaskVector, factor: float) -> TaskVector:
     def scale(row, delta_block):
         return np.multiply(delta_block, row.dtype.type(factor), out=row, dtype=row.dtype)
 
-    return TaskVector(deltas=_elementwise(scale, (tau.deltas,), _NON_FINITE_DELTA),
+    return TaskVector(deltas=_elementwise(scale, (("task vector", tau.deltas),),
+                                          _NON_FINITE_DELTA),
                       base_schema=tau.base_schema, provenance=tau.provenance)
 
 

@@ -350,7 +350,9 @@ def test_non_finite_write_rejected_then_permitted(tmp_path):
     with pytest.raises(NonFiniteValueError) as exc:
         write_checkpoint(tmap, path)
     assert exc.value.tensor == "w" and exc.value.index == 1
-    write_checkpoint(tmap, path, allow_non_finite=True)
+    assert str(exc.value) == "tensor 'w' has a non-finite value at flat index 1"
+    header = b'{"w":{"dtype":"F32","shape":[2],"data_offsets":[0,8]}}'  # written by another tool
+    path.write_bytes(len(header).to_bytes(8, "little") + header + tmap["w"].tobytes())
     loaded = read_checkpoint(path)  # accepted on read
     assert loaded.non_finite_tensors() == {"w": 1}
 
