@@ -485,10 +485,10 @@ def similarity_matrix(
             for name, value in per_tensor.items():
                 cell = np.nan if value is None else value
                 matrices[name][i, j] = matrices[name][j, i] = cell
-    # A zero-norm tensor also has an undefined self-similarity.
+    # A tensor whose squared sum is zero also has an undefined self-similarity.
     for name in names:
         for i, vector in enumerate(vectors):
-            if not np.any(vector.deltas[name]):
+            if vector._squared_sums[name] == 0.0:
                 matrices[name][i, i] = np.nan
     return {name: SimilarityMatrix(labels=labels, values=m) for name, m in matrices.items()}
 

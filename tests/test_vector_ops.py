@@ -510,6 +510,14 @@ def test_norm_stats_matches_widened_formula_bitwise(rng):
         assert stats.max_abs == float(x.max())
 
 
+def test_per_tensor_self_similarity_is_undefined_where_the_squared_sum_is_zero():
+    tiny = simple_vector([1e-200, -1e-200], dtype=np.float64)  # its squares underflow to 0
+    other = simple_vector([1.0, 2.0], dtype=np.float64)
+    values = similarity_matrix([("tiny", tiny), ("other", other)], "per_tensor")["w"].values
+    assert np.isnan(values[0, 1]) and np.isnan(values[1, 0])
+    assert np.isnan(values[0, 0]) and values[1, 1] == 1.0
+
+
 def test_similarity_matrix_needs_two_vectors():
     with pytest.raises(ValidationError):
         similarity_matrix([("only", simple_vector([1.0]))])
