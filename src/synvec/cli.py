@@ -53,8 +53,6 @@ from .vector_ops import (
 )
 from . import report as report_mod
 
-logger = logging.getLogger("synvec")
-
 EXIT_OK = 0
 EXIT_USAGE = 64
 
@@ -109,6 +107,16 @@ def _write_result(args, result) -> dict:
             with open_replacing(path) as handle:
                 handle.write(text.encode("utf-8"))
     return result.to_json_obj()
+
+
+def _read_json(path: str, parse):
+    """``parse`` of the JSON document in the file at ``path``; a ValidationError
+    naming ``path`` if the file holds no JSON document or ``parse`` rejects it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(json.load(handle))
+    except (ValueError, ValidationError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _write_bundle(bundle, args) -> dict:
@@ -286,10 +294,7 @@ def _cmd_report_similarity(args) -> dict:
 
 
 def _cmd_report_sweep(args) -> dict:
-    results = []
-    for path in args.results:
-        with open(path, "r", encoding="utf-8") as handle:
-            results.append(SweepResult.from_json_obj(json.load(handle)))
+    results = [_read_json(path, SweepResult.from_json_obj) for path in args.results]
     labels = (
         [part.strip() for part in args.labels.split(",")]
         if args.labels
@@ -298,19 +303,17 @@ def _cmd_report_sweep(args) -> dict:
     return _write_bundle(report_mod.build_sweep_report(results, labels, name=args.name), args)
 
 
-def _load_wer_map(path: str) -> dict[str, float]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+def _wer_map(payload) -> dict[str, float]:
     if not isinstance(payload, dict) or any(
         not isinstance(v, (int, float)) or isinstance(v, bool) for v in payload.values()
     ):
-        raise ValidationError(f"{path}: expected a JSON object mapping domain -> WER")
+        raise ValidationError("expected a JSON object mapping domain -> WER")
     return {str(k): float(v) for k, v in payload.items()}
 
 
 def _cmd_report_table(args) -> dict:
     bundle = report_mod.build_table_report(
-        _load_wer_map(args.baseline), _load_wer_map(args.adapted), name=args.name
+        _read_json(args.baseline, _wer_map), _read_json(args.adapted, _wer_map), name=args.name
     )
     return _write_bundle(bundle, args)
 

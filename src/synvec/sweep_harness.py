@@ -145,26 +145,30 @@ class SweepResult:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SweepResult":
-        records = tuple(
-            EvalRecord(
-                lam=float(r["lambda"]),
-                wer=float(r["wer"]),
-                checkpoint_path=str(r.get("checkpoint_path", "")),
-                evaluator_stdout=str(r.get("evaluator_stdout", "")),
-                wall_time=0.0,
-            )
-            for r in obj.get("records", [])
-        )
-        failures = tuple(
-            EvalFailure(
-                lam=float(f["lambda"]),
-                kind=str(f.get("kind", "unknown")),
-                message=str(f.get("message", "")),
-                exit_code=f.get("exit_code"),
-            )
-            for f in obj.get("failures", [])
-        )
-        grid = tuple(float(v) for v in obj.get("lambda_grid", []))
+        """The result :meth:`to_json_obj` gave ``obj``; a ValidationError if
+        ``obj`` lacks a field it needs or holds one of the wrong type."""
+        def entries(key: str, kind: type = dict) -> list:
+            value = obj.get(key, []) if isinstance(obj, dict) else None
+            if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+                raise ValidationError(f"sweep result field {key!r} must be a list")
+            return value
+
+        def number(entry: dict, key: str) -> float:
+            if key not in entry:
+                raise ValidationError(f"a sweep result entry has no {key!r} field")
+            return float(require_finite_real(entry[key], f"sweep result field {key!r}"))
+
+        records = tuple(EvalRecord(lam=number(r, "lambda"), wer=number(r, "wer"),
+                                   checkpoint_path=str(r.get("checkpoint_path", "")),
+                                   evaluator_stdout=str(r.get("evaluator_stdout", "")),
+                                   wall_time=0.0)
+                        for r in entries("records"))
+        failures = tuple(EvalFailure(lam=number(f, "lambda"), kind=str(f.get("kind", "unknown")),
+                                     message=str(f.get("message", "")),
+                                     exit_code=f.get("exit_code"))
+                         for f in entries("failures"))
+        grid = tuple(float(require_finite_real(v, "sweep result lambda_grid value"))
+                     for v in entries("lambda_grid", object))
         return cls(lambda_grid=grid, records=records, failures=failures)
 
     def to_csv(self) -> str:

@@ -347,6 +347,38 @@ def test_report_sweep_command(capsys, fixture_paths, tmp_path):
     assert (tmp_path / "reports" / "sweep" / "sweep.svg").exists()
 
 
+@pytest.mark.parametrize("case, exit_code", [
+    ("diff", 2), ("apply", 2), ("cosine", 1), ("report sweep", 1),
+    ("report sweep record", 1), ("report table", 1)])
+def test_malformed_input_gives_one_error_line_and_the_documented_code(
+        capsys, fixture_paths, case, exit_code):
+    tmp_path, real_path, syn_path = fixture_paths
+    truncated, tau = tmp_path / "truncated.st", tmp_path / "tau.st"
+    truncated.write_bytes(real_path.read_bytes()[:-3])
+    save_task_vector(compute_task_vector(read_checkpoint(real_path), read_checkpoint(syn_path)),
+                     tau)
+    wers, bad_json, no_lambda = (tmp_path / f"{n}.json" for n in ("wers", "bad", "no_lambda"))
+    wers.write_text(json.dumps({"Weather": 15.45}))
+    bad_json.write_text('{"records": [', encoding="utf-8")
+    no_lambda.write_text(json.dumps({"lambda_grid": [0.0], "records": [{"wer": 1.0}]}))
+    out = tmp_path / "out"
+    argv, named = {
+        "diff": (["diff", truncated, syn_path, "--out", out], None),
+        "apply": (["apply", truncated, tau, "--lambda", "0.5", "--out", out], None),
+        "cosine": (["cosine", tau, real_path], real_path),  # a checkpoint, not a task vector
+        "report sweep": (["report", "sweep", bad_json, "--out-dir", out], bad_json),
+        "report sweep record": (["report", "sweep", no_lambda, "--out-dir", out], no_lambda),
+        "report table": (["report", "table", "--baseline", wers, "--adapted", bad_json,
+                          "--out-dir", out], bad_json),
+    }[case]
+    code, payload, err = run_cli(capsys, *argv)
+    assert (code, payload) == (exit_code, None)
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    message = json.loads(lines[0])["error"]["message"]
+    assert named is None or str(named) in message
+
+
 def test_usage_error_exits_64(capsys):
     code = main(["apply"])  # missing required arguments
     captured = capsys.readouterr()

@@ -266,6 +266,15 @@ def test_sweep_json_round_trip(tmp_path):
     assert back.lambda_grid == result.lambda_grid
 
 
+@pytest.mark.parametrize("obj", [
+    [], {"records": {}}, {"records": [1.0]}, {"records": [{"wer": 1.0}]},
+    {"records": [{"lambda": "0.5", "wer": 1.0}]}, {"records": [{"lambda": 0.5, "wer": None}]},
+    {"failures": [{"kind": "exit"}]}, {"lambda_grid": [True]}, {"lambda_grid": 0.5}])
+def test_sweep_json_with_a_missing_or_ill_typed_field_is_rejected(obj):
+    with pytest.raises(ValidationError):
+        SweepResult.from_json_obj(obj)
+
+
 def test_csv_has_lambda_wer_columns(tmp_path):
     model, vectors = fixture_model_and_vectors()
     config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path, lambda_grid=(0.0, 1.0))
