@@ -522,3 +522,52 @@ def test_json_out_to_redirected_stderr_writes_in_place(fixture_paths):
     assert proc.returncode == 0
     assert os.stat(out).st_ino == inode  # written into the file the shell opened, not replaced
     assert json.loads(out.read_text()) == json.loads(proc.stdout)
+
+
+def test_a_truncated_input_is_named_in_the_error(capsys, fixture_paths):
+    tmp_path, real_path, syn_path = fixture_paths
+    a = tmp_path / "a.st"
+    a.write_bytes(real_path.read_bytes()[:-3])
+    code, payload, err = run_cli(capsys, "diff", a, syn_path, "--out", tmp_path / "out.st")
+    assert (code, payload) == (2, None)
+    error = json.loads(err)["error"]
+    assert error["kind"] == "truncated_data"
+    assert error["message"].startswith(f"{a}: tensor 'w' needs data bytes")
+
+
+# Runs the CLI in this process and reports how far its peak RSS rose.
+PEAK_PROBE = """
+import json
+import sys
+from synvec.cli import main
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+before = peak()
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "rise": peak() - before}), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_ensemble_peak_rss_stays_near_one_input(tmp_path):
+    # The child reads its own VmHWM. Its ru_maxrss would also count the pages it
+    # shared with this process between fork and exec.
+    rng = np.random.default_rng(3)
+    paths = []
+    for i in range(4):
+        rows = rng.standard_normal((384, 16384), dtype=np.float32) * np.float32(0.01)
+        deltas = TensorMap({f"layer{j:03d}.weight": row for j, row in enumerate(rows)})
+        paths.append(tmp_path / f"tau{i}.st")
+        save_task_vector(vector_ops.TaskVector(deltas, vector_ops.fingerprint(deltas),
+                                               vector_ops.Provenance(f"d{i}")), paths[-1])
+        del rows, deltas
+    size = paths[0].stat().st_size  # 24 MiB of data in 384 tensors
+    proc = subprocess.run([sys.executable, "-c", PEAK_PROBE, "ensemble", *map(str, paths),
+                           "--out", str(tmp_path / "mean.st")],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report["code"] == 0
+    assert report["rise"] < 2 * size, (report["rise"], size)

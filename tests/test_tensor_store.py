@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import mmap
 import os
 import stat
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from synvec.errors import (
     ByteRangeError,
+    ContainerError,
     InvalidHeaderError,
     NonFiniteValueError,
     TruncatedDataError,
@@ -31,6 +33,7 @@ from synvec.tensor_store import (
     schema_of,
     write_checkpoint,
 )
+from synvec.vector_ops import compute_task_vector
 
 from conftest import random_tensor_map
 
@@ -314,6 +317,21 @@ def test_trailing_unaddressed_bytes(tmp_path):
     assert "trailing" in str(exc.value)
 
 
+@pytest.mark.parametrize("tensors, cut", [
+    ([("w", "F32", [2], [0, 8], b"\x00" * 8)], 3),  # truncated
+    ([("w", "BF16", [1], [0, 2], b"\x00" * 2)], 0),  # unknown dtype
+    ([("w", "F32", [2], [0, 4], b"\x00" * 4)], 0),  # range shorter than the shape
+    ([("a", "F32", [1], [0, 4], b"\x00" * 4), ("b", "F32", [1], [8, 12], b"\x00" * 4)], 0),
+    ([("a", "F32", [2], [0, 8], b"\x00" * 8), ("b", "F32", [1], [4, 8], b"\x00" * 4)], 0),
+])
+def test_entry_and_coverage_errors_name_the_file(tmp_path, tensors, cut):
+    path = build_file(tmp_path / "bad.st", tensors)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size - cut])
+    with pytest.raises(ContainerError) as exc:
+        read_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_negative_shape_dimension(tmp_path):
     path = build_file(tmp_path / "negshape.st", [("w", "F32", [-1], [0, 4], b"\x00" * 4)])
     with pytest.raises(InvalidHeaderError):
@@ -546,3 +564,41 @@ def test_write_through_a_symlink_replaces_its_target(tmp_path):
     write_checkpoint(written, tmp_path / "link.st")
     assert (tmp_path / "link.st").is_symlink()
     assert read_checkpoint(target) == written
+
+
+# --- resident pages of a mapped map ---
+
+
+def resident_file_bytes():
+    """Bytes of file-backed pages mapped into this process (``RssFile``)."""
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("RssFile:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status") or not hasattr(mmap, "MADV_DONTNEED"),
+                    reason="needs /proc/self/status and MADV_DONTNEED")
+def test_a_pass_hands_back_pages_and_keeps_every_value(tmp_path):
+    rng = np.random.default_rng(11)
+    maps = {}
+    for label in ("a", "b"):
+        tensors = {f"t{i:03d}": rng.standard_normal((16, 512)).astype(np.float32)
+                   for i in range(256)}  # 8 MiB, 32 KiB a tensor
+        tensors["empty"] = np.empty((0, 3), np.float16)
+        write_checkpoint(TensorMap(tensors), tmp_path / f"{label}.st")
+        maps[label] = (tensors, read_checkpoint(tmp_path / f"{label}.st"))
+    originals, tmap = maps["a"]
+    views = {name: tmap[name] for name in tmap}  # taken before any pass
+    before = resident_file_bytes()
+    first = [(name, arr.tobytes()) for name, arr in tmap.items()]
+    assert resident_file_bytes() - before < tmap.data_nbytes // 8
+    assert first == [(name, arr.tobytes()) for name, arr in tmap.items()]
+    assert all(views[name].tobytes() == originals[name].tobytes() for name in originals)
+    assert tmap.with_metadata({"k": "v"}).non_finite_tensors() == {}
+    assert all(views[name].tobytes() == originals[name].tobytes() for name in originals)
+
+    other = maps["b"][1]
+    mapped = compute_task_vector(tmap, other).deltas
+    copies = [TensorMap({n: np.array(arr) for n, arr in m.items()}) for m in (tmap, other)]
+    in_memory = compute_task_vector(*copies).deltas
+    assert mapped == in_memory
+    assert all(views[name].tobytes() == originals[name].tobytes() for name in originals)
