@@ -41,15 +41,37 @@ U_SHAPE_EVALUATOR = (
 CONSTANT_EVALUATOR = f"{PY} -c \"import json; print(json.dumps({{'wer': 12.5}}))\""
 
 
-def l2_evaluator(reference_path):
+# Reads two containers with struct, as perfbench/evaluator.py does (stdlib only,
+# so each call skips importing numpy), and prints the l2 norm of their
+# difference as the WER; exits 3 where that norm equals argv[3].
+L2_EVALUATOR_SCRIPT = """
+import json, struct, sys
+
+def tensors(path):
+    data = open(path, "rb").read()
+    size = int.from_bytes(data[:8], "little")
+    header = json.loads(data[8:8 + size])
+    header.pop("__metadata__", None)
+    out = {}
+    for name, entry in header.items():
+        begin, end = (8 + size + offset for offset in entry["data_offsets"])
+        code = {"F16": "e", "F32": "f", "F64": "d"}[entry["dtype"]]
+        out[name] = struct.unpack(f"<{(end - begin) // struct.calcsize(code)}{code}",
+                                  data[begin:end])
+    return out
+
+a, b = tensors(sys.argv[1]), tensors(sys.argv[2])
+sq = sum(sum((x - y) * (x - y) for x, y in zip(a[n], b[n])) for n in sorted(a))
+if abs(sq ** 0.5 - float(sys.argv[3])) < 1e-6:
+    sys.exit(3)
+print(json.dumps({"wer": sq ** 0.5}))
+"""
+
+
+def l2_evaluator(reference_path, failing_wer=float("nan")):
     # Reports the l2 norm of (checkpoint - reference); lets tests predict WERs.
-    return (
-        f'{PY} -c "import json,sys,numpy; from synvec.tensor_store import read_checkpoint; '
-        "a = read_checkpoint(sys.argv[1]); b = read_checkpoint(sys.argv[2]); "
-        "sq = sum(float(numpy.sum((a[n].astype('f8')-b[n].astype('f8'))**2)) for n in a.names()); "
-        "print(json.dumps({'wer': sq ** 0.5}))\" "
-        f"{{checkpoint}} {shlex.quote(str(reference_path))}"
-    )
+    return (f"{PY} -c {shlex.quote(L2_EVALUATOR_SCRIPT)} {{checkpoint}} "
+            f"{shlex.quote(str(reference_path))} {failing_wer!r}")
 
 
 def fixture_model_and_vectors(values=((1.0,), (3.0,))):
@@ -421,14 +443,7 @@ def test_sweep_scans_the_model_on_disk_once(tmp_path, monkeypatch, workers):
 
 def failing_l2_evaluator(reference_path, failing_wer):
     # l2_evaluator, but exits 3 where the norm equals failing_wer.
-    return (
-        f'{PY} -c "import json,sys,numpy; from synvec.tensor_store import read_checkpoint; '
-        "a = read_checkpoint(sys.argv[1]); b = read_checkpoint(sys.argv[2]); "
-        "sq = sum(float(numpy.sum((a[n].astype('f8')-b[n].astype('f8'))**2)) for n in a.names()); "
-        f"sys.exit(3) if abs(sq ** 0.5 - {failing_wer}) < 1e-6 else None; "
-        "print(json.dumps({'wer': sq ** 0.5}))\" "
-        f"{{checkpoint}} {shlex.quote(str(reference_path))}"
-    )
+    return l2_evaluator(reference_path, failing_wer)
 
 
 @pytest.mark.parametrize("policy, seeds", [("prefix", (0,)), ("random", (0, 0, 1))])
