@@ -15,7 +15,9 @@ accepts any valid file (arbitrary range order, whitespace-padded headers),
 not just canonical ones.
 
 Reads are memory-mapped: tensor values are read-only views into the mapped
-file, so peak transient allocation stays O(one tensor) rather than O(file).
+file. A pass over :meth:`TensorMap.items` hands each tensor's pages back to
+the OS once it moves past that tensor, so a pass over a read map keeps about
+one tensor of it resident, not the whole file.
 Writes go to a new file beside the target that then replaces it
 (:func:`open_replacing`), so a file that is still mapped as an input can be
 overwritten safely.
@@ -215,7 +217,25 @@ class TensorMap:
         return list(self._entries)
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self._entries.items())
+        """(name, values) pairs in name order. On a map read from a file, each
+        tensor's pages go back to the OS (``MADV_DONTNEED``) once the pass moves
+        past it; a later read faults the same bytes back in from the page cache,
+        so only resident memory changes, never a value."""
+        if self._buffer is None or not hasattr(mmap, "MADV_DONTNEED"):
+            return iter(self._entries.items())
+        return self._releasing_items()
+
+    def _releasing_items(self) -> Iterator[tuple[str, np.ndarray]]:
+        base = np.frombuffer(self._buffer, np.uint8).ctypes.data
+        for name, arr in self._entries.items():
+            yield name, arr
+            if arr.size:  # an empty tensor is not in the file
+                begin = arr.ctypes.data - base
+                start = begin - begin % mmap.PAGESIZE
+                # Keep the page holding the next tensor's first bytes: a fault on it
+                # may map the pages around it back in, released ones included.
+                end = (begin + arr.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+                self._buffer.madvise(mmap.MADV_DONTNEED, start, end - start)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
@@ -249,7 +269,7 @@ class TensorMap:
         largest = max((arr.size for arr in self._entries.values()), default=0)
         scratch = np.empty(min(largest, BLOCK_ELEMENTS), dtype=np.uint64)
         out = {}
-        for name, arr in self._entries.items():
+        for name, arr in self.items():
             index = first_non_finite(arr, scratch)
             if index is not None:
                 out[name] = index
@@ -366,44 +386,44 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return out
 
 
-def _parse_header_entry(name: str, entry: object, data_size: int) -> TensorMeta:
+def _parse_header_entry(path: Path, name: str, entry: object, data_size: int) -> TensorMeta:
     if not isinstance(entry, dict):
-        raise InvalidHeaderError(f"header entry for {name!r} is not an object")
+        raise InvalidHeaderError(f"{path}: header entry for {name!r} is not an object")
     dtype_str = entry.get("dtype")
     if dtype_str not in _DTYPE_BY_NAME:
-        raise UnknownDtypeError(f"tensor {name!r} declares unknown dtype {dtype_str!r}")
+        raise UnknownDtypeError(f"{path}: tensor {name!r} declares unknown dtype {dtype_str!r}")
     dtype = _DTYPE_BY_NAME[dtype_str]
     shape = entry.get("shape")
     if (
         not isinstance(shape, list)
         or any(not isinstance(d, int) or isinstance(d, bool) or d < 0 for d in shape)
     ):
-        raise InvalidHeaderError(f"tensor {name!r} has invalid shape {shape!r}")
+        raise InvalidHeaderError(f"{path}: tensor {name!r} has invalid shape {shape!r}")
     offsets = entry.get("data_offsets")
     if (
         not isinstance(offsets, list)
         or len(offsets) != 2
         or any(not isinstance(o, int) or isinstance(o, bool) for o in offsets)
     ):
-        raise InvalidHeaderError(f"tensor {name!r} has invalid data_offsets {offsets!r}")
+        raise InvalidHeaderError(f"{path}: tensor {name!r} has invalid data_offsets {offsets!r}")
     begin, end = offsets
     if begin < 0 or end < begin:
-        raise ByteRangeError(f"tensor {name!r} has invalid byte range [{begin}, {end})")
+        raise ByteRangeError(f"{path}: tensor {name!r} has invalid byte range [{begin}, {end})")
     if end > data_size:
         raise TruncatedDataError(
-            f"tensor {name!r} needs data bytes up to offset {end} "
+            f"{path}: tensor {name!r} needs data bytes up to offset {end} "
             f"but the data section has only {data_size} bytes"
         )
     meta = TensorMeta(name=name, dtype=dtype, shape=tuple(shape), byte_range=(begin, end))
     if end - begin != meta.nbytes:
         raise ByteRangeError(
-            f"tensor {name!r} byte range [{begin}, {end}) holds {end - begin} bytes "
+            f"{path}: tensor {name!r} byte range [{begin}, {end}) holds {end - begin} bytes "
             f"but shape {list(meta.shape)} with dtype {dtype.value} needs {meta.nbytes}"
         )
     return meta
 
 
-def _check_coverage(metas: list[TensorMeta], data_size: int) -> None:
+def _check_coverage(path: Path, metas: list[TensorMeta], data_size: int) -> None:
     # Non-empty ranges must tile [0, data_size) exactly, with no overlap.
     occupied = sorted((m for m in metas if m.byte_range[0] != m.byte_range[1]),
                       key=lambda m: m.byte_range)
@@ -413,18 +433,19 @@ def _check_coverage(metas: list[TensorMeta], data_size: int) -> None:
         begin, end = meta.byte_range
         if previous is not None and begin < cursor:
             raise ByteRangeError(
-                f"tensors {previous.name!r} and {meta.name!r} have overlapping byte ranges "
-                f"{list(previous.byte_range)} and {list(meta.byte_range)}"
+                f"{path}: tensors {previous.name!r} and {meta.name!r} have overlapping "
+                f"byte ranges {list(previous.byte_range)} and {list(meta.byte_range)}"
             )
         if begin > cursor:
             raise ByteRangeError(
-                f"data section has a gap at offset {cursor} before tensor {meta.name!r}"
+                f"{path}: data section has a gap at offset {cursor} before tensor {meta.name!r}"
             )
         cursor = end
         previous = meta
     if cursor != data_size:
         raise ByteRangeError(
-            f"data section has {data_size - cursor} unaddressed trailing bytes at offset {cursor}"
+            f"{path}: data section has {data_size - cursor} unaddressed trailing bytes "
+            f"at offset {cursor}"
         )
 
 
@@ -433,7 +454,8 @@ def read_checkpoint(path: str | Path) -> TensorMap:
 
     Raises a distinct :class:`~synvec.errors.ContainerError` subclass for each
     malformation: invalid header JSON/structure, unknown dtype, overlapping or
-    gapped byte ranges, and truncated data.
+    gapped byte ranges, and truncated data. The file must not shrink while the
+    map is in use: reading a value past its new end ends the process (SIGBUS).
     """
     path = Path(path)
     with open(path, "rb") as handle:
@@ -468,8 +490,8 @@ def read_checkpoint(path: str | Path) -> TensorMap:
         for name, entry in header.items():
             if not name:
                 raise InvalidHeaderError(f"{path}: empty tensor name in header")
-            metas.append(_parse_header_entry(name, entry, data_size))
-        _check_coverage(metas, data_size)
+            metas.append(_parse_header_entry(path, name, entry, data_size))
+        _check_coverage(path, metas, data_size)
 
         buffer = None
         if data_size > 0:

@@ -175,9 +175,10 @@ def _elementwise(op, operands: Sequence[tuple[str, TensorMap]], message: str,
     bits = np.empty(block, dtype=np.uint64)
     out = {}
     with np.errstate(over="ignore"):  # an overflow is an infinity, which the check reports
-        for name, arr in operands[0][1].items():
+        for tensors in zip(*(tmap.items() for _, tmap in operands)):
+            name, arr = tensors[0]
             compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
-            flats = [tmap[name].reshape(-1) for _, tmap in operands]
+            flats = [values.reshape(-1) for _, values in tensors]
             result = np.empty(arr.shape, dtype=arr.dtype)
             narrowed = result.reshape(-1)
             for start in range(0, arr.size, BLOCK_ELEMENTS):
@@ -358,22 +359,23 @@ def cosine_similarity(
     sq_a, sq_b = a._squared_sums, b._squared_sums
     scratch = np.empty(_largest_size(a.deltas), dtype=np.float64)
 
-    def dot(name: str) -> float:
-        wide = _widened(a.deltas[name], scratch)
-        return float(np.sum(np.multiply(wide, b.deltas[name].reshape(-1), out=wide)))
+    def dot(x: np.ndarray, y: np.ndarray) -> float:
+        wide = _widened(x, scratch)
+        return float(np.sum(np.multiply(wide, y.reshape(-1), out=wide)))
 
+    pairs = zip(a.deltas.items(), b.deltas.items())  # one pass over each map
     if granularity == "per_tensor":
         out: dict[str, float | None] = {}
-        for name in a.deltas.names():
+        for (name, x), (_, y) in pairs:
             na, nb = sq_a[name], sq_b[name]
             if na == 0.0 or nb == 0.0:
                 out[name] = None
             else:
-                out[name] = float(np.clip(dot(name) / math.sqrt(na * nb), -1.0, 1.0))
+                out[name] = float(np.clip(dot(x, y) / math.sqrt(na * nb), -1.0, 1.0))
         return out
     dot_total = norm_a = norm_b = 0.0
-    for name in a.deltas.names():
-        dot_total += dot(name)
+    for (name, x), (_, y) in pairs:
+        dot_total += dot(x, y)
         norm_a += sq_a[name]
         norm_b += sq_b[name]
     if norm_a == 0.0 or norm_b == 0.0:
