@@ -592,8 +592,8 @@ def test_a_pass_hands_back_pages_and_keeps_every_value(tmp_path):
     first = [(name, arr.tobytes()) for name, arr in tmap.items()]
     assert resident_file_bytes() - before < tmap.data_nbytes // 8
     assert first == [(name, arr.tobytes()) for name, arr in tmap.items()]
-    assert all(views[name].tobytes() == originals[name].tobytes() for name in originals)
-    assert tmap.with_metadata({"k": "v"}).non_finite_tensors() == {}
+    assert tmap.with_metadata({"k": "v"}).non_finite_tensors() == {}  # a scan of a copy
+    assert resident_file_bytes() - before < tmap.data_nbytes // 8
     assert all(views[name].tobytes() == originals[name].tobytes() for name in originals)
 
     other = maps["b"][1]
