@@ -1,5 +1,6 @@
 """CLI: thin wrapping of module ops, JSON stdout, exit-code contract."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -528,6 +529,7 @@ def test_json_out_to_redirected_stderr_writes_in_place(fixture_paths):
 
 # Runs the CLI in this process and reports how far its peak RSS rose.
 PEAK_PROBE = """
+import hashlib
 import json
 import sys
 from synvec.cli import main
@@ -562,3 +564,152 @@ def test_ensemble_peak_rss_stays_near_one_input(tmp_path):
     report = json.loads(proc.stderr.splitlines()[-1])
     assert report["code"] == 0
     assert report["rise"] < 2 * size, (report["rise"], size)
+
+
+def write_merge_fixture(dtype):
+    """Four real/synthetic pairs and a target in the working directory, in
+    ``dtype``, with a tensor of more than one kernel block, a scalar and an
+    empty tensor."""
+    rng = np.random.default_rng(11)
+    shapes = {"a.bias": (5,), "b.weight": (3, 7), "c.big": (40000,), "d.scalar": (),
+              "e.empty": (0, 4)}
+    base = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+
+    def model(path, scale):
+        write_checkpoint(TensorMap({name: (values + scale * rng.standard_normal(values.shape))
+                                    .astype(dtype) for name, values in base.items()},
+                                   {"origin": "fixture"}), path)
+        return path
+
+    pairs = [(model(f"real_{i}.st", 0.05), model(f"syn_{i}.st", 0.05)) for i in range(4)]
+    return pairs, model("target.st", 0.1)
+
+
+def run_merge_chain(capsys, dtype):
+    """sha256 prefixes of each merge command's output container and stdout,
+    run in the working directory on relative paths, so that neither holds
+    the directory's name."""
+    pairs, target = write_merge_fixture(dtype)
+    digests = {}
+
+    def run(name, out, *args):
+        code = main([*args, "--out", out])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        digests[name] = (hashlib.sha256(open(out, "rb").read()).hexdigest()[:16],
+                         hashlib.sha256(captured.out.encode()).hexdigest()[:16])
+
+    taus = [f"tau_{i}.st" for i in range(4)]
+    for i, ((real, syn), tau) in enumerate(zip(pairs, taus)):
+        run(f"diff_{i}", tau, "diff", real, syn, "--domain", f"domain{i}",
+            "--real-label", "human", "--syn-label", "tts")
+    run("ensemble", "ensemble.st", "ensemble", *taus)
+    run("apply", "adapted.st", "apply", target, "ensemble.st", "--lambda", "0.5")
+    run("apply_two", "adapted_two.st", "apply", target, *taus[:2], "--lambda", "0.7")
+    return digests
+
+
+# sha256 prefixes (container, stdout) of the merge chain, pinned before the
+# commands streamed their outputs.
+MERGE_CHAIN_DIGESTS = {
+    "F16": {
+        "diff_0": ("09d9738bde32b5a5", "a41ff2954831fe91"),
+        "diff_1": ("b873dc7b2fc76551", "035e76bca05353dd"),
+        "diff_2": ("caeee23285b5ee69", "764fdfe149c355e9"),
+        "diff_3": ("608dc99c484cf331", "2015a6f6e00dc35b"),
+        "ensemble": ("fabf952fb5c7f32f", "d3c78d4d82cca211"),
+        "apply": ("22050e439988bda3", "47a52212087d96e9"),
+        "apply_two": ("7bff8773645496a3", "6897cf1d0dce2f8e"),
+    },
+    "F32": {
+        "diff_0": ("10e708739f0b185e", "462171450af557ed"),
+        "diff_1": ("9aef788e8dfea1f5", "e6c6b4ed2d938ba4"),
+        "diff_2": ("aad9ceac772490bb", "26108032227c6581"),
+        "diff_3": ("359ac9adc55f0d82", "32b6e78288dd0262"),
+        "ensemble": ("c5070e7dc4ad0805", "db6eb25169db4477"),
+        "apply": ("b52486231e1b3ca4", "8bbecd0d90353861"),
+        "apply_two": ("74d201ae5011dc45", "d752f6b46f01b973"),
+    },
+}
+
+
+@pytest.mark.parametrize("dtype", ["F16", "F32"])
+def test_merge_chain_outputs_are_pinned(capsys, monkeypatch, tmp_path, dtype):
+    monkeypatch.chdir(tmp_path)
+    digests = run_merge_chain(capsys, {"F16": np.float16, "F32": np.float32}[dtype])
+    assert digests == MERGE_CHAIN_DIGESTS[dtype]
+
+
+def test_overflow_in_a_later_tensor_leaves_the_target_alone(capsys, tmp_path):
+    # F16 overflows in the second tensor, after the first has been produced.
+    model = TensorMap({"a": np.ones(4, np.float16),
+                       "b": np.full(40000, 60000, np.float16)})
+    delta = TensorMap({"a": np.ones(4, np.float16), "b": np.full(40000, 10000, np.float16)})
+    write_checkpoint(model, tmp_path / "m.st")
+    save_task_vector(TaskVector(delta, fingerprint(delta)), tmp_path / "tau.st")
+    target = tmp_path / "out.st"
+    target.write_bytes(b"previous contents")
+    code = main(["apply", str(tmp_path / "m.st"), str(tmp_path / "tau.st"), "--lambda", "1",
+                 "--out", str(target)])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 1
+    assert error == {"kind": "non_finite",
+                     "message": "applying scale 1.0 produced a non-finite value in tensor "
+                                "'b' at flat index 0"}
+    assert target.read_bytes() == b"previous contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.st", "out.st", "tau.st"]
+
+
+MERGE_COMMANDS = {
+    "diff": ["diff", "real_0.st", "syn_0.st", "--domain", "d"],
+    "ensemble": ["ensemble", "tau_0.st", "tau_1.st", "tau_2.st"],
+    "apply": ["apply", "target.st", "tau_0.st", "--lambda", "0.5"],
+    "apply_zero": ["apply", "target.st", "tau_0.st", "--lambda", "0"],
+}
+
+
+def merge_command_inputs(capsys):
+    """The F16 merge fixture and three task vectors, in the working directory."""
+    pairs, _ = write_merge_fixture(np.float16)
+    for i, (real, syn) in enumerate(pairs[:3]):
+        assert main(["diff", real, syn, "--domain", f"d{i}", "--out", f"tau_{i}.st"]) == 0
+    capsys.readouterr()
+
+
+def run_to(capsys, argv, out):
+    """(exit code, stdout without the --out value) of ``argv --out out``."""
+    code = main([*argv, "--out", str(out)])
+    payload = json.loads(capsys.readouterr().out)
+    payload.pop("out")
+    return code, payload
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("command", sorted(MERGE_COMMANDS))
+def test_out_may_be_a_fifo(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.chdir(tmp_path)
+    merge_command_inputs(capsys)
+    argv = MERGE_COMMANDS[command]
+    expected = run_to(capsys, argv, "regular.st")
+    os.mkfifo("out.fifo")
+    received = []
+    reader = threading.Thread(target=lambda: received.append(open("out.fifo", "rb").read()),
+                              daemon=True)
+    reader.start()
+    assert run_to(capsys, argv, "out.fifo") == expected
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [open("regular.st", "rb").read()]
+
+
+@pytest.mark.parametrize("command,over", [("diff", "real_0.st"), ("ensemble", "tau_0.st"),
+                                          ("ensemble", "tau_2.st"), ("apply", "target.st"),
+                                          ("apply", "tau_0.st"), ("apply_zero", "target.st")])
+def test_out_may_name_an_input(capsys, monkeypatch, tmp_path, command, over):
+    monkeypatch.chdir(tmp_path)
+    merge_command_inputs(capsys)
+    argv = MERGE_COMMANDS[command]
+    expected = run_to(capsys, argv, "separate.st")
+    assert run_to(capsys, argv, over) == expected
+    assert open(over, "rb").read() == open("separate.st", "rb").read()
+    assert not [p for p in os.listdir() if p.endswith(".tmp")]
