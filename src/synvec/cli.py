@@ -31,7 +31,6 @@ from .tensor_store import (
     open_replacing,
     read_checkpoint,
     schema_of,
-    write_checkpoint,
 )
 from .toy_experiment import (
     ConditionShift,
@@ -49,7 +48,6 @@ from .vector_ops import (
     ensemble_average,
     load_task_vector,
     norm_stats,
-    save_task_vector,
 )
 from . import report as report_mod
 
@@ -136,8 +134,8 @@ def _cmd_diff(args) -> dict:
             syn_condition_label=args.syn_label,
             created_from=(str(args.real), str(args.syn)),
         ),
+        out=args.out,
     )
-    save_task_vector(tau, args.out)
     stats = norm_stats(tau)
     return {
         "out": str(args.out),
@@ -152,8 +150,7 @@ def _cmd_diff(args) -> dict:
 def _cmd_apply(args) -> dict:
     model = read_checkpoint(args.model)
     vectors = _load_vectors(args.vectors)
-    applied = apply_ensemble(model, vectors, args.lam)
-    write_checkpoint(applied, args.out)
+    applied = apply_ensemble(model, vectors, args.lam, out=args.out)
     return {
         "out": str(args.out),
         "lambda": args.lam,
@@ -165,8 +162,7 @@ def _cmd_apply(args) -> dict:
 
 def _cmd_ensemble(args) -> dict:
     vectors = _load_vectors(args.vectors)
-    averaged = ensemble_average(vectors)
-    save_task_vector(averaged, args.out)
+    averaged = ensemble_average(vectors, out=args.out)
     stats = norm_stats(averaged)
     return {
         "out": str(args.out),

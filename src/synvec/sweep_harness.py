@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EvaluatorError, ValidationError
-from .tensor_store import TensorMap, write_checkpoint
+from .tensor_store import TensorMap
 from .vector_ops import TaskVector, apply_task_vector, ensemble_average, require_finite_real
 
 logger = logging.getLogger(__name__)
@@ -327,8 +327,7 @@ def _evaluate_point(
     live: _LiveEvaluators,
 ) -> EvalRecord | EvalFailure:
     try:
-        applied = apply_task_vector(model, average, lam)
-        write_checkpoint(applied, checkpoint)
+        apply_task_vector(model, average, lam, out=checkpoint)
     except OSError as exc:
         return EvalFailure(lam=lam, kind="io", message=str(exc))
     try:

@@ -18,9 +18,15 @@ Reads are memory-mapped: tensor values are read-only views into the mapped
 file. A pass over :meth:`TensorMap.items` hands each tensor's pages back to
 the OS once it moves past that tensor, so a pass over a read map keeps about
 one tensor of it resident, not the whole file.
-Writes go to a new file beside the target that then replaces it
+Writes are header first: :func:`write_checkpoint` builds the header from the
+names, dtypes and shapes alone, then writes each tensor as the map yields
+it. A :class:`TensorStream` (a kernel's output, tensor by tensor) is written
+as it is produced, so the output is never held whole, and
+:func:`write_and_map` then maps the written file back in place of the
+output. Writes go to a new file beside the target that then replaces it
 (:func:`open_replacing`), so a file that is still mapped as an input can be
-overwritten safely.
+overwritten safely, and a write that fails part way leaves the target as it
+was.
 
 Finite values: reading accepts NaN and infinity, and
 :meth:`TensorMap.non_finite_tensors` reports them; :func:`write_checkpoint`
@@ -32,7 +38,8 @@ toolkit. ``vector_ops``'s kernel calls it on each output block, and
 :meth:`TensorMap.non_finite_tensors` is the only caller that scans a whole
 map. It memoises its answer on maps whose values cannot change: maps
 :func:`read_checkpoint` returns (views of a read-only file mapping), and
-maps the kernel builds from arrays it allocated and checked. A map built
+maps of kernel output, collected or written and mapped back, which are
+known finite without a scan. A map built
 from a caller's arrays is scanned on every call, because the caller may
 still write to them.
 """
@@ -293,6 +300,28 @@ class TensorMap:
 
 
 @dataclass(frozen=True)
+class TensorStream:
+    """A map whose values are still being produced.
+
+    ``layout`` gives the names, dtypes, shapes and metadata; ``tensors``
+    yields the values, once, in name order. The values are known to be
+    finite (a kernel checks each block it produces), so neither a write nor
+    :meth:`collect` scans them again.
+    """
+
+    layout: TensorMap
+    tensors: Iterator[tuple[str, np.ndarray]]
+
+    @property
+    def data_nbytes(self) -> int:
+        return self.layout.data_nbytes
+
+    def collect(self) -> TensorMap:
+        """All the values, held in one map."""
+        return TensorMap(dict(self.tensors), self.layout.metadata, _non_finite={})
+
+
+@dataclass(frozen=True)
 class ModelSchema:
     """Sorted (name, dtype, shape) listing of a checkpoint."""
 
@@ -522,6 +551,19 @@ def _is_std_stream(info: os.stat_result) -> bool:
     return False
 
 
+def _stat_or_none(path: str | Path) -> os.stat_result | None:
+    try:
+        return os.stat(path)
+    except FileNotFoundError:
+        return None
+
+
+def _in_place(info: os.stat_result | None) -> bool:
+    """Whether :func:`open_replacing` writes a target with this status
+    (None: no such file) in place instead of replacing it."""
+    return info is not None and (not stat.S_ISREG(info.st_mode) or _is_std_stream(info))
+
+
 @contextlib.contextmanager
 def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
     """A binary file that replaces ``path`` once the ``with`` block completes.
@@ -538,11 +580,8 @@ def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
     process's stdout or stderr (``/dev/stdout`` redirected to a file), is
     opened with ``open(path, "wb")`` and written in place.
     """
-    try:
-        info = os.stat(path)
-    except FileNotFoundError:
-        info = None
-    if info is not None and (not stat.S_ISREG(info.st_mode) or _is_std_stream(info)):
+    info = _stat_or_none(path)
+    if _in_place(info):
         with open(path, "wb") as handle:
             yield handle
         return
@@ -562,28 +601,57 @@ def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
-def write_checkpoint(tmap: TensorMap, path: str | Path) -> None:
+def write_checkpoint(tmap: TensorMap | TensorStream, path: str | Path) -> None:
     """Write a map in canonical form; byte-identical output for equal inputs.
+
+    The header goes first, built from the names, dtypes and shapes alone;
+    then each tensor is written as the map yields it. So a
+    :class:`TensorStream` is written as its kernel produces it, one tensor
+    at a time, and a read map hands each tensor's pages back once it is
+    written. A failed write leaves ``path`` as it was (:func:`open_replacing`).
 
     A map holding a NaN or infinity is refused: synvec writes finite values only.
     """
-    require_finite(tmap, "tensor {name!r} has a non-finite value at flat index {index}")
+    if isinstance(tmap, TensorStream):
+        layout, tensors = tmap.layout, tmap.tensors  # checked as the kernel made them
+    else:
+        require_finite(tmap, "tensor {name!r} has a non-finite value at flat index {index}")
+        layout, tensors = tmap, tmap.items()
     header: dict[str, object] = {}
-    if tmap.metadata:
-        header["__metadata__"] = {key: tmap.metadata[key] for key in sorted(tmap.metadata)}
+    if layout.metadata:
+        header["__metadata__"] = {key: layout.metadata[key] for key in sorted(layout.metadata)}
     offset = 0
-    for name, arr in tmap.items():
-        nbytes = arr.nbytes
+    for name in layout.names():
+        arr = layout[name]
         header[name] = {
             "dtype": Dtype.from_numpy(arr.dtype).value,
             "shape": list(arr.shape),
-            "data_offsets": [offset, offset + nbytes],
+            "data_offsets": [offset, offset + arr.nbytes],
         }
-        offset += nbytes
+        offset += arr.nbytes
     blob = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
     with open_replacing(path) as handle:
         handle.write(len(blob).to_bytes(8, "little"))
         handle.write(blob)
-        for _, arr in tmap.items():
+        for _, arr in tensors:
             if arr.size:
                 handle.write(np.ascontiguousarray(arr).data)
+
+
+def write_and_map(stream: TensorStream, path: str | Path) -> TensorMap:
+    """:func:`write_checkpoint` of ``stream``, then the map written: read-only
+    views of the file now at ``path``, known to be finite, whose pages a pass
+    hands back as on any read map.
+
+    A target that is written in place (a FIFO, a device, this process's
+    stdout or stderr; see :func:`open_replacing`) cannot be mapped back: the
+    stream is then collected, written whole and returned as collected.
+    """
+    if _in_place(_stat_or_none(path)):
+        collected = stream.collect()
+        write_checkpoint(collected, path)
+        return collected
+    write_checkpoint(stream, path)
+    written = read_checkpoint(path)
+    written._non_finite = {}
+    return written

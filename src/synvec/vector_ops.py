@@ -15,13 +15,20 @@ not survive F16 arithmetic.
 Four operations share one elementwise kernel: compute, apply, scale and the
 ensemble mean. Each tensor is processed in blocks of
 ``tensor_store.BLOCK_ELEMENTS`` elements, widened into compute-dtype scratch
-allocated once per call, operated on, narrowed straight into the
-preallocated output and checked for NaN/inf while the block is still in
-cache. It is the arithmetic's only finite check: a NaN or infinity in an
-operand makes the output at its index non-finite, so the error path can name
-that operand without a scan of the inputs. The result map records that it
-was checked, so writing it, wrapping it in a :class:`TaskVector` or applying
-it again scans nothing. No operation produces a non-finite value.
+allocated once per call, operated on, narrowed straight into the tensor's
+output and checked for NaN/inf while the block is still in cache. It is the
+arithmetic's only finite check: a NaN or infinity in an operand makes the
+output at its index non-finite, so the error path can name that operand
+without a scan of the inputs. No operation produces a non-finite value.
+
+The kernel yields each output tensor as soon as it is finished. Without
+``out``, compute, apply and the ensemble mean collect them into a map, as
+scale always does. With ``out=path``, each tensor is written to ``path``
+as it is produced (``tensor_store.write_checkpoint`` of a
+``TensorStream``), so only one output tensor is held at a time, and the
+result holds the written file, mapped back. Either way the result records
+that it was checked, so writing it, wrapping it in a :class:`TaskVector` or
+applying it again scans nothing.
 
 Dot products and squared norms are ``np.sum`` over the F64 product of the
 exactly widened tensors, one tensor at a time, so their pairwise reduction
@@ -40,7 +47,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +62,7 @@ from .tensor_store import (
     Dtype,
     Fingerprint,
     TensorMap,
+    TensorStream,
     fingerprint,
     first_non_finite,
     non_finite_error,
@@ -62,6 +70,7 @@ from .tensor_store import (
     require_finite,
     schema_compatible,
     schema_of,
+    write_and_map,
     write_checkpoint,
 )
 
@@ -157,9 +166,11 @@ def _require_compatible(a: TensorMap, b: TensorMap) -> None:
         raise SchemaMismatchError(report)
 
 
-def _elementwise(op, operands: Sequence[tuple[str, TensorMap]], message: str,
-                 metadata: dict[str, str] | None = None) -> TensorMap:
-    """One blocked pass of ``op`` over schema-compatible (role, map) operands.
+def _elementwise(op, operands: Sequence[tuple[str, TensorMap]],
+                 message: str) -> Iterator[tuple[str, np.ndarray]]:
+    """One blocked pass of ``op`` over schema-compatible (role, map) operands,
+    yielding each finished tensor of the result as ``(name, values)`` in name
+    order.
 
     For each tensor of the first map and each block of it, ``op(row,
     *blocks)`` returns the array that holds its result. ``row`` is a scratch
@@ -173,14 +184,15 @@ def _elementwise(op, operands: Sequence[tuple[str, TensorMap]], message: str,
     block = min(_largest_size(operands[0][1]), BLOCK_ELEMENTS)
     wide = np.empty(block, dtype=np.float64)  # rows for storage narrower than compute
     bits = np.empty(block, dtype=np.uint64)
-    out = {}
-    with np.errstate(over="ignore"):  # an overflow is an infinity, which the check reports
-        for tensors in zip(*(tmap.items() for _, tmap in operands)):
-            name, arr = tensors[0]
-            compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
-            flats = [values.reshape(-1) for _, values in tensors]
-            result = np.empty(arr.shape, dtype=arr.dtype)
-            narrowed = result.reshape(-1)
+    for tensors in zip(*(tmap.items() for _, tmap in operands)):
+        name, arr = tensors[0]
+        compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
+        flats = [values.reshape(-1) for _, values in tensors]
+        result = np.empty(arr.shape, dtype=arr.dtype)
+        narrowed = result.reshape(-1)
+        # An overflow is an infinity, which the check reports. The state is set per
+        # tensor: set around the loop, it would reach the consumer across each yield.
+        with np.errstate(over="ignore"):
             for start in range(0, arr.size, BLOCK_ELEMENTS):
                 stop = min(start + BLOCK_ELEMENTS, arr.size)
                 target = narrowed[start:stop]
@@ -196,54 +208,81 @@ def _elementwise(op, operands: Sequence[tuple[str, TensorMap]], message: str,
                     raise non_finite_error(
                         message if culprit is None else culprit + _NON_FINITE_VALUE,
                         name, index)
-            out[name] = result
-    return TensorMap(out, metadata, _non_finite={})
+        yield name, result
 
 
-def compute_task_vector(real: TensorMap, syn: TensorMap,
-                        provenance: Provenance | None = None) -> TaskVector:
+def _vector_result(layout: TensorMap, tensors: Iterator[tuple[str, np.ndarray]],
+                   base_schema: Fingerprint, provenance: Provenance,
+                   out: str | Path | None) -> TaskVector:
+    """The task vector whose finite deltas ``tensors`` yields, with the names,
+    dtypes, shapes and metadata of ``layout``. With ``out``, they are written
+    there as :func:`save_task_vector` writes them, and the vector holds the
+    map written (see :func:`~synvec.tensor_store.write_and_map`)."""
+    if out is None:
+        deltas = TensorStream(layout, tensors).collect()
+    else:
+        metadata = _container_metadata(layout.metadata, base_schema, provenance)
+        written = write_and_map(TensorStream(layout.with_metadata(metadata), tensors), out)
+        deltas = written.with_metadata(layout.metadata)
+    return TaskVector(deltas=deltas, base_schema=base_schema, provenance=provenance)
+
+
+def compute_task_vector(real: TensorMap, syn: TensorMap, provenance: Provenance | None = None,
+                        *, out: str | Path | None = None) -> TaskVector:
     """Subtract two schema-compatible parameter sets: delta = real - syn.
 
     Differences are computed per tensor in the widened dtype and narrowed back
     to the storage dtype, so the output schema equals the input schema. A
     non-finite input value, or a difference that overflows, is an error naming
     the tensor and the first offending element.
+
+    With ``out``, each delta tensor is written to that path as soon as it is
+    computed, in the bytes :func:`save_task_vector` would write, and the
+    returned vector's deltas are read-only views of the written file; only
+    one output tensor is held at a time.
     """
     _require_compatible(real, syn)
 
     def subtract(row, real_block, syn_block):
         return np.subtract(real_block, syn_block, out=row, dtype=row.dtype)
 
-    return TaskVector(
-        deltas=_elementwise(subtract, (("real model", real), ("synthetic model", syn)),
-                            _NON_FINITE_DELTA),
-        base_schema=fingerprint(real),
-        provenance=provenance or Provenance(),
-    )
+    deltas = _elementwise(subtract, (("real model", real), ("synthetic model", syn)),
+                          _NON_FINITE_DELTA)
+    return _vector_result(real.with_metadata(None), deltas, fingerprint(real),
+                          provenance or Provenance(), out)
 
 
-def apply_task_vector(model: TensorMap, tau: TaskVector, lam: float) -> TensorMap:
+def apply_task_vector(model: TensorMap, tau: TaskVector, lam: float, *,
+                      out: str | Path | None = None) -> TensorMap:
     """Return model + lam * deltas, keeping the model's dtypes and metadata.
 
-    lam == 0 is a bitwise no-op: the returned map shares the model's values,
-    which are scanned for NaN/inf since no kernel runs. A non-finite model
-    value or result (e.g. an F16 overflow after narrowing) is an error naming
-    the tensor and the first offending element.
+    lam == 0 is a bitwise no-op: without ``out``, the returned map shares the
+    model's values, which are scanned for NaN/inf since no kernel runs. A
+    non-finite model value or result (e.g. an F16 overflow after narrowing)
+    is an error naming the tensor and the first offending element.
+
+    With ``out``, each output tensor is written to that path as soon as it is
+    computed, in the bytes :func:`~synvec.tensor_store.write_checkpoint`
+    would write, and the returned map is a read-only view of the written
+    file. A failure leaves ``out`` as it was.
     """
     require_finite_real(lam, "scaling factor")
     _require_compatible(model, tau.deltas)
     if lam == 0.0:
         require_finite(model, "model" + _NON_FINITE_VALUE)
-        return model.with_metadata(model.metadata)
+        if out is None:
+            return model.with_metadata(model.metadata)
+        tensors = model.items()
+    else:
+        def shift(row, model_block, delta_block):
+            np.multiply(delta_block, row.dtype.type(lam), out=row, dtype=row.dtype)
+            return np.add(model_block, row, out=row, dtype=row.dtype)
 
-    def shift(row, model_block, delta_block):
-        np.multiply(delta_block, row.dtype.type(lam), out=row, dtype=row.dtype)
-        return np.add(model_block, row, out=row, dtype=row.dtype)
-
-    message = (f"applying scale {lam} produced a non-finite value in tensor {{name!r}} "
-               "at flat index {index}")
-    return _elementwise(shift, (("model", model), ("task vector", tau.deltas)), message,
-                        model.metadata)
+        message = (f"applying scale {lam} produced a non-finite value in tensor {{name!r}} "
+                   "at flat index {index}")
+        tensors = _elementwise(shift, (("model", model), ("task vector", tau.deltas)), message)
+    stream = TensorStream(model, tensors)
+    return stream.collect() if out is None else write_and_map(stream, out)
 
 
 def _merged_provenance(vectors: Sequence[TaskVector]) -> Provenance:
@@ -285,7 +324,8 @@ def _batcher_network(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
+def ensemble_average(vectors: Sequence[TaskVector], *,
+                     out: str | Path | None = None) -> TaskVector:
     """Per-element arithmetic mean of task vectors sharing one base schema.
 
     Each element's k addends are widened to F64 and summed in ascending
@@ -297,7 +337,8 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
     F64 sum of fewer than 2**13 of them is exact and equals the sorted sum.
     The +0.0 start makes the sign of a zero sum +0 whatever the order, so
     the network may duplicate one zero of a (-0, +0) pair without effect.
-    Provenance records all constituent domains.
+    Provenance records all constituent domains. ``out`` is as for
+    :func:`compute_task_vector`.
     """
     if not vectors:
         raise ValidationError("ensemble_average needs at least one task vector")
@@ -307,7 +348,11 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
             f"task vectors come from {len(hashes)} different base schemas"
         )
     if len(vectors) == 1:
-        return vectors[0]
+        first = vectors[0]
+        if out is None:
+            return first
+        return _vector_result(first.deltas, first.deltas.items(), first.base_schema,
+                              first.provenance, out)
     k = len(vectors)
     # One F64 row per addend plus one the network swaps through. The sum stays in
     # these rows: summing into the kernel's row measured slower (F32, k=4).
@@ -328,17 +373,17 @@ def ensemble_average(vectors: Sequence[TaskVector]) -> TaskVector:
             np.add(total, addend, out=total)
         return np.divide(total, k, out=total)
 
-    return TaskVector(
-        deltas=_elementwise(mean, [("task vector", v.deltas) for v in vectors],
-                            _NON_FINITE_DELTA),
-        base_schema=Fingerprint(schema_hash=hashes.pop()),
-        provenance=_merged_provenance(vectors),
-    )
+    deltas = _elementwise(mean, [("task vector", v.deltas) for v in vectors], _NON_FINITE_DELTA)
+    return _vector_result(vectors[0].deltas.with_metadata(None), deltas,
+                          Fingerprint(schema_hash=hashes.pop()), _merged_provenance(vectors),
+                          out)
 
 
-def apply_ensemble(model: TensorMap, vectors: Sequence[TaskVector], lam: float) -> TensorMap:
-    """model + (lam / k) * sum of k task vectors, via their ensemble average."""
-    return apply_task_vector(model, ensemble_average(vectors), lam)
+def apply_ensemble(model: TensorMap, vectors: Sequence[TaskVector], lam: float, *,
+                   out: str | Path | None = None) -> TensorMap:
+    """model + (lam / k) * sum of k task vectors, via their ensemble average,
+    which is held whole; ``out`` is as for :func:`apply_task_vector`."""
+    return apply_task_vector(model, ensemble_average(vectors), lam, out=out)
 
 
 def cosine_similarity(
@@ -440,9 +485,9 @@ def scale_task_vector(tau: TaskVector, factor: float) -> TaskVector:
     def scale(row, delta_block):
         return np.multiply(delta_block, row.dtype.type(factor), out=row, dtype=row.dtype)
 
-    return TaskVector(deltas=_elementwise(scale, (("task vector", tau.deltas),),
-                                          _NON_FINITE_DELTA),
-                      base_schema=tau.base_schema, provenance=tau.provenance)
+    deltas = _elementwise(scale, (("task vector", tau.deltas),), _NON_FINITE_DELTA)
+    return _vector_result(tau.deltas.with_metadata(None), deltas, tau.base_schema,
+                          tau.provenance, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,10 +547,17 @@ def save_task_vector(tau: TaskVector, path: str | Path) -> None:
     under ``synvec.*`` keys; any reserved keys already present on the delta
     map are overwritten.
     """
-    metadata = {k: v for k, v in tau.deltas.metadata.items() if k not in _RESERVED_KEYS}
+    metadata = _container_metadata(tau.deltas.metadata, tau.base_schema, tau.provenance)
+    write_checkpoint(tau.deltas.with_metadata(metadata), path)
+
+
+def _container_metadata(plain: dict[str, str], base_schema: Fingerprint,
+                        prov: Provenance) -> dict[str, str]:
+    """The ``__metadata__`` of a task vector container: the deltas' own
+    ``plain`` keys, then the reserved ``synvec.*`` keys."""
+    metadata = {k: v for k, v in plain.items() if k not in _RESERVED_KEYS}
     metadata[KIND_KEY] = TASK_VECTOR_KIND
-    metadata[BASE_SCHEMA_KEY] = tau.base_schema.schema_hash
-    prov = tau.provenance
+    metadata[BASE_SCHEMA_KEY] = base_schema.schema_hash
     if prov.source_domain_label is not None:
         metadata[DOMAIN_KEY] = prov.source_domain_label
     if prov.real_condition_label is not None:
@@ -514,7 +566,7 @@ def save_task_vector(tau: TaskVector, path: str | Path) -> None:
         metadata[SYN_LABEL_KEY] = prov.syn_condition_label
     if prov.created_from is not None:
         metadata[CREATED_FROM_KEY] = json.dumps(list(prov.created_from), separators=(",", ":"))
-    write_checkpoint(tau.deltas.with_metadata(metadata), path)
+    return metadata
 
 
 def load_task_vector(path: str | Path) -> TaskVector:

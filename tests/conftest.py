@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synvec.tensor_store import Dtype, TensorMap
+from synvec.tensor_store import Dtype, TensorMap, write_checkpoint
 
 DTYPES = (np.float16, np.float32, np.float64)
 
@@ -40,3 +40,22 @@ def random_map_pair(rng, max_tensors=6, max_side=8, dtypes=DTYPES, delta_scale=1
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def write_merge_fixture(dtype):
+    """Four real/synthetic pairs and a target in the working directory, in
+    ``dtype``, with a tensor of more than one kernel block, a scalar and an
+    empty tensor."""
+    rng = np.random.default_rng(11)
+    shapes = {"a.bias": (5,), "b.weight": (3, 7), "c.big": (40000,), "d.scalar": (),
+              "e.empty": (0, 4)}
+    base = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+
+    def model(path, scale):
+        write_checkpoint(TensorMap({name: (values + scale * rng.standard_normal(values.shape))
+                                    .astype(dtype) for name, values in base.items()},
+                                   {"origin": "fixture"}), path)
+        return path
+
+    pairs = [(model(f"real_{i}.st", 0.05), model(f"syn_{i}.st", 0.05)) for i in range(4)]
+    return pairs, model("target.st", 0.1)

@@ -24,6 +24,8 @@ from synvec.vector_ops import (
     save_task_vector,
 )
 
+from conftest import write_merge_fixture
+
 PY = shlex.quote(sys.executable)
 CONSTANT_EVALUATOR = f"{PY} -c \"import json; print(json.dumps({{'wer': 2.0}}))\""
 U_SHAPE_EVALUATOR = (
@@ -529,7 +531,6 @@ def test_json_out_to_redirected_stderr_writes_in_place(fixture_paths):
 
 # Runs the CLI in this process and reports how far its peak RSS rose.
 PEAK_PROBE = """
-import hashlib
 import json
 import sys
 from synvec.cli import main
@@ -566,23 +567,49 @@ def test_ensemble_peak_rss_stays_near_one_input(tmp_path):
     assert report["rise"] < 2 * size, (report["rise"], size)
 
 
-def write_merge_fixture(dtype):
-    """Four real/synthetic pairs and a target in the working directory, in
-    ``dtype``, with a tensor of more than one kernel block, a scalar and an
-    empty tensor."""
-    rng = np.random.default_rng(11)
-    shapes = {"a.bias": (5,), "b.weight": (3, 7), "c.big": (40000,), "d.scalar": (),
-              "e.empty": (0, 4)}
-    base = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+def write_wide_checkpoints(tmp_path, names):
+    """A 384-tensor F32 checkpoint (24 MiB of data) per name, and its path;
+    names starting with ``tau`` are task vectors of small deltas."""
+    rng = np.random.default_rng(3)
+    paths = []
+    for i, name in enumerate(names):
+        vector = name.startswith("tau")
+        rows = rng.standard_normal((384, 16384), dtype=np.float32)
+        if vector:
+            rows *= np.float32(0.01)
+        tmap = TensorMap({f"layer{j:03d}.weight": row for j, row in enumerate(rows)})
+        paths.append(tmp_path / f"{name}.st")
+        if vector:
+            save_task_vector(TaskVector(tmap, fingerprint(tmap), Provenance(f"d{i}")), paths[-1])
+        else:
+            write_checkpoint(tmap, paths[-1])
+        del rows, tmap
+    return paths
 
-    def model(path, scale):
-        write_checkpoint(TensorMap({name: (values + scale * rng.standard_normal(values.shape))
-                                    .astype(dtype) for name, values in base.items()},
-                                   {"origin": "fixture"}), path)
-        return path
 
-    pairs = [(model(f"real_{i}.st", 0.05), model(f"syn_{i}.st", 0.05)) for i in range(4)]
-    return pairs, model("target.st", 0.1)
+def peak_rise(*argv):
+    """How far the peak RSS of a child running ``synvec argv`` rose during the command."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_PROBE, *map(str, argv)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report["code"] == 0, proc.stderr
+    return report["rise"]
+
+
+# Each command holds about one tensor per input and one output tensor (64 KiB
+# each here), never a whole output.
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("command,inputs,bound", [
+    ("diff", ["real", "syn"], 1.0),
+    ("apply", ["real", "tau0"], 1.0),
+    ("ensemble", ["tau0", "tau1", "tau2", "tau3"], 0.25),
+], ids=["diff", "apply", "ensemble"])
+def test_merge_command_peak_rss_excludes_the_output(tmp_path, command, inputs, bound):
+    paths = write_wide_checkpoints(tmp_path, inputs)
+    size = paths[0].stat().st_size
+    extra = ["--lambda", "0.5"] if command == "apply" else []
+    rise = peak_rise(command, *paths, *extra, "--out", tmp_path / "out.st")
+    assert rise < bound * size, (rise, size)
 
 
 def run_merge_chain(capsys, dtype):

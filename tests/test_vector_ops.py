@@ -729,3 +729,71 @@ def test_kernel_outputs_pickle(rng):
     real, syn = random_map_pair(rng)
     tau = compute_task_vector(real, syn)
     assert pickle.loads(pickle.dumps(tau)).deltas == tau.deltas
+
+
+def _out_cases(rng):
+    """(eager call taking ``out=``, writer of its result) per operation."""
+    real, syn = random_map_pair(rng, max_side=64)
+    model = TensorMap({name: rng.standard_normal(arr.shape).astype(arr.dtype)
+                       for name, arr in real.items()}, {"origin": "model"})
+    prov = Provenance("d", "human", "tts", ("real.st", "syn.st"))
+    taus = [compute_task_vector(real, syn, prov)]
+    for i in (1, 2):
+        shifted = TensorMap({name: (arr.astype(np.float64) + 0.01 * i).astype(arr.dtype)
+                             for name, arr in real.items()})
+        taus.append(compute_task_vector(shifted, syn, Provenance(f"d{i}")))
+    return {
+        "compute": (lambda **kw: compute_task_vector(real, syn, prov, **kw), save_task_vector),
+        "ensemble": (lambda **kw: ensemble_average(taus, **kw), save_task_vector),
+        "ensemble_one": (lambda **kw: ensemble_average(taus[:1], **kw), save_task_vector),
+        "apply": (lambda **kw: apply_task_vector(model, taus[0], 0.5, **kw), write_checkpoint),
+        "apply_zero": (lambda **kw: apply_task_vector(model, taus[0], 0.0, **kw),
+                       write_checkpoint),
+        "apply_ensemble": (lambda **kw: apply_ensemble(model, taus, 0.7, **kw),
+                           write_checkpoint),
+    }
+
+
+@pytest.mark.parametrize("case", ["compute", "ensemble", "ensemble_one", "apply", "apply_zero",
+                                  "apply_ensemble"])
+def test_out_writes_the_eager_bytes_and_returns_the_eager_values(tmp_path, monkeypatch, rng,
+                                                                 case):
+    call, writer = _out_cases(rng)[case]
+    eager = call()
+    writer(eager, tmp_path / "eager.st")
+    checked = []
+    original = tensor_store.first_non_finite
+
+    def recording(values, scratch):
+        checked.append(values)
+        return original(values, scratch)
+
+    monkeypatch.setattr(tensor_store, "first_non_finite", recording)
+    monkeypatch.setattr(vector_ops, "first_non_finite", recording)
+    streamed = call(out=tmp_path / "out.st")
+    assert (tmp_path / "out.st").read_bytes() == (tmp_path / "eager.st").read_bytes()
+    if isinstance(eager, TaskVector):
+        written = streamed.deltas
+        assert written == eager.deltas
+        assert (streamed.base_schema, streamed.provenance) == (eager.base_schema,
+                                                               eager.provenance)
+        assert repr(norm_stats(streamed)) == repr(norm_stats(eager))
+        TaskVector(written, streamed.base_schema)
+        save_task_vector(streamed, tmp_path / "again.st")
+    else:
+        written = streamed
+        assert written == eager
+        write_checkpoint(written, tmp_path / "again.st")
+    assert (tmp_path / "again.st").read_bytes() == (tmp_path / "eager.st").read_bytes()
+    # The written map is known finite: no check reads the written file's bytes.
+    assert not [values for values in checked
+                if any(np.shares_memory(values, arr) for _, arr in written.items())]
+
+
+def test_out_maps_the_written_file_read_only(tmp_path, rng):
+    real, syn = random_map_pair(rng)
+    tau = compute_task_vector(real, syn, out=tmp_path / "tau.st")
+    for _, arr in tau.deltas.items():
+        assert not arr.flags.writeable
+    assert tau.deltas._buffer is not None  # views of the written file, not copies
+    assert tau.deltas.non_finite_tensors() == {}
