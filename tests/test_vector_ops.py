@@ -725,6 +725,72 @@ def test_f64_ensemble_overflow_is_reported():
     assert (exc.value.tensor, exc.value.index) == ("w", BLOCK_ELEMENTS + 1)
 
 
+FUSED_SIZES = (BLOCK_ELEMENTS - 1, BLOCK_ELEMENTS, BLOCK_ELEMENTS + 1, 2 * BLOCK_ELEMENTS + 1)
+
+
+def fused_operands(dtype, k):
+    """A model holding -0.0 entries and k task vectors, one tensor per size
+    in FUSED_SIZES, with magnitudes over many binades, so that the mean's
+    narrowing rounds, ties included, and some means are zeros."""
+    rng = np.random.default_rng(7000 + 10 * k + np.dtype(dtype).itemsize)
+    model, rows = {}, [{} for _ in range(k)]
+    for size in FUSED_SIZES:
+        scale = np.exp2(rng.integers(-12, 8, size))
+        values = (rng.standard_normal(size) * scale).astype(dtype)
+        values[::5] = -0.0
+        model[f"t{size}"] = values
+        for i, row in enumerate(rows):
+            delta = (1e-2 * rng.standard_normal(size) * scale).astype(dtype)
+            delta[::7] = 0.0 if i % 2 else -0.0
+            row[f"t{size}"] = delta
+    return TensorMap(model, {"origin": "model"}), [
+        TaskVector(TensorMap(row), fingerprint(TensorMap(row))) for row in rows]
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_apply_ensemble_equals_apply_of_the_mean_bitwise(dtype, k):
+    model, vectors = fused_operands(dtype, k)
+    for lam in (0.4, -1.3, 0.0):
+        fused = apply_ensemble(model, vectors, lam)
+        assert fused == apply_task_vector(model, ensemble_average(vectors), lam)
+        if lam == 0.0:  # the model's -0.0 entries stay -0.0
+            assert all(np.signbit(arr[::5]).all() for _, arr in fused.items())
+
+
+def _fault_operands(dtype, model_value, delta_value, index):
+    """A model and two equal task vectors over tensors 'a' (two zeros) and
+    'w', with ``model_value`` and ``delta_value`` at ``index`` of 'w'."""
+    size = 2 * BLOCK_ELEMENTS + 5
+    model, delta = np.zeros(size, dtype), np.zeros(size, dtype)
+    model[index], delta[index] = model_value, delta_value
+    tau = compute_task_vector(TensorMap({"a": np.zeros(2, dtype), "w": delta}),
+                              TensorMap({"a": np.zeros(2, dtype), "w": np.zeros(size, dtype)}))
+    return TensorMap({"a": np.zeros(2, dtype), "w": model}), [tau, tau]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("fault, dtype, model_value, delta_value, lam, message", [
+    ("model", np.float32, np.inf, 1.0, 0.5,
+     "model tensor 'w' has a non-finite value at flat index {index}"),
+    ("shift", np.float16, 60000.0, 30000.0, 1.0,
+     "applying scale 1.0 produced a non-finite value in tensor 'w' at flat index {index}"),
+    ("mean", np.float64, 1.0, np.finfo(np.float64).max, 0.5,
+     "task vector tensor 'w' has a non-finite delta at flat index {index}"),
+], ids=["model", "shift", "mean"])
+def test_apply_ensemble_faults_keep_their_type_and_message(fault, dtype, model_value,
+                                                           delta_value, lam, message):
+    index = BLOCK_ELEMENTS + 3
+    model, vectors = _fault_operands(dtype, model_value, delta_value, index)
+    for call in (lambda: apply_ensemble(model, vectors, lam),
+                 lambda: apply_task_vector(model, ensemble_average(vectors), lam)):
+        with pytest.raises(NonFiniteValueError) as exc:
+            call()
+        assert type(exc.value) is NonFiniteValueError
+        assert (exc.value.tensor, exc.value.index) == ("w", index)
+        assert str(exc.value) == message.format(index=index)
+
+
 def test_kernel_outputs_pickle(rng):
     real, syn = random_map_pair(rng)
     tau = compute_task_vector(real, syn)
