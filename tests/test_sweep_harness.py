@@ -379,6 +379,28 @@ def test_ablation_random_policy_mean_over_seeds(tmp_path):
     assert point.mean_wer == pytest.approx(np.mean(expected), rel=1e-6)
 
 
+def test_ablation_failures_keep_their_k_and_seed(tmp_path):
+    model, vectors = fixture_model_and_vectors(values=((1.0,), (3.0,), (5.0,)))
+    model_path = tmp_path / "model.st"
+    write_checkpoint(model, model_path)
+    config = SweepConfig(evaluator=failing_l2_evaluator(model_path, 2.0), workdir=tmp_path / "w")
+    # The evaluator exits 3 on the mean of 1 and 3: prefix k=2 over the first two vectors.
+    result = run_domain_ablation(model, vectors[:2], 1.0, config)
+    failures = json.loads(result.to_json())["failures"]
+    assert [{key: f[key] for key in ("k", "seed", "lambda", "kind")} for f in failures] == [
+        {"k": 2, "seed": 0, "lambda": 1.0, "kind": "exit"}]
+    assert list(failures[0]) == ["k", "seed", "lambda", "kind", "message"]
+    # Random subsets: the seeds whose pair of vectors is {1, 3} fail.
+    seeds = (0, 1, 2, 3)
+    failing = [seed for seed in seeds if set(np.random.default_rng(
+        np.random.SeedSequence([seed, 2])).choice(3, size=2, replace=False)) == {0, 1}]
+    assert 0 < len(failing) < len(seeds)
+    result = run_domain_ablation(model, vectors, 1.0, config, ks=[2], policy="random",
+                                 seeds=seeds)
+    assert [(f["k"], f["seed"]) for f in json.loads(result.to_json())["failures"]] == [
+        (2, seed) for seed in failing]
+
+
 def test_ablation_validates_ks(tmp_path):
     model, vectors = fixture_model_and_vectors()
     config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path)
