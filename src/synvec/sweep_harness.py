@@ -110,6 +110,14 @@ class EvalFailure:
     stderr: str = ""
 
 
+@dataclass(frozen=True, kw_only=True)
+class AblationFailure(EvalFailure):
+    """One failed evaluation at one (k, seed) ablation point."""
+
+    k: int
+    seed: int
+
+
 @dataclass(frozen=True)
 class SweepResult:
     lambda_grid: tuple[float, ...]
@@ -416,7 +424,7 @@ class AblationResult:
     subset_policy: str  # "prefix" | "random"
     seeds: tuple[int, ...]
     lam: float
-    failures: tuple[EvalFailure, ...] = field(default=())
+    failures: tuple[AblationFailure, ...] = field(default=())
 
     def to_json_obj(self) -> dict:
         return {
@@ -428,7 +436,8 @@ class AblationResult:
                 for p in self.points
             ],
             "failures": [
-                {"k": None, "lambda": f.lam, "kind": f.kind, "message": f.message}
+                {"k": f.k, "seed": f.seed, "lambda": f.lam, "kind": f.kind,
+                 "message": f.message}
                 for f in self.failures
             ],
         }
@@ -495,12 +504,12 @@ def run_domain_ablation(
 
     outcomes = _run_points(point, list(enumerate(tasks)), config.parallel_workers)
     per_k: dict[int, list[float]] = {k: [] for k in ks}
-    failures: list[EvalFailure] = []
-    for (k, _, _), outcome in zip(tasks, outcomes):
+    failures: list[AblationFailure] = []
+    for (k, seed, _), outcome in zip(tasks, outcomes):
         if isinstance(outcome, EvalRecord):
             per_k[k].append(outcome.wer)
         else:
-            failures.append(outcome)
+            failures.append(AblationFailure(**vars(outcome), k=k, seed=seed))
     points = [AblationPoint(k=k, mean_wer=sum(wers) / len(wers), per_seed=tuple(wers))
               for k, wers in per_k.items() if wers]
     if not points:
