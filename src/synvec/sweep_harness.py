@@ -15,19 +15,30 @@ Sweep points and ablation points alike run through one thread pool of
 ``parallel_workers`` threads; results are gathered back in grid order, and
 each point writes its checkpoint under a name carrying its task index.
 
+Each run works in a directory of its own inside the workdir, the first free
+``run_NNN``, so runs sharing a workdir never share a file; the directory is
+removed when the run ends unless it keeps checkpoints. A sweep of several
+vectors writes their ensemble mean there once (``mean.safetensors``, deleted
+when the sweep ends) and maps it back, so each point reads it a tensor at a
+time and no mean is held whole. An ablation point takes its subset's mean in
+the pass that writes its checkpoint (:func:`~synvec.vector_ops.apply_ensemble`).
+
 JSON/CSV serializations are canonical: stable key order, records sorted by
 scaling factor, and no wall-clock times, so two runs with a deterministic
-evaluator produce identical bytes.
+evaluator produce identical bytes, checkpoint paths included when the second
+starts after the first has ended.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import logging
 import math
 import os
 import shlex
+import shutil
 import signal
 import subprocess
 import threading
@@ -35,13 +46,19 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import EvaluatorError, ValidationError
 from .tensor_store import TensorMap
-from .vector_ops import TaskVector, apply_task_vector, ensemble_average, require_finite_real
+from .vector_ops import (
+    TaskVector,
+    apply_ensemble,
+    apply_task_vector,
+    ensemble_average,
+    require_finite_real,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -326,16 +343,39 @@ def _normalize_vectors(vectors: TaskVector | Sequence[TaskVector]) -> list[TaskV
     return out
 
 
+@contextlib.contextmanager
+def _run_directory(config: SweepConfig) -> Iterator[Path]:
+    """A directory of the run's own in ``config.workdir``, so that runs sharing
+    a workdir never share a file: the first free ``run_NNN``, made
+    atomically. A run that starts after another has ended takes the same
+    name, so canonical results still repeat. The directory is removed at the
+    end unless it holds kept checkpoints."""
+    config.workdir.mkdir(parents=True, exist_ok=True)
+    for number in itertools.count():
+        path = config.workdir / f"run_{number:03d}"
+        try:
+            path.mkdir()
+            break
+        except FileExistsError:
+            continue
+    try:
+        yield path
+    finally:
+        if not config.keep_checkpoints:
+            shutil.rmtree(path, ignore_errors=True)
+        elif not any(path.iterdir()):
+            path.rmdir()
+
+
 def _evaluate_point(
-    model: TensorMap,
-    average: TaskVector,
+    materialize: Callable[[Path], object],
     lam: float,
     checkpoint: Path,
     config: SweepConfig,
     live: _LiveEvaluators,
 ) -> EvalRecord | EvalFailure:
     try:
-        apply_task_vector(model, average, lam, out=checkpoint)
+        materialize(checkpoint)
     except OSError as exc:
         return EvalFailure(lam=lam, kind="io", message=str(exc))
     try:
@@ -389,15 +429,25 @@ def run_lambda_sweep(
     are recorded per grid point; the sweep raises only if all points fail.
     """
     vector_list = _normalize_vectors(vectors)
-    average = ensemble_average(vector_list)
-    config.workdir.mkdir(parents=True, exist_ok=True)
+    with _run_directory(config) as run_dir:
+        mean_path = run_dir / "mean.safetensors"
+        try:
+            # Written once and mapped back, so the points read it a tensor at a time.
+            average = ensemble_average(vector_list,
+                                       out=mean_path if len(vector_list) > 1 else None)
 
-    def point(indexed: tuple[int, float], live: _LiveEvaluators) -> EvalRecord | EvalFailure:
-        index, lam = indexed
-        checkpoint = config.workdir / f"sweep_{index:03d}_lambda_{lam:g}.safetensors"
-        return _evaluate_point(model, average, lam, checkpoint, config, live)
+            def point(indexed: tuple[int, float],
+                      live: _LiveEvaluators) -> EvalRecord | EvalFailure:
+                index, lam = indexed
+                checkpoint = run_dir / f"sweep_{index:03d}_lambda_{lam:g}.safetensors"
+                return _evaluate_point(
+                    lambda path: apply_task_vector(model, average, lam, out=path),
+                    lam, checkpoint, config, live)
 
-    outcomes = _run_points(point, list(enumerate(config.lambda_grid)), config.parallel_workers)
+            outcomes = _run_points(point, list(enumerate(config.lambda_grid)),
+                                   config.parallel_workers)
+        finally:
+            mean_path.unlink(missing_ok=True)
 
     records = tuple(sorted((o for o in outcomes if isinstance(o, EvalRecord)),
                            key=lambda r: r.lam))
@@ -485,7 +535,6 @@ def run_domain_ablation(
     seed_list = [int(s) for s in seeds]
     if policy == "random" and not seed_list:
         raise ValidationError("random policy needs at least one seed")
-    config.workdir.mkdir(parents=True, exist_ok=True)
 
     tasks: list[tuple[int, int, list[TaskVector]]] = []  # (k, seed, subset), in (k, seed) order
     for k in ks:
@@ -497,12 +546,14 @@ def run_domain_ablation(
             chosen = rng.choice(total, size=k, replace=False)
             tasks.append((k, seed, [vector_list[i] for i in chosen]))
 
-    def point(indexed: tuple[int, tuple], live: _LiveEvaluators) -> EvalRecord | EvalFailure:
-        index, (k, seed, subset) = indexed
-        checkpoint = config.workdir / f"ablate_{index:03d}_k{k:02d}_seed{seed}.safetensors"
-        return _evaluate_point(model, ensemble_average(subset), lam, checkpoint, config, live)
+    with _run_directory(config) as run_dir:
+        def point(indexed: tuple[int, tuple], live: _LiveEvaluators) -> EvalRecord | EvalFailure:
+            index, (k, seed, subset) = indexed
+            checkpoint = run_dir / f"ablate_{index:03d}_k{k:02d}_seed{seed}.safetensors"
+            return _evaluate_point(lambda path: apply_ensemble(model, subset, lam, out=path),
+                                   lam, checkpoint, config, live)
 
-    outcomes = _run_points(point, list(enumerate(tasks)), config.parallel_workers)
+        outcomes = _run_points(point, list(enumerate(tasks)), config.parallel_workers)
     per_k: dict[int, list[float]] = {k: [] for k in ks}
     failures: list[AblationFailure] = []
     for (k, seed, _), outcome in zip(tasks, outcomes):

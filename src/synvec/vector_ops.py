@@ -12,21 +12,25 @@ means) runs in F64 with a deterministic, fixed reduction order regardless of
 storage dtype. Small deltas between large weights survive this; they would
 not survive F16 arithmetic.
 
-Four operations share one elementwise kernel: compute, apply, scale and the
-ensemble mean. Each tensor is processed in blocks of
-``tensor_store.BLOCK_ELEMENTS`` elements, widened into compute-dtype scratch
-allocated once per call, operated on, narrowed straight into the tensor's
-output and checked for NaN/inf while the block is still in cache. It is the
-arithmetic's only finite check: a NaN or infinity in an operand makes the
-output at its index non-finite, so the error path can name that operand
-without a scan of the inputs. No operation produces a non-finite value.
+Every elementwise operation runs on one kernel: compute, apply, scale, the
+ensemble mean, and the apply of an ensemble, which fuses the other two. Each
+tensor is processed in blocks of ``tensor_store.BLOCK_ELEMENTS`` elements,
+widened into compute-dtype scratch allocated once per call, operated on,
+narrowed straight into the tensor's output and checked for NaN/inf while the
+block is still in cache. It is the arithmetic's only finite check: a NaN or
+infinity in an operand makes the output at its index non-finite, so the
+error path can name that operand without a scan of the inputs. No operation
+produces a non-finite value. The fused apply of k vectors takes each block's
+mean, narrows it into a storage-dtype block and checks that block as the
+mean's own output would be checked, then shifts the model by it, so it
+never holds a mean tensor and gives the bytes of the apply of the mean.
 
 The kernel yields each output tensor as soon as it is finished. Without
-``out``, compute, apply and the ensemble mean collect them into a map, as
-scale always does. With ``out=path``, each tensor is written to ``path``
-as it is produced (``tensor_store.write_checkpoint`` of a
-``TensorStream``), so only one output tensor is held at a time, and the
-result holds the written file, mapped back. Either way the result records
+``out``, they are collected into a map (scale takes no ``out``). With
+``out=path``, each tensor is written to ``path`` as it is produced
+(``tensor_store.write_checkpoint`` of a ``TensorStream``), so only one
+output tensor is held at a time, and the result holds the written file,
+mapped back. Either way the result records
 that it was checked, so writing it, wrapping it in a :class:`TaskVector` or
 applying it again scans nothing.
 
@@ -166,6 +170,11 @@ def _require_compatible(a: TensorMap, b: TensorMap) -> None:
         raise SchemaMismatchError(report)
 
 
+class _NonFiniteStep(Exception):
+    """Raised as ``_NonFiniteStep(message, index)`` by a kernel op whose
+    intermediate block holds a NaN or infinity at ``index``."""
+
+
 def _elementwise(op, operands: Sequence[tuple[str, TensorMap]],
                  message: str) -> Iterator[tuple[str, np.ndarray]]:
     """One blocked pass of ``op`` over schema-compatible (role, map) operands,
@@ -179,7 +188,9 @@ def _elementwise(op, operands: Sequence[tuple[str, TensorMap]],
     block is narrowed (round to nearest even) into it. Each output block is
     checked at once. The first NaN or infinity raises ``NonFiniteValueError``
     naming the role of the first operand not finite at that index, or else
-    (an overflow) with ``message``, formatted as in ``require_finite``.
+    (an overflow) with ``message``, formatted as in ``require_finite``. An op
+    that checks a step of its own raises :class:`_NonFiniteStep` with the
+    index in the block, which is reported the same way.
     """
     block = min(_largest_size(operands[0][1]), BLOCK_ELEMENTS)
     wide = np.empty(block, dtype=np.float64)  # rows for storage narrower than compute
@@ -197,7 +208,11 @@ def _elementwise(op, operands: Sequence[tuple[str, TensorMap]],
                 stop = min(start + BLOCK_ELEMENTS, arr.size)
                 target = narrowed[start:stop]
                 row = target if arr.dtype == compute else wide.view(compute)[: stop - start]
-                values = op(row, *(flat[start:stop] for flat in flats))
+                try:
+                    values = op(row, *(flat[start:stop] for flat in flats))
+                except _NonFiniteStep as step:
+                    message, index = step.args
+                    raise non_finite_error(message, name, start + index) from None
                 if values is not target:
                     np.copyto(target, values, casting="same_kind")
                 index = first_non_finite(target, bits)
@@ -274,15 +289,20 @@ def apply_task_vector(model: TensorMap, tau: TaskVector, lam: float, *,
             return model.with_metadata(model.metadata)
         tensors = model.items()
     else:
-        def shift(row, model_block, delta_block):
-            np.multiply(delta_block, row.dtype.type(lam), out=row, dtype=row.dtype)
-            return np.add(model_block, row, out=row, dtype=row.dtype)
-
-        message = (f"applying scale {lam} produced a non-finite value in tensor {{name!r}} "
-                   "at flat index {index}")
+        shift, message = _shift(lam)
         tensors = _elementwise(shift, (("model", model), ("task vector", tau.deltas)), message)
     stream = TensorStream(model, tensors)
     return stream.collect() if out is None else write_and_map(stream, out)
+
+
+def _shift(lam: float):
+    """The kernel op of model + lam * delta, and its overflow message."""
+    def shift(row, model_block, delta_block):
+        np.multiply(delta_block, row.dtype.type(lam), out=row, dtype=row.dtype)
+        return np.add(model_block, row, out=row, dtype=row.dtype)
+
+    return shift, (f"applying scale {lam} produced a non-finite value in tensor {{name!r}} "
+                   "at flat index {index}")
 
 
 def _merged_provenance(vectors: Sequence[TaskVector]) -> Provenance:
@@ -324,6 +344,44 @@ def _batcher_network(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _shared_schema(vectors: Sequence[TaskVector]) -> Fingerprint:
+    """The one base schema of a non-empty list of task vectors."""
+    if not vectors:
+        raise ValidationError("ensemble_average needs at least one task vector")
+    hashes = {v.base_schema.schema_hash for v in vectors}
+    if len(hashes) > 1:
+        raise FingerprintMismatchError(
+            f"task vectors come from {len(hashes)} different base schemas"
+        )
+    return Fingerprint(schema_hash=hashes.pop())
+
+
+def _mean_op(k: int, block: int):
+    """The kernel op of the ensemble mean of k task-vector blocks of at most
+    ``block`` elements (see :func:`ensemble_average`). It returns a row of its
+    own F64 scratch holding the means; the kernel's ``row`` gives only the
+    block length."""
+    # One F64 row per addend plus one the network swaps through. The sum stays in
+    # these rows: summing into the kernel's row measured slower (F32, k=4).
+    scratch = np.empty((k + 1, block), dtype=np.float64)
+
+    def mean(row, *blocks):
+        rows = list(scratch[:, : row.size])
+        for wide, values in zip(rows, blocks):
+            wide[...] = values
+        if blocks[0].dtype != np.float16 or k >= _F16_EXACT_MAX_K:
+            for lo, hi in _batcher_network(k):
+                np.minimum(rows[lo], rows[hi], out=rows[k])
+                np.maximum(rows[lo], rows[hi], out=rows[hi])
+                rows[lo], rows[k] = rows[k], rows[lo]
+        total = np.add(rows[0], 0.0, out=rows[0])  # the +0.0 start
+        for addend in rows[1:k]:
+            np.add(total, addend, out=total)
+        return np.divide(total, k, out=total)
+
+    return mean
+
+
 def ensemble_average(vectors: Sequence[TaskVector], *,
                      out: str | Path | None = None) -> TaskVector:
     """Per-element arithmetic mean of task vectors sharing one base schema.
@@ -340,50 +398,57 @@ def ensemble_average(vectors: Sequence[TaskVector], *,
     Provenance records all constituent domains. ``out`` is as for
     :func:`compute_task_vector`.
     """
-    if not vectors:
-        raise ValidationError("ensemble_average needs at least one task vector")
-    hashes = {v.base_schema.schema_hash for v in vectors}
-    if len(hashes) > 1:
-        raise FingerprintMismatchError(
-            f"task vectors come from {len(hashes)} different base schemas"
-        )
+    base_schema = _shared_schema(vectors)
     if len(vectors) == 1:
         first = vectors[0]
         if out is None:
             return first
         return _vector_result(first.deltas, first.deltas.items(), first.base_schema,
                               first.provenance, out)
-    k = len(vectors)
-    # One F64 row per addend plus one the network swaps through. The sum stays in
-    # these rows: summing into the kernel's row measured slower (F32, k=4).
-    block = min(_largest_size(vectors[0].deltas), BLOCK_ELEMENTS)
-    scratch = np.empty((k + 1, block), dtype=np.float64)
-
-    def mean(row, *blocks):  # row gives only the block length; the sum is in F64 scratch
-        rows = list(scratch[:, : row.size])
-        for wide, values in zip(rows, blocks):
-            wide[...] = values
-        if blocks[0].dtype != np.float16 or k >= _F16_EXACT_MAX_K:
-            for lo, hi in _batcher_network(k):
-                np.minimum(rows[lo], rows[hi], out=rows[k])
-                np.maximum(rows[lo], rows[hi], out=rows[hi])
-                rows[lo], rows[k] = rows[k], rows[lo]
-        total = np.add(rows[0], 0.0, out=rows[0])  # the +0.0 start
-        for addend in rows[1:k]:
-            np.add(total, addend, out=total)
-        return np.divide(total, k, out=total)
-
+    mean = _mean_op(len(vectors), min(_largest_size(vectors[0].deltas), BLOCK_ELEMENTS))
     deltas = _elementwise(mean, [("task vector", v.deltas) for v in vectors], _NON_FINITE_DELTA)
-    return _vector_result(vectors[0].deltas.with_metadata(None), deltas,
-                          Fingerprint(schema_hash=hashes.pop()), _merged_provenance(vectors),
-                          out)
+    return _vector_result(vectors[0].deltas.with_metadata(None), deltas, base_schema,
+                          _merged_provenance(vectors), out)
 
 
 def apply_ensemble(model: TensorMap, vectors: Sequence[TaskVector], lam: float, *,
                    out: str | Path | None = None) -> TensorMap:
-    """model + (lam / k) * sum of k task vectors, via their ensemble average,
-    which is held whole; ``out`` is as for :func:`apply_task_vector`."""
-    return apply_task_vector(model, ensemble_average(vectors), lam, out=out)
+    """model + lam * (ensemble average of ``vectors``), bit-identical to
+    ``apply_task_vector(model, ensemble_average(vectors), lam, out=out)``;
+    ``out`` is as for :func:`apply_task_vector`.
+
+    For k >= 2 vectors and lam != 0 it is one pass over the model and the
+    vectors, and no mean tensor is held: each block's mean is taken as
+    :func:`ensemble_average` takes it, narrowed into a block of the storage
+    dtype, checked with that function's message, then shifted as
+    :func:`apply_task_vector` shifts. Errors therefore come in pass order,
+    tensor by tensor: where the shift of an earlier tensor fails (or meets a
+    non-finite model value) and the F64 mean of a later one overflows, this
+    reports the earlier tensor, where the mean computed first would report
+    the later. lam == 0 and k == 1 run the composition itself: a shift at
+    lam == 0 would turn the model's -0.0 entries into +0.0.
+    """
+    if len(vectors) < 2 or lam == 0:
+        return apply_task_vector(model, ensemble_average(vectors), lam, out=out)
+    _shared_schema(vectors)
+    require_finite_real(lam, "scaling factor")
+    _require_compatible(model, vectors[0].deltas)
+    block = min(_largest_size(model), BLOCK_ELEMENTS)
+    mean, (shift, message) = _mean_op(len(vectors), block), _shift(lam)
+    narrowed = np.empty(block, dtype=np.float64)  # the mean in storage dtype, viewed per tensor
+    bits = np.empty(block, dtype=np.uint64)
+
+    def shift_by_mean(row, model_block, *blocks):
+        delta = narrowed.view(model_block.dtype)[: row.size]
+        np.copyto(delta, mean(row, *blocks), casting="same_kind")
+        index = first_non_finite(delta, bits)
+        if index is not None:
+            raise _NonFiniteStep(_NON_FINITE_DELTA, index)
+        return shift(row, model_block, delta)
+
+    operands = [("model", model), *(("task vector", v.deltas) for v in vectors)]
+    stream = TensorStream(model, _elementwise(shift_by_mean, operands, message))
+    return stream.collect() if out is None else write_and_map(stream, out)
 
 
 def cosine_similarity(

@@ -597,13 +597,15 @@ def peak_rise(*argv):
 
 
 # Each command holds about one tensor per input and one output tensor (64 KiB
-# each here), never a whole output.
+# each here), never a whole output, nor the mean of several vectors it applies.
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 @pytest.mark.parametrize("command,inputs,bound", [
     ("diff", ["real", "syn"], 1.0),
     ("apply", ["real", "tau0"], 1.0),
+    ("apply", ["real", "tau0", "tau1"], 1.0),
+    ("apply", ["real", "tau0", "tau1", "tau2", "tau3"], 1.0),
     ("ensemble", ["tau0", "tau1", "tau2", "tau3"], 0.25),
-], ids=["diff", "apply", "ensemble"])
+], ids=["diff", "apply", "apply_two", "apply_four", "ensemble"])
 def test_merge_command_peak_rss_excludes_the_output(tmp_path, command, inputs, bound):
     paths = write_wide_checkpoints(tmp_path, inputs)
     size = paths[0].stat().st_size

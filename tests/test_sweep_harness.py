@@ -244,7 +244,7 @@ def test_checkpoints_deleted_unless_kept(tmp_path):
     config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path / "w",
                          lambda_grid=(0.0, 0.5))
     run_lambda_sweep(model, vectors, config)
-    assert list((tmp_path / "w").glob("*.safetensors")) == []
+    assert list((tmp_path / "w").rglob("*")) == []  # nor the run's own directory
 
 
 def test_min_wer_never_worse_than_zero_lambda(tmp_path):
@@ -480,7 +480,8 @@ def test_parallel_ablation_matches_serial_bytes(tmp_path, policy, seeds):
                              parallel_workers=workers, keep_checkpoints=True)
         result = run_domain_ablation(model, vectors, 1.0, config, policy=policy, seeds=seeds)
         tasks = len(seeds) * 3 if policy == "random" else 3
-        assert len(list(config.workdir.iterdir())) == tasks  # one file per (k, seed) task
+        files = [path for path in config.workdir.rglob("*") if path.is_file()]
+        assert len(files) == tasks  # one file per (k, seed) task
         outputs.append(result.to_json())
     assert outputs[0] == outputs[1]
     if policy == "prefix":
@@ -580,3 +581,27 @@ def test_sigterm_to_the_cli_kills_a_threaded_sweeps_evaluators(tmp_path):
     while any(map(_alive, evaluators)) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(map(_alive, evaluators))
+
+
+def test_concurrent_cli_sweeps_may_share_a_workdir(tmp_path):
+    # Two models a distance 10 apart, one vector; each evaluator waits, then reads
+    # its checkpoint, so a point file the other run overwrote changes a WER.
+    model, vectors = fixture_model_and_vectors()
+    far = TensorMap({"w": np.array([10.0], dtype=np.float32)})
+    write_checkpoint(model, tmp_path / "near.st")
+    write_checkpoint(far, tmp_path / "far.st")
+    save_task_vector(vectors[0], tmp_path / "tau.st")
+    script = "import time; time.sleep(1)\n" + L2_EVALUATOR_SCRIPT
+    evaluator = (f"{PY} -c {shlex.quote(script)} {{checkpoint}} "
+                 f"{shlex.quote(str(tmp_path / 'near.st'))} nan")
+    workdir = tmp_path / "w"
+    runs = [subprocess.Popen(
+        [sys.executable, "-m", "synvec.cli", "sweep", str(tmp_path / name),
+         str(tmp_path / "tau.st"), "--evaluator", evaluator, "--workdir", str(workdir),
+         "--lambdas", "0,1"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for name in ("near.st", "far.st")]
+    outputs = [run.communicate(timeout=60) for run in runs]
+    assert [run.returncode for run in runs] == [0, 0], outputs
+    wers = [[(r["lambda"], r["wer"]) for r in json.loads(out)["records"]] for out, _ in outputs]
+    assert wers == [[(0.0, 0.0), (1.0, 1.0)], [(0.0, 10.0), (1.0, 11.0)]]
+    assert list(workdir.iterdir()) == []

@@ -3,13 +3,14 @@
 import hashlib
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from synvec import tensor_store, vector_ops
+from synvec import sweep_harness, tensor_store, vector_ops
 from synvec.errors import (
     FingerprintMismatchError,
     NonFiniteValueError,
@@ -732,9 +733,12 @@ def fused_operands(dtype, k):
     """A model holding -0.0 entries and k task vectors, one tensor per size
     in FUSED_SIZES, with magnitudes over many binades, so that the mean's
     narrowing rounds, ties included, and some means are zeros."""
-    rng = np.random.default_rng(7000 + 10 * k + np.dtype(dtype).itemsize)
+    # "mixed" gives each size its own dtype: one pass narrows into each.
+    dtypes = ((np.float16, np.float32, np.float64, np.float16) if dtype == "mixed"
+              else (dtype,) * len(FUSED_SIZES))
+    rng = np.random.default_rng(7000 + 10 * k + len(set(dtypes)) * np.dtype(dtypes[0]).itemsize)
     model, rows = {}, [{} for _ in range(k)]
-    for size in FUSED_SIZES:
+    for size, dtype in zip(FUSED_SIZES, dtypes):
         scale = np.exp2(rng.integers(-12, 8, size))
         values = (rng.standard_normal(size) * scale).astype(dtype)
         values[::5] = -0.0
@@ -747,7 +751,7 @@ def fused_operands(dtype, k):
         TaskVector(TensorMap(row), fingerprint(TensorMap(row))) for row in rows]
 
 
-@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, "mixed"])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_apply_ensemble_equals_apply_of_the_mean_bitwise(dtype, k):
     model, vectors = fused_operands(dtype, k)
@@ -789,6 +793,41 @@ def test_apply_ensemble_faults_keep_their_type_and_message(fault, dtype, model_v
         assert type(exc.value) is NonFiniteValueError
         assert (exc.value.tensor, exc.value.index) == ("w", index)
         assert str(exc.value) == message.format(index=index)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_fused_apply_ensemble_reports_the_earlier_of_two_faults():
+    # The shift of tensor 'a' overflows; the F64 mean of the later tensor 'w' does too.
+    index = BLOCK_ELEMENTS + 3
+    model, vectors = _fault_operands(np.float64, 1.0, np.finfo(np.float64).max, index)
+    big = TensorMap({"a": np.full(2, 6e307), "w": vectors[0].deltas["w"]})
+    vectors = [TaskVector(big, vectors[0].base_schema)] * 2
+    model = TensorMap({"a": np.array([0.0, 1.7e308]), "w": model["w"]})
+    with pytest.raises(NonFiniteValueError) as exc:
+        apply_ensemble(model, vectors, 1.0)
+    assert (exc.value.tensor, exc.value.index) == ("a", 1)
+    assert str(exc.value) == (
+        "applying scale 1.0 produced a non-finite value in tensor 'a' at flat index 1")
+    with pytest.raises(NonFiniteValueError) as exc:  # the mean, computed whole first
+        apply_task_vector(model, ensemble_average(vectors), 1.0)
+    assert (exc.value.tensor, exc.value.index) == ("w", index)
+
+
+def test_apply_ensemble_holds_no_mean(monkeypatch, tmp_path, rng):
+    def refused(*args, **kwargs):
+        raise AssertionError("ensemble_average called")
+
+    model, vectors = fused_operands(np.float32, 3)
+    expected = apply_task_vector(model, ensemble_average(vectors), 0.4)
+    monkeypatch.setattr(vector_ops, "ensemble_average", refused)
+    monkeypatch.setattr(sweep_harness, "ensemble_average", refused)
+    assert apply_ensemble(model, vectors, 0.4) == expected
+    model_path = tmp_path / "model.st"
+    write_checkpoint(model, model_path)
+    evaluator = (f"{sys.executable} -c \"import json; print(json.dumps({{'wer': 1.0}}))\"")
+    config = SweepConfig(evaluator=evaluator, workdir=tmp_path / "w")
+    result = run_domain_ablation(model, vectors, 0.4, config, ks=[2, 3])
+    assert [p.k for p in result.points] == [2, 3]
 
 
 def test_kernel_outputs_pickle(rng):
