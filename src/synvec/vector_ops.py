@@ -30,9 +30,8 @@ The kernel yields each output tensor as soon as it is finished. Without
 ``out=path``, each tensor is written to ``path`` as it is produced
 (``tensor_store.write_checkpoint`` of a ``TensorStream``), so only one
 output tensor is held at a time, and the result holds the written file,
-mapped back. Either way the result records
-that it was checked, so writing it, wrapping it in a :class:`TaskVector` or
-applying it again scans nothing.
+mapped back. Either way the result records that it was checked, so writing
+it, wrapping it in a :class:`TaskVector` or applying it again scans nothing.
 
 Dot products and squared norms are ``np.sum`` over the F64 product of the
 exactly widened tensors, one tensor at a time, so their pairwise reduction
@@ -428,10 +427,10 @@ def apply_ensemble(model: TensorMap, vectors: Sequence[TaskVector], lam: float, 
     the later. lam == 0 and k == 1 run the composition itself: a shift at
     lam == 0 would turn the model's -0.0 entries into +0.0.
     """
-    if len(vectors) < 2 or lam == 0:
-        return apply_task_vector(model, ensemble_average(vectors), lam, out=out)
-    _shared_schema(vectors)
+    _shared_schema(vectors)  # the composition's checks, in its order
     require_finite_real(lam, "scaling factor")
+    if len(vectors) == 1 or lam == 0:
+        return apply_task_vector(model, ensemble_average(vectors), lam, out=out)
     _require_compatible(model, vectors[0].deltas)
     block = min(_largest_size(model), BLOCK_ELEMENTS)
     mean, (shift, message) = _mean_op(len(vectors), block), _shift(lam)
