@@ -12,18 +12,16 @@ means) runs in F64 with a deterministic, fixed reduction order regardless of
 storage dtype. Small deltas between large weights survive this; they would
 not survive F16 arithmetic.
 
-Every elementwise operation runs on one kernel: compute, apply, scale, the
-ensemble mean, and the apply of an ensemble, which fuses the other two. Each
-tensor is processed in blocks of ``tensor_store.BLOCK_ELEMENTS`` elements,
-widened into compute-dtype scratch allocated once per call, operated on,
-narrowed straight into the tensor's output and checked for NaN/inf while the
-block is still in cache. It is the arithmetic's only finite check: a NaN or
-infinity in an operand makes the output at its index non-finite, so the
-error path can name that operand without a scan of the inputs. No operation
-produces a non-finite value. The fused apply of k vectors takes each block's
-mean, narrows it into a storage-dtype block and checks that block as the
-mean's own output would be checked, then shifts the model by it, so it
-never holds a mean tensor and gives the bytes of the apply of the mean.
+Five operations share one elementwise kernel: compute, apply, scale, the
+ensemble mean, and the apply of an ensemble, which fuses the mean into the
+apply block by block (see :func:`apply_ensemble`). Each tensor is processed
+in blocks of ``tensor_store.BLOCK_ELEMENTS`` elements, widened into
+compute-dtype scratch allocated once per call, operated on, narrowed
+straight into the tensor's output and checked for NaN/inf while the block is
+still in cache. It is the arithmetic's only finite check: a NaN or infinity
+in an operand makes the output at its index non-finite, so the error path
+can name that operand without a scan of the inputs. No operation produces a
+non-finite value.
 
 The kernel yields each output tensor as soon as it is finished. Without
 ``out``, they are collected into a map (scale takes no ``out``). With
@@ -356,10 +354,8 @@ def _shared_schema(vectors: Sequence[TaskVector]) -> Fingerprint:
 
 
 def _mean_op(k: int, block: int):
-    """The kernel op of the ensemble mean of k task-vector blocks of at most
-    ``block`` elements (see :func:`ensemble_average`). It returns a row of its
-    own F64 scratch holding the means; the kernel's ``row`` gives only the
-    block length."""
+    """The kernel op of the mean of k task-vector blocks of at most ``block``
+    elements (see :func:`ensemble_average`), returned in its own F64 scratch."""
     # One F64 row per addend plus one the network swaps through. The sum stays in
     # these rows: summing into the kernel's row measured slower (F32, k=4).
     scratch = np.empty((k + 1, block), dtype=np.float64)
