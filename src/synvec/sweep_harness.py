@@ -353,11 +353,9 @@ def _run_directory(config: SweepConfig) -> Iterator[Path]:
     config.workdir.mkdir(parents=True, exist_ok=True)
     for number in itertools.count():
         path = config.workdir / f"run_{number:03d}"
-        try:
+        with contextlib.suppress(FileExistsError):
             path.mkdir()
             break
-        except FileExistsError:
-            continue
     try:
         yield path
     finally:
