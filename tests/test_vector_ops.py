@@ -3,6 +3,7 @@
 import hashlib
 import math
 import pickle
+import shlex
 import sys
 
 import numpy as np
@@ -813,7 +814,7 @@ def test_fused_apply_ensemble_reports_the_earlier_of_two_faults():
     assert (exc.value.tensor, exc.value.index) == ("w", index)
 
 
-def test_apply_ensemble_holds_no_mean(monkeypatch, tmp_path, rng):
+def test_apply_ensemble_holds_no_mean(monkeypatch, tmp_path):
     def refused(*args, **kwargs):
         raise AssertionError("ensemble_average called")
 
@@ -822,9 +823,7 @@ def test_apply_ensemble_holds_no_mean(monkeypatch, tmp_path, rng):
     monkeypatch.setattr(vector_ops, "ensemble_average", refused)
     monkeypatch.setattr(sweep_harness, "ensemble_average", refused)
     assert apply_ensemble(model, vectors, 0.4) == expected
-    model_path = tmp_path / "model.st"
-    write_checkpoint(model, model_path)
-    evaluator = (f"{sys.executable} -c \"import json; print(json.dumps({{'wer': 1.0}}))\"")
+    evaluator = f"{shlex.quote(sys.executable)} -c \"import json; print(json.dumps({{'wer': 1.0}}))\""
     config = SweepConfig(evaluator=evaluator, workdir=tmp_path / "w")
     result = run_domain_ablation(model, vectors, 0.4, config, ks=[2, 3])
     assert [p.k for p in result.points] == [2, 3]
