@@ -19,7 +19,7 @@ Each run works in a directory of its own inside the workdir, the first free
 ``run_NNN``, so runs sharing a workdir never share a file; the directory is
 removed when the run ends unless it keeps checkpoints. A sweep of several
 vectors writes their ensemble mean there once (``mean.safetensors``, deleted
-when the sweep ends) and maps it back, so each point reads it a tensor at a
+when the sweep ends) and maps it back, so each point reads it a window at a
 time and no mean is held whole. An ablation point takes its subset's mean in
 the pass that writes its checkpoint (:func:`~synvec.vector_ops.apply_ensemble`).
 
@@ -430,8 +430,8 @@ def run_lambda_sweep(
     with _run_directory(config) as run_dir:
         mean_path = run_dir / "mean.safetensors"
         try:
-            # Written once and mapped back, so the points read it a tensor at a time.
-            average = ensemble_average(vector_list,
+            # Written once and mapped back, so the points read it a window at a time.
+            average = ensemble_average(vector_list, norms=False,
                                        out=mean_path if len(vector_list) > 1 else None)
 
             def point(indexed: tuple[int, float],

@@ -15,18 +15,20 @@ accepts any valid file (arbitrary range order, whitespace-padded headers),
 not just canonical ones.
 
 Reads are memory-mapped: tensor values are read-only views into the mapped
-file. A pass over :meth:`TensorMap.items` hands each tensor's pages back to
-the OS once it moves past that tensor, so a pass over a read map keeps about
-one tensor of it resident, not the whole file.
+file. Every pass over a tensor's values walks the same leaves, the nodes of
+numpy's pairwise-sum split that first fit in :data:`BLOCK_ELEMENTS`
+(:func:`leaves`), grouped into windows of about :data:`RELEASE_BYTES`
+(:func:`walk`). A pass hands the mapped pages behind it back to the OS once
+per window, so it keeps about a window of each map resident, not a tensor
+or the whole file.
 Writes are header first: :func:`write_checkpoint` builds the header from the
-names, dtypes and shapes alone, then writes each tensor as the map yields
-it. A :class:`TensorStream` (a kernel's output, tensor by tensor) is written
-as it is produced, so the output is never held whole, and
-:func:`write_and_map` then maps the written file back in place of the
-output. Writes go to a new file beside the target that then replaces it
-(:func:`open_replacing`), so a file that is still mapped as an input can be
-overwritten safely, and a write that fails part way leaves the target as it
-was.
+names, dtypes and shapes alone, then writes the data a window at a time. A
+:class:`TensorStream` (a kernel's output, window by window) is written as it
+is produced, so the output is never held whole, and :func:`write_and_map`
+then maps the written file back in place of the output. Writes go to a new
+file beside the target that then replaces it (:func:`open_replacing`), so a
+file that is still mapped as an input can be overwritten safely, and a write
+that fails part way leaves the target as it was.
 
 Finite values: reading accepts NaN and infinity, and
 :meth:`TensorMap.non_finite_tensors` reports them; :func:`write_checkpoint`
@@ -34,7 +36,7 @@ refuses them, so synvec never writes one. A float is NaN or infinite exactly
 when its exponent bits are all ones, for F16, F32 and F64 alike.
 :func:`first_non_finite` tests those bits through an unsigned view, one block
 of :data:`BLOCK_ELEMENTS` at a time; it is the only finite check in the
-toolkit. ``vector_ops``'s kernel calls it on each output block, and
+toolkit. ``vector_ops``'s kernel calls it on each output leaf, and
 :meth:`TensorMap.non_finite_tensors` is the only caller that scans a whole
 map. It memoises its answer on maps whose values cannot change: maps
 :func:`read_checkpoint` returns (views of a read-only file mapping), and
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import hashlib
 import json
 import mmap
@@ -56,7 +59,7 @@ import secrets
 import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping
+from typing import BinaryIO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -120,7 +123,72 @@ class TensorMeta:
         return self.num_elements * self.dtype.itemsize
 
 
-BLOCK_ELEMENTS = 1 << 15  # per block of a blocked pass: a block and its scratch stay in cache
+BLOCK_ELEMENTS = 1 << 15  # per leaf of a pass: a leaf and its scratch stay in cache
+RELEASE_BYTES = 1 << 19  # per window of a pass: the mapped pages behind a window go back
+
+
+def _half(size: int) -> int:
+    """Where numpy's pairwise sum splits ``size`` elements: ``size // 2``
+    rounded down to a multiple of 8."""
+    half = size // 2
+    return half - half % 8
+
+
+@functools.lru_cache(maxsize=4096)  # sizes of tensors and of the nodes of their splits
+def leaves(size: int) -> tuple[tuple[int, int], ...]:
+    """(start, stop) of each leaf of a tensor of ``size`` elements, in order.
+
+    The leaves are the nodes of numpy's pairwise-sum split of a contiguous
+    array that first hold at most :data:`BLOCK_ELEMENTS` elements. ``np.sum``
+    of one leaf is that node's sum, so :func:`add_up` of the leaves' sums has
+    the bits of ``np.sum`` over the whole tensor.
+    """
+    if size <= BLOCK_ELEMENTS:
+        return ((0, size),) if size else ()
+    half = _half(size)
+    return leaves(half) + tuple((start + half, stop + half) for start, stop in leaves(size - half))
+
+
+def add_up(size: int, sums: Sequence[float]) -> float:
+    """The sums of the :func:`leaves` of ``size`` elements, in order, added
+    up the split tree as numpy's pairwise sum adds them; 0.0 for no leaves."""
+    remaining = iter(sums)
+
+    def node(size: int) -> float:
+        if size <= BLOCK_ELEMENTS:
+            return next(remaining, 0.0)
+        half = _half(size)
+        return node(half) + node(size - half)
+
+    return node(size)
+
+
+Window = tuple[int, int, tuple[tuple[int, int], ...]]  # begin, end, leaves
+
+
+@functools.lru_cache(maxsize=1024)
+def windows(size: int, itemsize: int) -> tuple[Window, ...]:
+    """The :func:`leaves` of a tensor of ``size`` elements of ``itemsize``
+    bytes, grouped in order into windows of at most :data:`RELEASE_BYTES`:
+    ``(begin, end, leaves)`` per window."""
+    limit = RELEASE_BYTES // itemsize
+    groups: list[list[tuple[int, int]]] = []
+    for leaf in leaves(size):
+        if not groups or leaf[1] - groups[-1][0][0] > limit:
+            groups.append([])
+        groups[-1].append(leaf)
+    return tuple((group[0][0], group[-1][1], tuple(group)) for group in groups)
+
+
+def walk(maps: Sequence["TensorMap"], name: str) -> Iterator[Window]:
+    """The :func:`windows` of tensor ``name`` of ``maps``, which share its
+    size and dtype. Once the next window is asked for, each map hands back
+    the mapped pages behind the last one (see :meth:`TensorMap.items`)."""
+    arr = maps[0][name]
+    for window in windows(arr.size, arr.itemsize):
+        yield window
+        for tmap in maps:
+            tmap._release(name, window[0], window[1])
 
 _EXPONENT_BITS = {2: np.uint16(0x7C00), 4: np.uint32(0x7F800000),
                   8: np.uint64(0x7FF0000000000000)}
@@ -172,13 +240,15 @@ class TensorMap:
     reported by :meth:`non_finite_tensors`); arithmetic and writing reject
     them.
 
-    ``_buffer`` keeps the file mapping behind the values alive; ``_non_finite``
-    is the already known answer of :meth:`non_finite_tensors`. Either marks
-    the values as unchangeable, so that the answer is kept once computed
-    (threads that ask before that may each scan, and get the same answer).
+    ``_buffer`` keeps the file mapping behind the values alive, and
+    ``_offsets`` gives each non-empty tensor's byte offset in it, where pages
+    can be handed back; ``_non_finite`` is the already known answer of
+    :meth:`non_finite_tensors`. A buffer or a known answer marks the values
+    as unchangeable, so that the answer is kept once computed (threads that
+    ask before that may each scan, and get the same answer).
     """
 
-    __slots__ = ("_entries", "_metadata", "_buffer", "_non_finite")
+    __slots__ = ("_entries", "_metadata", "_buffer", "_offsets", "_non_finite")
 
     def __init__(
         self,
@@ -186,6 +256,7 @@ class TensorMap:
         metadata: Mapping[str, str] | None = None,
         *,
         _buffer: object = None,
+        _offsets: dict[str, int] | None = None,
         _non_finite: dict[str, int] | None = None,
     ):
         normalized: dict[str, np.ndarray] = {}
@@ -209,11 +280,12 @@ class TensorMap:
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ValidationError("metadata must map strings to strings")
         self._buffer = _buffer
+        self._offsets = _offsets or {}
         self._non_finite = _non_finite
 
     def with_metadata(self, metadata: Mapping[str, str] | None) -> "TensorMap":
         """The same tensors under other metadata, sharing values and scan memo."""
-        return TensorMap(self._entries, metadata, _buffer=self._buffer,
+        return TensorMap(self._entries, metadata, _buffer=self._buffer, _offsets=self._offsets,
                          _non_finite=self._non_finite)
 
     @property
@@ -227,22 +299,30 @@ class TensorMap:
         """(name, values) pairs in name order. On a map read from a file, each
         tensor's pages go back to the OS (``MADV_DONTNEED``) once the pass moves
         past it; a later read faults the same bytes back in from the page cache,
-        so only resident memory changes, never a value."""
-        if self._buffer is None or not hasattr(mmap, "MADV_DONTNEED"):
+        so only resident memory changes, never a value. A pass by :func:`walk`
+        hands them back a window at a time."""
+        if not self._offsets:
             return iter(self._entries.items())
         return self._releasing_items()
 
     def _releasing_items(self) -> Iterator[tuple[str, np.ndarray]]:
-        base = np.frombuffer(self._buffer, np.uint8).ctypes.data
         for name, arr in self._entries.items():
             yield name, arr
-            if arr.size:  # an empty tensor is not in the file
-                begin = arr.ctypes.data - base
-                start = begin - begin % mmap.PAGESIZE
-                # Keep the page holding the next tensor's first bytes: a fault on it
-                # may map the pages around it back in, released ones included.
-                end = (begin + arr.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
-                self._buffer.madvise(mmap.MADV_DONTNEED, start, end - start)
+            self._release(name, 0, arr.size)
+
+    def _release(self, name: str, begin: int, end: int) -> None:
+        """Hand back the mapped pages of elements ``[begin, end)`` of tensor
+        ``name`` that a pass has moved past: from the page holding ``begin``
+        (a pass is past whatever precedes it) up to the page holding ``end``."""
+        offset = self._offsets.get(name)
+        if offset is not None:
+            itemsize = self._entries[name].itemsize
+            start = (offset + begin * itemsize) // mmap.PAGESIZE * mmap.PAGESIZE
+            # Keep the page holding the next bytes: a fault on it may map the pages
+            # around it back in, released ones included.
+            stop = (offset + end * itemsize) // mmap.PAGESIZE * mmap.PAGESIZE
+            if stop > start:
+                self._buffer.madvise(mmap.MADV_DONTNEED, start, stop - start)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
@@ -276,10 +356,11 @@ class TensorMap:
         largest = max((arr.size for arr in self._entries.values()), default=0)
         scratch = np.empty(min(largest, BLOCK_ELEMENTS), dtype=np.uint64)
         out = {}
-        for name, arr in self.items():
-            index = first_non_finite(arr, scratch)
-            if index is not None:
-                out[name] = index
+        for name, begin, values in _windows_of(self):
+            if name not in out:
+                index = first_non_finite(values, scratch)
+                if index is not None:
+                    out[name] = begin + index
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -299,18 +380,34 @@ class TensorMap:
         return f"TensorMap({len(self)} tensors, {self.data_nbytes} data bytes)"
 
 
+def _windows_of(tmap: TensorMap) -> Iterator[tuple[str, int, np.ndarray]]:
+    """``(name, begin, values)`` per window of each tensor of ``tmap`` in name
+    order: the flat values from element ``begin`` on (see :func:`walk`)."""
+    for name, arr in tmap._entries.items():
+        flat = arr.reshape(-1)
+        for begin, end, _ in walk((tmap,), name):
+            yield name, begin, flat[begin:end]
+
+
 @dataclass(frozen=True)
 class TensorStream:
     """A map whose values are still being produced.
 
     ``layout`` gives the names, dtypes, shapes and metadata; ``tensors``
-    yields the values, once, in name order. The values are known to be
-    finite (a kernel checks each block it produces), so neither a write nor
+    yields the values, once, in name order, a window at a time: each item is
+    ``(name, values)``, the next contiguous flat piece of that tensor, valid
+    until the next item is asked for. The values are known to be finite (a
+    kernel checks each leaf it produces), so neither a write nor
     :meth:`collect` scans them again.
     """
 
     layout: TensorMap
     tensors: Iterator[tuple[str, np.ndarray]]
+
+    @classmethod
+    def of(cls, tmap: TensorMap) -> "TensorStream":
+        """The values of ``tmap``, known to be finite, a window at a time."""
+        return cls(tmap, ((name, values) for name, _, values in _windows_of(tmap)))
 
     @property
     def data_nbytes(self) -> int:
@@ -318,7 +415,14 @@ class TensorStream:
 
     def collect(self) -> TensorMap:
         """All the values, held in one map."""
-        return TensorMap(dict(self.tensors), self.layout.metadata, _non_finite={})
+        entries = {name: np.empty(arr.shape, arr.dtype)
+                   for name, arr in self.layout._entries.items()}
+        filled = dict.fromkeys(entries, 0)
+        for name, values in self.tensors:
+            begin = filled[name]
+            entries[name].reshape(-1)[begin : begin + values.size] = values
+            filled[name] = begin + values.size
+        return TensorMap(entries, self.layout.metadata, _non_finite={})
 
 
 @dataclass(frozen=True)
@@ -375,9 +479,8 @@ class CompatReport:
 
 def schema_of(tmap: TensorMap) -> ModelSchema:
     """Extract the sorted (name, dtype, shape) schema of a map."""
-    return ModelSchema(
-        tuple((name, Dtype.from_numpy(arr.dtype), tuple(arr.shape)) for name, arr in tmap.items())
-    )
+    return ModelSchema(tuple((name, Dtype.from_numpy(arr.dtype), tuple(arr.shape))
+                             for name, arr in tmap._entries.items()))
 
 
 def _as_schema(obj: TensorMap | ModelSchema) -> ModelSchema:
@@ -399,8 +502,8 @@ def fingerprint(tmap: TensorMap, *, include_content: bool = False) -> Fingerprin
     content = None
     if include_content:
         digest = hashlib.sha256()
-        for _, arr in tmap.items():
-            digest.update(np.ascontiguousarray(arr).data)  # no copy unless strided
+        for _, _, values in _windows_of(tmap):
+            digest.update(values.data)
         content = digest.hexdigest()
     return Fingerprint(schema_hash=schema_of(tmap).schema_hash, content_hash=content)
 
@@ -527,18 +630,22 @@ def read_checkpoint(path: str | Path) -> TensorMap:
             buffer = mmap.mmap(handle.fileno(), length=file_size, access=mmap.ACCESS_READ)
 
         entries: dict[str, np.ndarray] = {}
+        offsets: dict[str, int] = {}
         for meta in metas:
             if meta.num_elements == 0:
                 entries[meta.name] = np.empty(meta.shape, dtype=meta.dtype.numpy_dtype)
             else:
+                offsets[meta.name] = data_start + meta.byte_range[0]
                 flat = np.frombuffer(
                     buffer,
                     dtype=meta.dtype.numpy_dtype,
                     count=meta.num_elements,
-                    offset=data_start + meta.byte_range[0],
+                    offset=offsets[meta.name],
                 )
                 entries[meta.name] = flat.reshape(meta.shape)
-        return TensorMap(entries, raw_metadata, _buffer=buffer)
+        if not hasattr(mmap, "MADV_DONTNEED"):
+            offsets = {}  # no pages can be handed back
+        return TensorMap(entries, raw_metadata, _buffer=buffer, _offsets=offsets)
 
 
 def _is_std_stream(info: os.stat_result) -> bool:
@@ -605,18 +712,17 @@ def write_checkpoint(tmap: TensorMap | TensorStream, path: str | Path) -> None:
     """Write a map in canonical form; byte-identical output for equal inputs.
 
     The header goes first, built from the names, dtypes and shapes alone;
-    then each tensor is written as the map yields it. So a
-    :class:`TensorStream` is written as its kernel produces it, one tensor
-    at a time, and a read map hands each tensor's pages back once it is
-    written. A failed write leaves ``path`` as it was (:func:`open_replacing`).
+    then the data, a window at a time. So a :class:`TensorStream` is written
+    as its kernel produces it, and a read map hands the pages behind each
+    window back once it is written. A failed write leaves ``path`` as it was
+    (:func:`open_replacing`).
 
     A map holding a NaN or infinity is refused: synvec writes finite values only.
     """
-    if isinstance(tmap, TensorStream):
-        layout, tensors = tmap.layout, tmap.tensors  # checked as the kernel made them
-    else:
+    if not isinstance(tmap, TensorStream):
         require_finite(tmap, "tensor {name!r} has a non-finite value at flat index {index}")
-        layout, tensors = tmap, tmap.items()
+        tmap = TensorStream.of(tmap)
+    layout = tmap.layout
     header: dict[str, object] = {}
     if layout.metadata:
         header["__metadata__"] = {key: layout.metadata[key] for key in sorted(layout.metadata)}
@@ -633,15 +739,15 @@ def write_checkpoint(tmap: TensorMap | TensorStream, path: str | Path) -> None:
     with open_replacing(path) as handle:
         handle.write(len(blob).to_bytes(8, "little"))
         handle.write(blob)
-        for _, arr in tensors:
-            if arr.size:
-                handle.write(np.ascontiguousarray(arr).data)
+        for _, values in tmap.tensors:
+            handle.write(values.data)
 
 
 def write_and_map(stream: TensorStream, path: str | Path) -> TensorMap:
     """:func:`write_checkpoint` of ``stream``, then the map written: read-only
     views of the file now at ``path``, known to be finite, whose pages a pass
-    hands back as on any read map.
+    hands back behind it as on any read map. Neither the write nor the map
+    holds more of the output than the window being written.
 
     A target that is written in place (a FIFO, a device, this process's
     stdout or stderr; see :func:`open_replacing`) cannot be mapped back: the

@@ -14,26 +14,32 @@ not survive F16 arithmetic.
 
 Five operations share one elementwise kernel: compute, apply, scale, the
 ensemble mean, and the apply of an ensemble, which fuses the mean into the
-apply block by block (see :func:`apply_ensemble`). Each tensor is processed
-in blocks of ``tensor_store.BLOCK_ELEMENTS`` elements, widened into
-compute-dtype scratch allocated once per call, operated on, narrowed
-straight into the tensor's output and checked for NaN/inf while the block is
-still in cache. It is the arithmetic's only finite check: a NaN or infinity
-in an operand makes the output at its index non-finite, so the error path
-can name that operand without a scan of the inputs. No operation produces a
-non-finite value.
+apply leaf by leaf (see :func:`apply_ensemble`). Each tensor is processed
+leaf by leaf (``tensor_store.leaves``, at most
+``tensor_store.BLOCK_ELEMENTS`` elements each), widened into compute-dtype
+scratch allocated once per call, operated on, narrowed into a reused output
+window and checked for NaN/inf while the leaf is still in cache. It is the
+arithmetic's only finite check: a NaN or infinity in an operand makes the
+output at its index non-finite, so the error path can name that operand
+without a scan of the inputs. No operation produces a non-finite value.
 
-The kernel yields each output tensor as soon as it is finished. Without
-``out``, they are collected into a map (scale takes no ``out``). With
-``out=path``, each tensor is written to ``path`` as it is produced
-(``tensor_store.write_checkpoint`` of a ``TensorStream``), so only one
-output tensor is held at a time, and the result holds the written file,
-mapped back. Either way the result records that it was checked, so writing
-it, wrapping it in a :class:`TaskVector` or applying it again scans nothing.
+The kernel yields the output a window at a time (``tensor_store.walk``),
+and each operand hands back the mapped pages behind each window. Without
+``out``, the windows are collected into one array per tensor (scale takes
+no ``out``). With ``out=path``, each window is written to ``path`` as it is
+produced (``tensor_store.write_checkpoint`` of a ``TensorStream``), so about
+a window per operand and one output window are held at a time, and the
+result holds the written file, mapped back. Either way the result records
+that it was checked, so writing it, wrapping it in a :class:`TaskVector` or
+applying it again scans nothing. A task vector written with ``out`` also
+gets its norms from the stream, so printing them reads none of the file.
 
-Dot products and squared norms are ``np.sum`` over the F64 product of the
-exactly widened tensors, one tensor at a time, so their pairwise reduction
-order is numpy's; each vector's squared sums are computed once and cached.
+Dot products, squared norms and absolute sums are taken per leaf: each leaf
+is widened exactly to F64 in one leaf-sized scratch and summed with
+``np.sum``, and the leaf sums are added up numpy's pairwise split tree
+(``tensor_store.add_up``). That has the bits of ``np.sum`` over the whole
+widened tensor, so the reduction order is numpy's; each vector's squared
+sums are computed once and cached.
 The ensemble mean adds each element's k addends in ascending order, starting
 from +0.0: a Batcher sorting network orders them, except for all-F16 inputs
 with k < 2**13, whose F64 sum is exact in any order (see
@@ -60,10 +66,12 @@ from .errors import (
 )
 from .tensor_store import (
     BLOCK_ELEMENTS,
+    RELEASE_BYTES,
     Dtype,
     Fingerprint,
     TensorMap,
     TensorStream,
+    add_up,
     fingerprint,
     first_non_finite,
     non_finite_error,
@@ -71,6 +79,7 @@ from .tensor_store import (
     require_finite,
     schema_compatible,
     schema_of,
+    walk,
     write_and_map,
     write_checkpoint,
 )
@@ -130,27 +139,61 @@ class TaskVector:
     @functools.cached_property
     def _squared_sums(self) -> dict[str, float]:
         """Per-tensor F64 sums of squared deltas, computed once per vector."""
-        scratch = np.empty(_largest_size(self.deltas), dtype=np.float64)
-        sums = {}
-        for name, arr in self.deltas.items():
-            wide = _widened(arr, scratch)
-            sums[name] = float(np.sum(np.square(wide, out=wide)))
-        return sums
+        return {name: add_up(size, sums)
+                for name, size, sums in _per_leaf([self.deltas], _leaf_squares)}
+
+    @functools.cached_property
+    def _norms(self) -> dict[str, tuple[float, float, float]]:
+        """Per-tensor F64 (sum of squares, sum of absolute values, largest
+        absolute value) of the deltas, computed once per vector, or on the
+        stream that wrote them."""
+        return {name: _tensor_norms(size, leaf_norms)
+                for name, size, leaf_norms in _per_leaf([self.deltas], _leaf_norms)}
 
 
 def _largest_size(tmap: TensorMap) -> int:
-    return max((arr.size for _, arr in tmap.items()), default=0)
+    return max((tmap[name].size for name in tmap), default=0)
 
 
-def _widened(arr: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``arr`` flattened and widened to F64 in the front of ``scratch``.
+def _per_leaf(maps: Sequence[TensorMap], reduce) -> Iterator[tuple[str, int, list]]:
+    """One walk over schema-compatible maps: per tensor in name order,
+    ``(name, size, results)`` with ``reduce(scratch, *blocks)`` of each leaf,
+    where ``scratch`` is an F64 array of the leaf's size."""
+    scratch = np.empty(min(_largest_size(maps[0]), BLOCK_ELEMENTS), dtype=np.float64)
+    for name in maps[0]:
+        flats = [tmap[name].reshape(-1) for tmap in maps]
+        results = []
+        for _, _, leaves in walk(maps, name):
+            for start, stop in leaves:
+                results.append(reduce(scratch[: stop - start],
+                                      *[flat[start:stop] for flat in flats]))
+        yield name, flats[0].size, results
 
-    Widening is exact, so a reduction over the result, or over its product
-    with another tensor, has the bits of one over ``astype(np.float64)``.
-    """
-    wide = scratch[: arr.size]
-    np.copyto(wide, arr.reshape(-1))
-    return wide
+
+# Leaf reductions. Widening to F64 is exact, and np.add.reduce is what np.sum
+# calls, so each has the bits of np.sum over the leaf's ``astype(np.float64)``.
+def _leaf_squares(wide, x) -> float:
+    np.copyto(wide, x)
+    return float(np.add.reduce(np.square(wide, out=wide)))
+
+
+def _leaf_products(wide, x, y) -> float:
+    np.copyto(wide, x)
+    return float(np.add.reduce(np.multiply(wide, y, out=wide)))
+
+
+def _leaf_norms(wide, x) -> tuple[float, float, float]:
+    """(sum of squares, sum of absolute values, largest absolute value)."""
+    np.abs(x, out=wide)
+    abs_sum, top = float(np.add.reduce(wide)), float(np.maximum.reduce(wide))
+    return float(np.add.reduce(np.square(wide, out=wide))), abs_sum, top
+
+
+def _tensor_norms(size: int, leaf_norms: list) -> tuple[float, float, float]:
+    """A tensor's :func:`_leaf_norms` from those of its leaves."""
+    return (add_up(size, [norms[0] for norms in leaf_norms]),
+            add_up(size, [norms[1] for norms in leaf_norms]),
+            max((norms[2] for norms in leaf_norms), default=0.0))
 
 
 def require_finite_real(value, what: str):
@@ -172,71 +215,89 @@ class _NonFiniteStep(Exception):
     intermediate block holds a NaN or infinity at ``index``."""
 
 
-def _elementwise(op, operands: Sequence[tuple[str, TensorMap]],
-                 message: str) -> Iterator[tuple[str, np.ndarray]]:
-    """One blocked pass of ``op`` over schema-compatible (role, map) operands,
-    yielding each finished tensor of the result as ``(name, values)`` in name
-    order.
+def _elementwise(op, operands: Sequence[tuple[str, TensorMap]], message: str,
+                 norms: dict | None = None) -> Iterator[tuple[str, np.ndarray]]:
+    """One pass of ``op`` over schema-compatible (role, map) operands,
+    yielding the result a window at a time as ``(name, values)`` in name
+    order (a ``TensorStream``'s items; ``values`` is reused for the next).
 
-    For each tensor of the first map and each block of it, ``op(row,
+    For each tensor of the first map and each leaf of it, ``op(row,
     *blocks)`` returns the array that holds its result. ``row`` is a scratch
-    row of the tensor's ``_COMPUTE_DTYPE``, or the output block itself when
+    row of the tensor's ``_COMPUTE_DTYPE``, or the output leaf itself when
     the storage dtype is the compute dtype. A result that is not the output
-    block is narrowed (round to nearest even) into it. Each output block is
+    leaf is narrowed (round to nearest even) into it. Each output leaf is
     checked at once. The first NaN or infinity raises ``NonFiniteValueError``
     naming the role of the first operand not finite at that index, or else
     (an overflow) with ``message``, formatted as in ``require_finite``. An op
     that checks a step of its own raises :class:`_NonFiniteStep` with the
-    index in the block, which is reported the same way.
+    index in the leaf, which is reported the same way.
+
+    With ``norms``, a dict, each output leaf's :func:`_leaf_norms` are taken
+    while it is in cache, and each tensor's go into ``norms`` under its name
+    once its last window has been consumed.
     """
-    block = min(_largest_size(operands[0][1]), BLOCK_ELEMENTS)
+    maps = [tmap for _, tmap in operands]
+    layout = maps[0]
+    block = min(_largest_size(layout), BLOCK_ELEMENTS)
     wide = np.empty(block, dtype=np.float64)  # rows for storage narrower than compute
     bits = np.empty(block, dtype=np.uint64)
-    for tensors in zip(*(tmap.items() for _, tmap in operands)):
-        name, arr = tensors[0]
-        compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
-        flats = [values.reshape(-1) for _, values in tensors]
-        result = np.empty(arr.shape, dtype=arr.dtype)
-        narrowed = result.reshape(-1)
-        # An overflow is an infinity, which the check reports. The state is set per
-        # tensor: set around the loop, it would reach the consumer across each yield.
-        with np.errstate(over="ignore"):
-            for start in range(0, arr.size, BLOCK_ELEMENTS):
-                stop = min(start + BLOCK_ELEMENTS, arr.size)
-                target = narrowed[start:stop]
-                row = target if arr.dtype == compute else wide.view(compute)[: stop - start]
-                try:
-                    values = op(row, *(flat[start:stop] for flat in flats))
-                except _NonFiniteStep as step:
-                    message, index = step.args
-                    raise non_finite_error(message, name, start + index) from None
-                if values is not target:
-                    np.copyto(target, values, casting="same_kind")
-                index = first_non_finite(target, bits)
-                if index is not None:
-                    index += start
-                    culprit = next((role for (role, _), flat in zip(operands, flats)
-                                    if not math.isfinite(flat[index])), None)
-                    raise non_finite_error(
-                        message if culprit is None else culprit + _NON_FINITE_VALUE,
-                        name, index)
-        yield name, result
+    largest = max((layout[name].nbytes for name in layout), default=0)
+    # One window of output, viewed as each tensor's dtype in turn.
+    window = np.empty(-(-min(largest, RELEASE_BYTES) // 8), dtype=np.float64)
+    for name in layout:
+        dtype = layout[name].dtype
+        compute = _COMPUTE_DTYPE[Dtype.from_numpy(dtype)]
+        flats = [tmap[name].reshape(-1) for tmap in maps]
+        narrowed, rows = window.view(dtype), wide.view(compute)
+        leaf_norms = []
+        for begin, end, leaves in walk(maps, name):
+            # An overflow is an infinity, which the check reports. The state is set per
+            # window: set around the loop, it would reach the consumer across each yield.
+            with np.errstate(over="ignore"):
+                for start, stop in leaves:
+                    target = narrowed[start - begin : stop - begin]
+                    row = target if dtype == compute else rows[: stop - start]
+                    try:
+                        values = op(row, *[flat[start:stop] for flat in flats])
+                    except _NonFiniteStep as step:
+                        message, index = step.args
+                        raise non_finite_error(message, name, start + index) from None
+                    if values is not target:
+                        np.copyto(target, values, casting="same_kind")
+                    index = first_non_finite(target, bits)
+                    if index is not None:
+                        index += start
+                        culprit = next((role for (role, _), flat in zip(operands, flats)
+                                        if not math.isfinite(flat[index])), None)
+                        raise non_finite_error(
+                            message if culprit is None else culprit + _NON_FINITE_VALUE,
+                            name, index)
+                    if norms is not None:  # the row is free once narrowed
+                        leaf_norms.append(_leaf_norms(wide[: stop - start], target))
+            yield name, narrowed[: end - begin]
+        if norms is not None:
+            norms[name] = _tensor_norms(flats[0].size, leaf_norms)
 
 
-def _vector_result(layout: TensorMap, tensors: Iterator[tuple[str, np.ndarray]],
-                   base_schema: Fingerprint, provenance: Provenance,
-                   out: str | Path | None) -> TaskVector:
-    """The task vector whose finite deltas ``tensors`` yields, with the names,
-    dtypes, shapes and metadata of ``layout``. With ``out``, they are written
-    there as :func:`save_task_vector` writes them, and the vector holds the
-    map written (see :func:`~synvec.tensor_store.write_and_map`)."""
+def _vector_result(stream: TensorStream, base_schema: Fingerprint, provenance: Provenance,
+                   out: str | Path | None, norms: dict | None = None) -> TaskVector:
+    """The task vector whose finite deltas ``stream`` yields. With ``out``,
+    they are written there as :func:`save_task_vector` writes them, and the
+    vector holds the map written (see
+    :func:`~synvec.tensor_store.write_and_map`). ``norms``, filled by the
+    stream's kernel as it runs, become the vector's cached norms."""
+    layout = stream.layout
     if out is None:
-        deltas = TensorStream(layout, tensors).collect()
+        deltas = stream.collect()
     else:
         metadata = _container_metadata(layout.metadata, base_schema, provenance)
-        written = write_and_map(TensorStream(layout.with_metadata(metadata), tensors), out)
+        written = write_and_map(TensorStream(layout.with_metadata(metadata), stream.tensors), out)
         deltas = written.with_metadata(layout.metadata)
-    return TaskVector(deltas=deltas, base_schema=base_schema, provenance=provenance)
+    vector = TaskVector(deltas=deltas, base_schema=base_schema, provenance=provenance)
+    if norms is not None:
+        vector.__dict__.update(_norms=norms,
+                               _squared_sums={name: n[0] for name, n in norms.items()})
+    return vector
 
 
 def compute_task_vector(real: TensorMap, syn: TensorMap, provenance: Provenance | None = None,
@@ -248,20 +309,21 @@ def compute_task_vector(real: TensorMap, syn: TensorMap, provenance: Provenance 
     non-finite input value, or a difference that overflows, is an error naming
     the tensor and the first offending element.
 
-    With ``out``, each delta tensor is written to that path as soon as it is
-    computed, in the bytes :func:`save_task_vector` would write, and the
-    returned vector's deltas are read-only views of the written file; only
-    one output tensor is held at a time.
+    With ``out``, the deltas are written to that path a window at a time as
+    they are computed, in the bytes :func:`save_task_vector` would write, and
+    the returned vector's deltas are read-only views of the written file,
+    whose norms were taken on the way (:func:`norm_stats` reads none of it).
     """
     _require_compatible(real, syn)
 
     def subtract(row, real_block, syn_block):
         return np.subtract(real_block, syn_block, out=row, dtype=row.dtype)
 
+    norms = None if out is None else {}
     deltas = _elementwise(subtract, (("real model", real), ("synthetic model", syn)),
-                          _NON_FINITE_DELTA)
-    return _vector_result(real.with_metadata(None), deltas, fingerprint(real),
-                          provenance or Provenance(), out)
+                          _NON_FINITE_DELTA, norms)
+    return _vector_result(TensorStream(real.with_metadata(None), deltas), fingerprint(real),
+                          provenance or Provenance(), out, norms)
 
 
 def apply_task_vector(model: TensorMap, tau: TaskVector, lam: float, *,
@@ -273,8 +335,8 @@ def apply_task_vector(model: TensorMap, tau: TaskVector, lam: float, *,
     non-finite model value or result (e.g. an F16 overflow after narrowing)
     is an error naming the tensor and the first offending element.
 
-    With ``out``, each output tensor is written to that path as soon as it is
-    computed, in the bytes :func:`~synvec.tensor_store.write_checkpoint`
+    With ``out``, the output is written to that path a window at a time as
+    it is computed, in the bytes :func:`~synvec.tensor_store.write_checkpoint`
     would write, and the returned map is a read-only view of the written
     file. A failure leaves ``out`` as it was.
     """
@@ -284,11 +346,11 @@ def apply_task_vector(model: TensorMap, tau: TaskVector, lam: float, *,
         require_finite(model, "model" + _NON_FINITE_VALUE)
         if out is None:
             return model.with_metadata(model.metadata)
-        tensors = model.items()
+        stream = TensorStream.of(model)
     else:
         shift, message = _shift(lam)
-        tensors = _elementwise(shift, (("model", model), ("task vector", tau.deltas)), message)
-    stream = TensorStream(model, tensors)
+        stream = TensorStream(model, _elementwise(
+            shift, (("model", model), ("task vector", tau.deltas)), message))
     return stream.collect() if out is None else write_and_map(stream, out)
 
 
@@ -377,8 +439,8 @@ def _mean_op(k: int, block: int):
     return mean
 
 
-def ensemble_average(vectors: Sequence[TaskVector], *,
-                     out: str | Path | None = None) -> TaskVector:
+def ensemble_average(vectors: Sequence[TaskVector], *, out: str | Path | None = None,
+                     norms: bool = True) -> TaskVector:
     """Per-element arithmetic mean of task vectors sharing one base schema.
 
     Each element's k addends are widened to F64 and summed in ascending
@@ -391,19 +453,22 @@ def ensemble_average(vectors: Sequence[TaskVector], *,
     The +0.0 start makes the sign of a zero sum +0 whatever the order, so
     the network may duplicate one zero of a (-0, +0) pair without effect.
     Provenance records all constituent domains. ``out`` is as for
-    :func:`compute_task_vector`.
+    :func:`compute_task_vector`; with ``norms=False`` the norms are not taken
+    on the way, which saves their widening pass when no one prints them.
     """
     base_schema = _shared_schema(vectors)
     if len(vectors) == 1:
         first = vectors[0]
         if out is None:
             return first
-        return _vector_result(first.deltas, first.deltas.items(), first.base_schema,
+        return _vector_result(TensorStream.of(first.deltas), first.base_schema,
                               first.provenance, out)
     mean = _mean_op(len(vectors), min(_largest_size(vectors[0].deltas), BLOCK_ELEMENTS))
-    deltas = _elementwise(mean, [("task vector", v.deltas) for v in vectors], _NON_FINITE_DELTA)
-    return _vector_result(vectors[0].deltas.with_metadata(None), deltas, base_schema,
-                          _merged_provenance(vectors), out)
+    stream_norms = {} if out is not None and norms else None
+    deltas = _elementwise(mean, [("task vector", v.deltas) for v in vectors], _NON_FINITE_DELTA,
+                          stream_norms)
+    return _vector_result(TensorStream(vectors[0].deltas.with_metadata(None), deltas),
+                          base_schema, _merged_provenance(vectors), out, stream_norms)
 
 
 def apply_ensemble(model: TensorMap, vectors: Sequence[TaskVector], lam: float, *,
@@ -413,7 +478,7 @@ def apply_ensemble(model: TensorMap, vectors: Sequence[TaskVector], lam: float, 
     ``out`` is as for :func:`apply_task_vector`.
 
     For k >= 2 vectors and lam != 0 it is one pass over the model and the
-    vectors, and no mean tensor is held: each block's mean is taken as
+    vectors, and no mean tensor is held: each leaf's mean is taken as
     :func:`ensemble_average` takes it, narrowed into a block of the storage
     dtype, checked with that function's message, then shifted as
     :func:`apply_task_vector` shifts. Errors therefore come in pass order,
@@ -462,25 +527,20 @@ def cosine_similarity(
         raise ValidationError(f"granularity must be 'global' or 'per_tensor', got {granularity!r}")
     _require_compatible(a.deltas, b.deltas)
     sq_a, sq_b = a._squared_sums, b._squared_sums
-    scratch = np.empty(_largest_size(a.deltas), dtype=np.float64)
-
-    def dot(x: np.ndarray, y: np.ndarray) -> float:
-        wide = _widened(x, scratch)
-        return float(np.sum(np.multiply(wide, y.reshape(-1), out=wide)))
-
-    pairs = zip(a.deltas.items(), b.deltas.items())  # one pass over each map
+    dots = {name: add_up(size, sums)  # one walk over both maps
+            for name, size, sums in _per_leaf([a.deltas, b.deltas], _leaf_products)}
     if granularity == "per_tensor":
         out: dict[str, float | None] = {}
-        for (name, x), (_, y) in pairs:
+        for name, dot in dots.items():
             na, nb = sq_a[name], sq_b[name]
             if na == 0.0 or nb == 0.0:
                 out[name] = None
             else:
-                out[name] = float(np.clip(dot(x, y) / math.sqrt(na * nb), -1.0, 1.0))
+                out[name] = float(np.clip(dot / math.sqrt(na * nb), -1.0, 1.0))
         return out
     dot_total = norm_a = norm_b = 0.0
-    for (name, x), (_, y) in pairs:
-        dot_total += dot(x, y)
+    for name, dot in dots.items():
+        dot_total += dot
         norm_a += sq_a[name]
         norm_b += sq_b[name]
     if norm_a == 0.0 or norm_b == 0.0:
@@ -513,22 +573,18 @@ def norm_stats(tau: TaskVector) -> NormReport:
     abs_total = 0.0
     max_total = 0.0
     n_total = 0
-    scratch = np.empty(_largest_size(tau.deltas), dtype=np.float64)
-    for name, arr in tau.deltas.items():
-        x = _widened(arr, scratch)
-        np.abs(x, out=x)
-        sq = tau._squared_sums[name]
-        abs_sum = float(np.sum(x))
+    for name, (sq, abs_sum, top) in tau._norms.items():
+        size = tau.deltas[name].size
         per_tensor[name] = TensorStats(
             l2_norm=math.sqrt(sq),
-            max_abs=float(x.max()) if x.size else 0.0,
-            mean_abs=abs_sum / x.size if x.size else 0.0,
-            num_elements=int(x.size),
+            max_abs=top,
+            mean_abs=abs_sum / size if size else 0.0,
+            num_elements=size,
         )
         sq_total += sq
         abs_total += abs_sum
-        max_total = max(max_total, per_tensor[name].max_abs)
-        n_total += int(x.size)
+        max_total = max(max_total, top)
+        n_total += size
     total = TensorStats(
         l2_norm=math.sqrt(sq_total),
         max_abs=max_total,
@@ -546,7 +602,7 @@ def scale_task_vector(tau: TaskVector, factor: float) -> TaskVector:
         return np.multiply(delta_block, row.dtype.type(factor), out=row, dtype=row.dtype)
 
     deltas = _elementwise(scale, (("task vector", tau.deltas),), _NON_FINITE_DELTA)
-    return _vector_result(tau.deltas.with_metadata(None), deltas, tau.base_schema,
+    return _vector_result(TensorStream(tau.deltas.with_metadata(None), deltas), tau.base_schema,
                           tau.provenance, None)
 
 

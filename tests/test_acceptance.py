@@ -57,7 +57,8 @@ TOY_REDUCTION_THRESHOLD_PCT = 3.2
 # of 0.2409; threshold fixed at half that value.
 SIMILARITY_MARGIN_THRESHOLD = 0.12
 
-PY = shlex.quote(sys.executable)
+# The stub evaluators are stdlib-only, so they start without site (-S).
+PY = f"{shlex.quote(sys.executable)} -S"
 
 # Reference row from a published 18-domain adaptation evaluation: per-domain
 # baseline WER, adapted WER, and the printed relative-WER cells.

@@ -26,7 +26,8 @@ from synvec.vector_ops import (
 
 from conftest import write_merge_fixture
 
-PY = shlex.quote(sys.executable)
+# The stub evaluators are stdlib-only, so they start without site (-S).
+PY = f"{shlex.quote(sys.executable)} -S"
 CONSTANT_EVALUATOR = f"{PY} -c \"import json; print(json.dumps({{'wer': 2.0}}))\""
 U_SHAPE_EVALUATOR = (
     f'{PY} -c "import json,sys; lam=float(sys.argv[1]); '
@@ -567,14 +568,15 @@ def test_ensemble_peak_rss_stays_near_one_input(tmp_path):
     assert report["rise"] < 2 * size, (report["rise"], size)
 
 
-def write_wide_checkpoints(tmp_path, names):
-    """A 384-tensor F32 checkpoint (24 MiB of data) per name, and its path;
-    names starting with ``tau`` are task vectors of small deltas."""
+def write_wide_checkpoints(tmp_path, names, tensors=384):
+    """An F32 checkpoint of 24 MiB of data in ``tensors`` equal tensors per
+    name, and its path; names starting with ``tau`` are task vectors of small
+    deltas."""
     rng = np.random.default_rng(3)
     paths = []
     for i, name in enumerate(names):
         vector = name.startswith("tau")
-        rows = rng.standard_normal((384, 16384), dtype=np.float32)
+        rows = rng.standard_normal((tensors, 384 * 16384 // tensors), dtype=np.float32)
         if vector:
             rows *= np.float32(0.01)
         tmap = TensorMap({f"layer{j:03d}.weight": row for j, row in enumerate(rows)})
@@ -612,6 +614,25 @@ def test_merge_command_peak_rss_excludes_the_output(tmp_path, command, inputs, b
     extra = ["--lambda", "0.5"] if command == "apply" else []
     rise = peak_rise(command, *paths, *extra, "--out", tmp_path / "out.st")
     assert rise < bound * size, (rise, size)
+
+
+# One 24 MiB tensor per file: a command holds a window of each operand, not a
+# tensor, so it rises by a small part of one input.
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("argv", [
+    ["diff", "real", "syn", "--out", "out.st"],
+    ["ensemble", "tau0", "tau1", "tau2", "tau3", "--out", "out.st"],
+    ["apply", "real", "tau0", "tau1", "tau2", "tau3", "--lambda", "0.5", "--out", "out.st"],
+    ["report", "similarity", "tau0", "tau1", "tau2", "tau3", "--out-dir", "report_dir"],
+    ["inspect", "--content-hash", "tau0"],
+], ids=["diff", "ensemble", "apply_four", "similarity", "inspect"])
+def test_command_peak_rss_on_one_large_tensor(tmp_path, argv):
+    inputs = [arg for arg in argv if arg in ("real", "syn", "tau0", "tau1", "tau2", "tau3")]
+    paths = dict(zip(inputs, write_wide_checkpoints(tmp_path, inputs, tensors=1)))
+    paths.update({name: tmp_path / name for name in ("out.st", "report_dir")})
+    size = paths[inputs[0]].stat().st_size
+    rise = peak_rise(*(paths.get(arg, arg) for arg in argv))
+    assert rise < 0.25 * size, (rise, size)
 
 
 def run_merge_chain(capsys, dtype):
@@ -742,3 +763,67 @@ def test_out_may_name_an_input(capsys, monkeypatch, tmp_path, command, over):
     assert run_to(capsys, argv, over) == expected
     assert open(over, "rb").read() == open("separate.st", "rb").read()
     assert not [p for p in os.listdir() if p.endswith(".tmp")]
+
+
+# --- reduction bits ---
+
+# Sizes that straddle a kernel block and the pairwise splits of numpy's sum.
+REDUCTION_SIZES = (1, 7, 129, 32767, 32768, 32769, 65537, 1_000_001)
+
+
+def write_reduction_vectors(dtype, count=3):
+    """``count`` task vectors in the working directory, one tensor per size in
+    REDUCTION_SIZES, in ``dtype``; the paths."""
+    rng = np.random.default_rng(29)
+    paths = []
+    for i in range(count):
+        deltas = TensorMap({f"t{size:07d}": (rng.standard_normal(size) * 10.0 ** -(1 + i % 3))
+                            .astype(dtype) for size in REDUCTION_SIZES})
+        paths.append(f"tau_{i}.st")
+        save_task_vector(TaskVector(deltas, fingerprint(deltas), Provenance(f"d{i}")), paths[-1])
+    return paths
+
+
+def reduction_digests(capsys, dtype):
+    """sha256 prefixes of each reduction's printed bits: the norm_stats reprs,
+    cosine's stdout and the similarity CSV bytes."""
+    paths = write_reduction_vectors(dtype)
+
+    def digest(data):
+        return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()[:16]
+
+    digests = {"norm_stats": digest("".join(repr(norm_stats(load_task_vector(p)))
+                                            for p in paths))}
+    for granularity in ("global", "per_tensor"):
+        assert main(["cosine", *paths[:2], "--granularity", granularity]) == 0
+        digests[f"cosine_{granularity}"] = digest(capsys.readouterr().out)
+        assert main(["report", "similarity", *paths, "--granularity", granularity,
+                     "--out-dir", granularity]) == 0
+        capsys.readouterr()
+        csvs = sorted(os.path.join(root, name) for root, _, names in os.walk(granularity)
+                      for name in names if name.endswith(".csv"))
+        digests[f"similarity_{granularity}"] = digest(b"".join(open(p, "rb").read()
+                                                                for p in csvs))
+    return digests
+
+
+# Pinned before the reductions summed per leaf of numpy's pairwise split.
+REDUCTION_DIGESTS = {
+    "F16": {"norm_stats": "1ed95e019b7ed0e5",
+            "cosine_global": "f4ee37636e32e044", "similarity_global": "7183342d98a483b7",
+            "cosine_per_tensor": "6933b3ca3a690b26", "similarity_per_tensor": "3ee5f715a2aced38"},
+    "F32": {"norm_stats": "c7aa6e751ff546d8",
+            "cosine_global": "ed8cc6a79489ec41", "similarity_global": "7499d4b96d1ae7b5",
+            "cosine_per_tensor": "e7d373770daddb23", "similarity_per_tensor": "e0d50d49feeebd15"},
+    "F64": {"norm_stats": "922b8e6fa343c5bb",
+            "cosine_global": "cfa4cc2ac90be357", "similarity_global": "86ed7954bb260ff5",
+            "cosine_per_tensor": "0648b1126d0fdac0", "similarity_per_tensor": "1efa1dc31e3edf00"},
+}
+
+
+@pytest.mark.parametrize("dtype", ["F16", "F32", "F64"])
+def test_reduction_outputs_are_pinned(capsys, monkeypatch, tmp_path, dtype):
+    monkeypatch.chdir(tmp_path)
+    digests = reduction_digests(capsys, {"F16": np.float16, "F32": np.float32,
+                                         "F64": np.float64}[dtype])
+    assert digests == REDUCTION_DIGESTS[dtype]

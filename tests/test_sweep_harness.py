@@ -30,7 +30,8 @@ from synvec import tensor_store
 from synvec.tensor_store import TensorMap, read_checkpoint, write_checkpoint
 from synvec.vector_ops import compute_task_vector, ensemble_average, save_task_vector
 
-PY = shlex.quote(sys.executable)
+# The stub evaluators are stdlib-only, so they start without site (-S).
+PY = f"{shlex.quote(sys.executable)} -S"
 
 # Prints {"wer": |lambda - 0.4| + 1}; a stub with a known interior minimum.
 U_SHAPE_EVALUATOR = (

@@ -23,14 +23,18 @@ from synvec.errors import (
 from synvec import tensor_store
 from synvec.tensor_store import (
     BLOCK_ELEMENTS,
+    RELEASE_BYTES,
     Dtype,
     TensorMap,
+    add_up,
     fingerprint,
     first_non_finite,
     open_replacing,
     read_checkpoint,
     schema_compatible,
     schema_of,
+    leaves,
+    windows,
     write_checkpoint,
 )
 from synvec.vector_ops import compute_task_vector
@@ -602,3 +606,37 @@ def test_a_pass_hands_back_pages_and_keeps_every_value(tmp_path):
     in_memory = compute_task_vector(*copies).deltas
     assert mapped == in_memory
     assert all(views[name].tobytes() == originals[name].tobytes() for name in originals)
+
+
+# --- the leaf walk: numpy's pairwise-sum split ---
+
+
+# The largest is merge_f32's embedding, 8192 x 768; 100,003 splits off a
+# multiple of 8 at every level.
+WALK_SIZES = (1, 7, 129, 32767, 32768, 32769, 65537, 100_003, 1_000_001, 6_291_456)
+
+
+@pytest.mark.parametrize("size", WALK_SIZES)
+def test_leaf_sums_added_up_the_split_have_the_bits_of_np_sum(size):
+    # The split is numpy's implementation, not its API: a numpy that splits
+    # otherwise fails here instead of changing the printed reductions' bits.
+    # Values spread over 24 binades, so that most sums round differently
+    # under another split.
+    rng = np.random.default_rng(size)
+    base = rng.standard_normal(size) * 2.0 ** rng.integers(-12, 12, size)
+    for dtype in (np.float16, np.float32, np.float64):
+        wide = base.astype(dtype).astype(np.float64)
+        for values in (wide, np.square(wide), np.abs(wide)):  # products, squares, norms
+            sums = [float(np.sum(values[start:stop])) for start, stop in leaves(size)]
+            assert add_up(size, sums) == float(np.sum(values)), dtype
+
+
+@pytest.mark.parametrize("size", WALK_SIZES)
+def test_windows_tile_the_tensor_with_its_leaves(size):
+    assert all(0 < b - a <= BLOCK_ELEMENTS for a, b in leaves(size))
+    for itemsize in (2, 4, 8):
+        tiled = windows(size, itemsize)
+        assert [leaf for _, _, group in tiled for leaf in group] == list(leaves(size))
+        assert all(group[0][0] == begin and group[-1][1] == end
+                   and (end - begin) * itemsize <= RELEASE_BYTES for begin, end, group in tiled)
+    assert leaves(0) == () and add_up(0, []) == 0.0

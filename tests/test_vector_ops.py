@@ -901,3 +901,33 @@ def test_out_maps_the_written_file_read_only(tmp_path, rng):
         assert not arr.flags.writeable
     assert tau.deltas._buffer is not None  # views of the written file, not copies
     assert tau.deltas.non_finite_tensors() == {}
+
+
+@pytest.mark.parametrize("case", ["compute", "ensemble"])
+def test_out_norm_stats_read_none_of_the_written_file(tmp_path, case):
+    # The stats come from the stream: zeros written over the file's data, in
+    # place, are not what they report.
+    rng = np.random.default_rng(5)
+    shapes = {"a": ((70_000,), np.float32), "b": ((3, 5), np.float16), "c": ((), np.float64)}
+    real, syn, shifted = (TensorMap({name: rng.standard_normal(shape).astype(dtype)
+                                     for name, (shape, dtype) in shapes.items()})
+                          for _ in range(3))
+    if case == "compute":
+        def call(**kw):
+            return compute_task_vector(real, syn, **kw)
+    else:
+        taus = [compute_task_vector(real, syn), compute_task_vector(shifted, syn)]
+
+        def call(**kw):
+            return ensemble_average(taus, **kw)
+    expected = repr(norm_stats(call()))
+    path = tmp_path / "out.st"
+    streamed = call(out=path)
+    header = 8 + int.from_bytes(path.read_bytes()[:8], "little")
+    inode = path.stat().st_ino
+    with open(path, "r+b") as handle:
+        handle.seek(header)
+        handle.write(bytes(path.stat().st_size - header))
+    assert path.stat().st_ino == inode
+    assert not any(arr.any() for _, arr in streamed.deltas.items())  # the map sees the zeros
+    assert repr(norm_stats(streamed)) == expected
