@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -800,10 +801,8 @@ def reduction_digests(capsys, dtype):
         assert main(["report", "similarity", *paths, "--granularity", granularity,
                      "--out-dir", granularity]) == 0
         capsys.readouterr()
-        csvs = sorted(os.path.join(root, name) for root, _, names in os.walk(granularity)
-                      for name in names if name.endswith(".csv"))
-        digests[f"similarity_{granularity}"] = digest(b"".join(open(p, "rb").read()
-                                                                for p in csvs))
+        csvs = sorted(Path(granularity).rglob("*.csv"))
+        digests[f"similarity_{granularity}"] = digest(b"".join(p.read_bytes() for p in csvs))
     return digests
 
 
