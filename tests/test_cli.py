@@ -599,8 +599,9 @@ def peak_rise(*argv):
     return report["rise"]
 
 
-# Each command holds about one tensor per input and one output tensor (64 KiB
-# each here), never a whole output, nor the mean of several vectors it applies.
+# Each command holds about a window of each input and of its output (a tensor
+# here is 64 KiB, one window), never a whole output, nor the mean of several
+# vectors it applies.
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 @pytest.mark.parametrize("command,inputs,bound", [
     ("diff", ["real", "syn"], 1.0),
