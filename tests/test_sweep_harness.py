@@ -464,6 +464,26 @@ def test_sweep_scans_the_model_on_disk_once(tmp_path, monkeypatch, workers):
     assert sorted(scanned) == ["a", "b"]
 
 
+def test_a_sweep_point_has_the_bytes_of_the_full_prefix_ablation_point(tmp_path):
+    # The sweep applies the mean it wrote to mean.safetensors; the ablation point
+    # with every vector takes the same mean in the pass that writes its checkpoint.
+    rng = np.random.default_rng(0)
+    model = TensorMap({"a": rng.standard_normal(70000).astype(np.float16),
+                       "b": rng.standard_normal((3, 4)).astype(np.float32)})
+    vectors = [compute_task_vector(TensorMap(
+        {name: arr + rng.standard_normal(arr.shape).astype(arr.dtype)
+         for name, arr in model.items()}), model) for _ in range(3)]
+    sweep_config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path / "s",
+                               lambda_grid=(0.4,), keep_checkpoints=True)
+    ablation_config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path / "a",
+                                  keep_checkpoints=True)
+    run_lambda_sweep(model, vectors, sweep_config)
+    run_domain_ablation(model, vectors, 0.4, ablation_config, ks=[3])
+    [swept] = [path for path in sweep_config.workdir.rglob("*") if path.is_file()]
+    [ablated] = [path for path in ablation_config.workdir.rglob("*") if path.is_file()]
+    assert swept.read_bytes() == ablated.read_bytes()
+
+
 def failing_l2_evaluator(reference_path, failing_wer):
     # l2_evaluator, but exits 3 where the norm equals failing_wer.
     return l2_evaluator(reference_path, failing_wer)
@@ -524,30 +544,31 @@ def test_timeout_kills_the_evaluators_background_children(tmp_path, monkeypatch)
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
 @pytest.mark.skipif(signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
                     reason="needs SIGINT to raise KeyboardInterrupt")
-def test_interrupting_a_threaded_sweep_kills_its_evaluators(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupting_a_threaded_sweep_kills_its_evaluators(tmp_path, workers):
     model, vectors = fixture_model_and_vectors()
     pid_dir = tmp_path / "pids"
     pid_dir.mkdir()
     # Each evaluator shell names a file after itself, holding its background child's pid.
     command = f"sh -c {shlex.quote(f'sleep 60 & echo $! > {pid_dir}/$$; wait')}"
     config = SweepConfig(evaluator=command, workdir=tmp_path / "w",
-                         lambda_grid=(0.0, 0.5, 1.0, 1.5), parallel_workers=2)
+                         lambda_grid=(0.0, 0.5, 1.0, 1.5), parallel_workers=workers)
     main_thread = threading.main_thread().ident
 
-    def interrupt_once_both_run():
+    def interrupt_once_all_run():
         deadline = time.monotonic() + 30
-        while len(list(pid_dir.iterdir())) < 2 and time.monotonic() < deadline:
+        while len(list(pid_dir.iterdir())) < workers and time.monotonic() < deadline:
             time.sleep(0.05)
         signal.pthread_kill(main_thread, signal.SIGINT)  # what Ctrl-C does to synvec
 
-    threading.Thread(target=interrupt_once_both_run, daemon=True).start()
+    threading.Thread(target=interrupt_once_all_run, daemon=True).start()
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_lambda_sweep(model, vectors, config)
     assert time.monotonic() - start < 30  # not held up by the 60 s sleeps
     shells = [int(path.name) for path in pid_dir.iterdir()]
     children = [int(path.read_text()) for path in pid_dir.iterdir()]
-    assert len(shells) == 2  # the two points not yet started never start
+    assert len(shells) == workers  # the points not yet started never start
     deadline = time.monotonic() + 5
     while any(map(_alive, shells + children)) and time.monotonic() < deadline:
         time.sleep(0.05)
@@ -555,7 +576,8 @@ def test_interrupting_a_threaded_sweep_kills_its_evaluators(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
-def test_sigterm_to_the_cli_kills_a_threaded_sweeps_evaluators(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigterm_to_the_cli_kills_a_threaded_sweeps_evaluators(tmp_path, workers):
     model, vectors = fixture_model_and_vectors()
     write_checkpoint(model, tmp_path / "model.st")
     save_task_vector(vectors[0], tmp_path / "tau.st")
@@ -565,19 +587,19 @@ def test_sigterm_to_the_cli_kills_a_threaded_sweeps_evaluators(tmp_path):
     cli = subprocess.Popen(
         [sys.executable, "-m", "synvec.cli", "sweep", str(tmp_path / "model.st"),
          str(tmp_path / "tau.st"), "--evaluator", command, "--workdir", str(tmp_path / "w"),
-         "--lambdas", "0,0.5,1", "--workers", "2"],
+         "--lambdas", "0,0.5,1", "--workers", str(workers)],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:
         deadline = time.monotonic() + 30
-        while len(list(pid_dir.iterdir())) < 2 and time.monotonic() < deadline:
+        while len(list(pid_dir.iterdir())) < workers and time.monotonic() < deadline:
             time.sleep(0.05)
         cli.terminate()
         assert cli.wait(timeout=30) == 128 + signal.SIGTERM
     finally:
         cli.kill()
     evaluators = [int(path.name) for path in pid_dir.iterdir()]
-    assert len(evaluators) == 2
+    assert len(evaluators) == workers
     deadline = time.monotonic() + 5
     while any(map(_alive, evaluators)) and time.monotonic() < deadline:
         time.sleep(0.05)
