@@ -11,9 +11,10 @@ session, it does not see a Ctrl-C or a signal sent to synvec's process group,
 so an exception that ends a sweep or an ablation (KeyboardInterrupt included)
 kills every evaluator group the run still has, and the run starts no more.
 
-Sweep points and ablation points alike run through one thread pool of
-``parallel_workers`` threads; results are gathered back in grid order, and
-each point writes its checkpoint under a name carrying its task index.
+Every sweep and ablation point is a task (checkpoint name, scaling factor,
+vectors) that :func:`~synvec.vector_ops.apply_ensemble` materializes, run on one
+pool of ``parallel_workers`` threads (one thread for one worker); results are
+gathered back in task order, and each checkpoint name carries its task index.
 
 Each run works in a directory of its own inside the workdir, the first free
 ``run_NNN``, so runs sharing a workdir never share a file; the directory is
@@ -21,7 +22,7 @@ removed when the run ends unless it keeps checkpoints. A sweep of several
 vectors writes their ensemble mean there once (``mean.safetensors``, deleted
 when the sweep ends) and maps it back, so each point reads it a window at a
 time and no mean is held whole. An ablation point takes its subset's mean in
-the pass that writes its checkpoint (:func:`~synvec.vector_ops.apply_ensemble`).
+the pass that writes its checkpoint.
 
 JSON/CSV serializations are canonical: stable key order, records sorted by
 scaling factor, and no wall-clock times, so two runs with a deterministic
@@ -46,7 +47,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,7 +56,6 @@ from .tensor_store import TensorMap
 from .vector_ops import (
     TaskVector,
     apply_ensemble,
-    apply_task_vector,
     ensemble_average,
     require_finite_real,
 )
@@ -365,15 +365,11 @@ def _run_directory(config: SweepConfig) -> Iterator[Path]:
             path.rmdir()
 
 
-def _evaluate_point(
-    materialize: Callable[[Path], object],
-    lam: float,
-    checkpoint: Path,
-    config: SweepConfig,
-    live: _LiveEvaluators,
-) -> EvalRecord | EvalFailure:
+def _evaluate_point(model: TensorMap, vectors: Sequence[TaskVector], lam: float,
+                    checkpoint: Path, config: SweepConfig,
+                    live: _LiveEvaluators) -> EvalRecord | EvalFailure:
     try:
-        materialize(checkpoint)
+        apply_ensemble(model, vectors, lam, out=checkpoint)
     except OSError as exc:
         return EvalFailure(lam=lam, kind="io", message=str(exc))
     try:
@@ -395,19 +391,23 @@ def _evaluate_point(
             checkpoint.unlink(missing_ok=True)
 
 
-def _run_points(point: Callable, tasks: list, workers: int) -> list:
-    """``point(task, live)`` of every task, on up to ``workers`` threads, in task order.
+def _run_points(model: TensorMap, tasks: list, run_dir: Path, config: SweepConfig) -> list:
+    """The outcome of each task ``(checkpoint name, lambda, vectors)``, in task
+    order, on a pool of ``config.parallel_workers`` threads.
 
     If any point raises, or the wait is interrupted, the evaluators in ``live``
     are killed before the exception goes on, so the pool's threads end soon.
     """
     live = _LiveEvaluators()
-    if workers == 1:  # an interrupt reaches the one running invoke_evaluator itself
-        return [point(task, live) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+
+    def point(task: tuple[str, float, list[TaskVector]]) -> EvalRecord | EvalFailure:
+        name, lam, vectors = task
+        return _evaluate_point(model, vectors, lam, run_dir / name, config, live)
+
+    with ThreadPoolExecutor(max_workers=config.parallel_workers) as pool:
         try:
             # map cancels the points not yet started when its iteration ends early
-            return list(pool.map(point, tasks, itertools.repeat(live)))
+            return list(pool.map(point, tasks))
         except BaseException:
             live.stop()
             raise
@@ -431,19 +431,11 @@ def run_lambda_sweep(
         mean_path = run_dir / "mean.safetensors"
         try:
             # Written once and mapped back, so the points read it a window at a time.
-            average = ensemble_average(vector_list, norms=False,
-                                       out=mean_path if len(vector_list) > 1 else None)
-
-            def point(indexed: tuple[int, float],
-                      live: _LiveEvaluators) -> EvalRecord | EvalFailure:
-                index, lam = indexed
-                checkpoint = run_dir / f"sweep_{index:03d}_lambda_{lam:g}.safetensors"
-                return _evaluate_point(
-                    lambda path: apply_task_vector(model, average, lam, out=path),
-                    lam, checkpoint, config, live)
-
-            outcomes = _run_points(point, list(enumerate(config.lambda_grid)),
-                                   config.parallel_workers)
+            mean = ensemble_average(vector_list, norms=False,
+                                    out=mean_path if len(vector_list) > 1 else None)
+            tasks = [(f"sweep_{index:03d}_lambda_{lam:g}.safetensors", lam, [mean])
+                     for index, lam in enumerate(config.lambda_grid)]
+            outcomes = _run_points(model, tasks, run_dir, config)
         finally:
             mean_path.unlink(missing_ok=True)
 
@@ -534,27 +526,23 @@ def run_domain_ablation(
     if policy == "random" and not seed_list:
         raise ValidationError("random policy needs at least one seed")
 
-    tasks: list[tuple[int, int, list[TaskVector]]] = []  # (k, seed, subset), in (k, seed) order
+    subsets: list[tuple[int, int, list[TaskVector]]] = []  # (k, seed, subset), in (k, seed) order
     for k in ks:
         if policy == "prefix":
-            tasks.append((k, 0, vector_list[:k]))
+            subsets.append((k, 0, vector_list[:k]))
             continue
         for seed in seed_list:
             rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
             chosen = rng.choice(total, size=k, replace=False)
-            tasks.append((k, seed, [vector_list[i] for i in chosen]))
+            subsets.append((k, seed, [vector_list[i] for i in chosen]))
 
+    tasks = [(f"ablate_{index:03d}_k{k:02d}_seed{seed}.safetensors", lam, subset)
+             for index, (k, seed, subset) in enumerate(subsets)]
     with _run_directory(config) as run_dir:
-        def point(indexed: tuple[int, tuple], live: _LiveEvaluators) -> EvalRecord | EvalFailure:
-            index, (k, seed, subset) = indexed
-            checkpoint = run_dir / f"ablate_{index:03d}_k{k:02d}_seed{seed}.safetensors"
-            return _evaluate_point(lambda path: apply_ensemble(model, subset, lam, out=path),
-                                   lam, checkpoint, config, live)
-
-        outcomes = _run_points(point, list(enumerate(tasks)), config.parallel_workers)
+        outcomes = _run_points(model, tasks, run_dir, config)
     per_k: dict[int, list[float]] = {k: [] for k in ks}
     failures: list[AblationFailure] = []
-    for (k, seed, _), outcome in zip(tasks, outcomes):
+    for (k, seed, _), outcome in zip(subsets, outcomes):
         if isinstance(outcome, EvalRecord):
             per_k[k].append(outcome.wer)
         else:
