@@ -3,13 +3,16 @@
 Scoring is delegated to a pluggable external evaluator: a command template
 with a ``{checkpoint}`` placeholder (and optional ``{lambda}``) that must
 print a single-line JSON object ``{"wer": <number>}`` to stdout and exit 0.
-Anything else counts as a per-grid-point failure; a sweep only fails outright
-when every grid point fails. ``SYNVEC_EVAL_TIMEOUT_SECS`` (default 3600)
-bounds each invocation. Each evaluator runs in a session of its own, so a
-timeout kills it together with any children it started. Being in its own
-session, it does not see a Ctrl-C or a signal sent to synvec's process group,
-so an exception that ends a sweep or an ablation (KeyboardInterrupt included)
-kills every evaluator group the run still has, and the run starts no more.
+Anything else counts as a per-grid-point failure, as does a checkpoint that
+cannot be written (``io``) or would hold a NaN or infinity (``non_finite``). A
+run only fails outright when every point fails: with a NonFiniteValueError if
+every failure is ``non_finite``, else with an EvaluatorError.
+``SYNVEC_EVAL_TIMEOUT_SECS`` (default 3600) bounds each invocation. Each
+evaluator runs in a session of its own, so a timeout kills it together with
+any children it started. Being in its own session, it does not see a Ctrl-C
+or a signal sent to synvec's process group, so an exception that ends a sweep
+or an ablation (KeyboardInterrupt included) kills every evaluator group the
+run still has, and the run starts no more.
 
 Every sweep and ablation point is a task (checkpoint name, scaling factor,
 vectors) that :func:`~synvec.vector_ops.apply_ensemble` materializes, run on one
@@ -51,7 +54,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EvaluatorError, ValidationError
+from .errors import EvaluatorError, NonFiniteValueError, SynvecError, ValidationError
 from .tensor_store import TensorMap
 from .vector_ops import (
     TaskVector,
@@ -121,7 +124,7 @@ class EvalFailure:
     """One failed evaluation at one grid point."""
 
     lam: float
-    kind: str  # spawn | exit | timeout | output | io
+    kind: str  # spawn | exit | timeout | output | io | non_finite
     message: str
     exit_code: int | None = None
     stderr: str = ""
@@ -372,6 +375,8 @@ def _evaluate_point(model: TensorMap, vectors: Sequence[TaskVector], lam: float,
         apply_ensemble(model, vectors, lam, out=checkpoint)
     except OSError as exc:
         return EvalFailure(lam=lam, kind="io", message=str(exc))
+    except NonFiniteValueError as exc:  # an overflow at this lambda, or a non-finite model
+        return EvalFailure(lam=lam, kind="non_finite", message=str(exc))
     try:
         wer, stdout, wall = invoke_evaluator(config.evaluator, checkpoint, lam, live)
         logger.debug("lambda=%g wer=%g (%.2fs)", lam, wer, wall)
@@ -413,6 +418,14 @@ def _run_points(model: TensorMap, tasks: list, run_dir: Path, config: SweepConfi
             raise
 
 
+def _all_failed(what: str, failures: Sequence[EvalFailure]) -> SynvecError:
+    """The error of a run whose every point failed: a NonFiniteValueError when
+    every failure is ``non_finite`` (a NaN model, say), else an EvaluatorError."""
+    if all(f.kind == "non_finite" for f in failures):
+        return NonFiniteValueError(failures[0].message)
+    return EvaluatorError(f"{what}; first failure: {failures[0].message}")
+
+
 def run_lambda_sweep(
     model: TensorMap,
     vectors: TaskVector | Sequence[TaskVector],
@@ -444,10 +457,7 @@ def run_lambda_sweep(
     failures = tuple(sorted((o for o in outcomes if isinstance(o, EvalFailure)),
                             key=lambda f: f.lam))
     if not records:
-        raise EvaluatorError(
-            f"all {len(config.lambda_grid)} grid points failed; "
-            f"first failure: {failures[0].message}"
-        )
+        raise _all_failed(f"all {len(config.lambda_grid)} grid points failed", failures)
     return SweepResult(lambda_grid=config.lambda_grid, records=records, failures=failures)
 
 
@@ -550,9 +560,7 @@ def run_domain_ablation(
     points = [AblationPoint(k=k, mean_wer=sum(wers) / len(wers), per_seed=tuple(wers))
               for k, wers in per_k.items() if wers]
     if not points:
-        raise EvaluatorError(
-            f"all ablation evaluations failed; first failure: {failures[0].message}"
-        )
+        raise _all_failed("all ablation evaluations failed", failures)
     return AblationResult(
         points=tuple(points),
         subset_policy=policy,

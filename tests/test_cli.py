@@ -229,6 +229,20 @@ def test_sweep_command(capsys, fixture_paths, tmp_path):
     assert csv_out.read_text().splitlines()[0] == "lambda,wer"
 
 
+@pytest.mark.parametrize("command", [["sweep"], ["ablate", "--lambda", "1"]])
+def test_a_run_on_a_nan_model_exits_1_as_non_finite(capsys, fixture_paths, command):
+    tmp_path, real_path, syn_path = fixture_paths
+    tau_path = tmp_path / "tau.st"
+    run_cli(capsys, "diff", real_path, syn_path, "--out", tau_path)
+    header = b'{"w":{"dtype":"F32","shape":[2],"data_offsets":[0,8]}}'  # written by another tool
+    (tmp_path / "nan.st").write_bytes(len(header).to_bytes(8, "little") + header
+                                      + np.array([np.nan, 1.0], np.float32).tobytes())
+    code, _, err = run_cli(capsys, command[0], tmp_path / "nan.st", tau_path, *command[1:],
+                           "--evaluator", CONSTANT_EVALUATOR, "--workdir", tmp_path / "work")
+    assert code == 1
+    assert json.loads(err)["error"]["kind"] == "non_finite"
+
+
 def test_sweep_workers_reach_config_as_given(capsys, monkeypatch, fixture_paths, tmp_path):
     _, real_path, syn_path = fixture_paths
     tau_path = tmp_path / "tau.st"

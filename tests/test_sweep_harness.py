@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synvec.errors import EvaluatorError, ValidationError
+from synvec.errors import EvaluatorError, NonFiniteValueError, ValidationError
 from synvec.sweep_harness import (
     DEFAULT_LAMBDA_GRID,
     EvalRecord,
@@ -27,8 +27,8 @@ from synvec.sweep_harness import (
     run_lambda_sweep,
 )
 from synvec import tensor_store
-from synvec.tensor_store import TensorMap, read_checkpoint, write_checkpoint
-from synvec.vector_ops import compute_task_vector, ensemble_average, save_task_vector
+from synvec.tensor_store import TensorMap, fingerprint, read_checkpoint, write_checkpoint
+from synvec.vector_ops import TaskVector, compute_task_vector, ensemble_average, save_task_vector
 
 # The stub evaluators are stdlib-only, so they start without site (-S).
 PY = f"{shlex.quote(sys.executable)} -S"
@@ -180,6 +180,53 @@ def test_all_failures_raise(tmp_path):
     config = SweepConfig(evaluator=evaluator, workdir=tmp_path, lambda_grid=(0.0, 1.0))
     with pytest.raises(EvaluatorError):
         run_lambda_sweep(model, vectors, config)
+
+
+def f16_vectors(*deltas):
+    # F16 deltas, built directly: 60000 + 8000 does not fit an F16 finetuned model.
+    maps = [TensorMap({"w": np.full(4, delta, np.float16)}) for delta in deltas]
+    return [TaskVector(tmap, fingerprint(tmap)) for tmap in maps]
+
+
+def test_an_overflowing_sweep_point_is_recorded_and_the_sweep_goes_on(tmp_path):
+    model = TensorMap({"w": np.full(4, 60000, np.float16)})
+    config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path / "w",
+                         lambda_grid=(0.0, 0.1, 1.0))
+    result = run_lambda_sweep(model, f16_vectors(8000), config)
+    assert [r.lam for r in result.records] == [0.0, 0.1]
+    [failure] = result.failures
+    assert (failure.lam, failure.kind) == (1.0, "non_finite")
+    assert "non-finite value in tensor 'w'" in failure.message
+    assert json.loads(result.to_json())["failures"][0]["kind"] == "non_finite"
+
+
+def test_an_overflowing_ablation_point_is_recorded_and_the_ablation_goes_on(tmp_path):
+    model = TensorMap({"w": np.full(4, 60000, np.float16)})
+    config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path / "w")
+    result = run_domain_ablation(model, f16_vectors(8000, -8000), 1.0, config)
+    assert [p.k for p in result.points] == [2]  # the mean of 8000 and -8000 is 0
+    assert [(f.k, f.kind) for f in result.failures] == [(1, "non_finite")]
+
+
+@pytest.mark.parametrize("run", ["sweep", "ablation"])
+def test_a_run_whose_every_point_meets_a_nan_raises_non_finite(tmp_path, run):
+    model = TensorMap({"w": np.array([np.nan], np.float32)})
+    _, vectors = fixture_model_and_vectors()
+    config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path / "w",
+                         lambda_grid=(0.0, 1.0))
+    with pytest.raises(NonFiniteValueError, match="model"):
+        if run == "sweep":
+            run_lambda_sweep(model, vectors, config)
+        else:
+            run_domain_ablation(model, vectors, 1.0, config)
+
+
+def test_all_failures_of_mixed_kinds_raise_an_evaluator_error(tmp_path):
+    model = TensorMap({"w": np.full(4, 60000, np.float16)})
+    evaluator = f'{PY} -c "import sys; sys.exit(3)"'
+    config = SweepConfig(evaluator=evaluator, workdir=tmp_path, lambda_grid=(0.0, 1.0))
+    with pytest.raises(EvaluatorError, match="first failure: evaluator exited"):
+        run_lambda_sweep(model, f16_vectors(8000), config)
 
 
 def test_nonzero_exit_recorded_with_code(tmp_path):
