@@ -301,11 +301,6 @@ class TensorMap:
         past it; a later read faults the same bytes back in from the page cache,
         so only resident memory changes, never a value. A pass by :func:`walk`
         hands them back a window at a time."""
-        if not self._offsets:
-            return iter(self._entries.items())
-        return self._releasing_items()
-
-    def _releasing_items(self) -> Iterator[tuple[str, np.ndarray]]:
         for name, arr in self._entries.items():
             yield name, arr
             self._release(name, 0, arr.size)
@@ -352,11 +347,13 @@ class TensorMap:
             self._non_finite = self._scan()
         return dict(self._non_finite)
 
-    def _scan(self) -> dict[str, int]:
+    def _scan(self, digest: hashlib._Hash | None = None) -> dict[str, int]:
         largest = max((arr.size for arr in self._entries.values()), default=0)
         scratch = np.empty(min(largest, BLOCK_ELEMENTS), dtype=np.uint64)
         out = {}
         for name, begin, values in _windows_of(self):
+            if digest is not None:
+                digest.update(values.data)
             if name not in out:
                 index = first_non_finite(values, scratch)
                 if index is not None:
@@ -498,12 +495,16 @@ def schema_compatible(a: TensorMap | ModelSchema, b: TensorMap | ModelSchema) ->
 
 
 def fingerprint(tmap: TensorMap, *, include_content: bool = False) -> Fingerprint:
-    """Fingerprint a map. Content hashing is off by default (it reads all data)."""
+    """Fingerprint a map. Content hashing is off by default (it reads all data).
+    On a map that keeps its scan memo, the pass that hashes also fills it."""
     content = None
     if include_content:
         digest = hashlib.sha256()
-        for _, _, values in _windows_of(tmap):
-            digest.update(values.data)
+        if tmap._buffer is not None and tmap._non_finite is None:
+            tmap._non_finite = tmap._scan(digest)
+        else:
+            for _, _, values in _windows_of(tmap):
+                digest.update(values.data)
         content = digest.hexdigest()
     return Fingerprint(schema_hash=schema_of(tmap).schema_hash, content_hash=content)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synvec import cli, vector_ops
+from synvec import cli, tensor_store, vector_ops
 from synvec.cli import main
 from synvec.tensor_store import TensorMap, fingerprint, read_checkpoint, write_checkpoint
 from synvec.vector_ops import (
@@ -209,6 +209,45 @@ def test_inspect_reads_a_task_vector_once(capsys, monkeypatch, fixture_paths):
     assert code == 0 and len(reads) == 1
     assert payload["non_finite"] == {}
     assert payload["global_l2"] == norm_stats(tau).total.l2_norm
+
+
+@pytest.mark.parametrize("kind", ["model", "task_vector"])
+def test_inspect_content_hash_walks_each_tensor_in_one_pass(capsys, monkeypatch, tmp_path, kind):
+    # A model with an infinity, written by another tool, or a task vector; the task
+    # vector's norms take one more pass.
+    if kind == "model":
+        header = (b'{"a":{"dtype":"F32","shape":[2],"data_offsets":[0,8]},'
+                  b'"b":{"dtype":"F16","shape":[3],"data_offsets":[8,14]}}')
+        data = np.array([1.0, 2.0], np.float32).tobytes() + np.array([0, np.inf, 1],
+                                                                      np.float16).tobytes()
+        path = tmp_path / "model.st"
+        path.write_bytes(len(header).to_bytes(8, "little") + header + data)
+    else:
+        deltas = TensorMap({"a": np.array([1.0, -2.0], np.float32),
+                            "b": np.array([0.5, 1.0, 3.0], np.float16)})
+        path = tmp_path / "tau.st"
+        save_task_vector(TaskVector(deltas, fingerprint(deltas)), path)
+        header_size = int.from_bytes(path.read_bytes()[:8], "little")
+        data = path.read_bytes()[8 + header_size:]
+    walks = []
+
+    def counting_walk(maps, name):
+        walks.append(name)
+        return real_walk(maps, name)
+
+    real_walk = tensor_store.walk
+    monkeypatch.setattr(tensor_store, "walk", counting_walk)
+    monkeypatch.setattr(vector_ops, "walk", counting_walk)
+    code, payload, _ = run_cli(capsys, "inspect", path, "--content-hash")
+    assert code == 0
+    assert payload["content_hash"] == hashlib.sha256(data).hexdigest()
+    if kind == "model":
+        assert sorted(walks) == ["a", "b"]
+        assert payload["non_finite"] == {"b": 1}
+    else:
+        assert sorted(walks) == ["a", "a", "b", "b"]
+        assert payload["non_finite"] == {}
+        assert payload["global_l2"] == norm_stats(load_task_vector(path)).total.l2_norm
 
 
 def test_sweep_command(capsys, fixture_paths, tmp_path):
