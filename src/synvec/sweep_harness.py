@@ -231,10 +231,6 @@ def _eval_timeout() -> float:
     return timeout
 
 
-def _format_lambda(lam: float) -> str:
-    return repr(float(lam))
-
-
 def _kill_group(proc: subprocess.Popen) -> None:
     """SIGKILL the session ``proc`` leads; a shell's background jobs die too."""
     try:
@@ -288,7 +284,7 @@ def invoke_evaluator(
     for token in shlex.split(command):
         token = token.replace("{checkpoint}", str(checkpoint))
         if lam is not None:
-            token = token.replace("{lambda}", _format_lambda(lam))
+            token = token.replace("{lambda}", repr(float(lam)))
         argv.append(token)
     timeout = _eval_timeout()
     start = time.monotonic()

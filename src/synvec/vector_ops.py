@@ -638,13 +638,12 @@ def similarity_matrix(
             for j in range(i + 1, n):
                 values[i, j] = values[j, i] = cosine_similarity(vectors[i], vectors[j], "global")
         return SimilarityMatrix(labels=labels, values=values)
-    if granularity != "per_tensor":
-        raise ValidationError(f"granularity must be 'global' or 'per_tensor', got {granularity!r}")
     names = vectors[0].deltas.names()
     matrices = {name: np.eye(n, dtype=np.float64) for name in names}
     for i in range(n):
         for j in range(i + 1, n):
-            per_tensor = cosine_similarity(vectors[i], vectors[j], "per_tensor")
+            # granularity is "per_tensor" here, or cosine_similarity rejects it
+            per_tensor = cosine_similarity(vectors[i], vectors[j], granularity)
             for name, value in per_tensor.items():
                 cell = np.nan if value is None else value
                 matrices[name][i, j] = matrices[name][j, i] = cell

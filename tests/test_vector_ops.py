@@ -525,6 +525,12 @@ def test_similarity_matrix_needs_two_vectors():
         similarity_matrix([("only", simple_vector([1.0]))])
 
 
+def test_similarity_matrix_rejects_an_unknown_granularity():
+    labeled = [("a", simple_vector([1.0])), ("b", simple_vector([2.0]))]
+    with pytest.raises(ValidationError, match="granularity must be 'global' or 'per_tensor'"):
+        similarity_matrix(labeled, granularity="per_layer")
+
+
 # --- serialization ---
 
 
