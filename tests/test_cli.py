@@ -279,7 +279,8 @@ def test_a_run_on_a_nan_model_exits_1_as_non_finite(capsys, fixture_paths, comma
     code, _, err = run_cli(capsys, command[0], tmp_path / "nan.st", tau_path, *command[1:],
                            "--evaluator", CONSTANT_EVALUATOR, "--workdir", tmp_path / "work")
     assert code == 1
-    assert json.loads(err)["error"]["kind"] == "non_finite"
+    assert json.loads(err)["error"] == {
+        "kind": "non_finite", "message": "model tensor 'w' has a non-finite value at flat index 0"}
 
 
 def test_sweep_workers_reach_config_as_given(capsys, monkeypatch, fixture_paths, tmp_path):
