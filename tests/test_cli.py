@@ -268,19 +268,78 @@ def test_sweep_command(capsys, fixture_paths, tmp_path):
     assert csv_out.read_text().splitlines()[0] == "lambda,wer"
 
 
+def write_by_hand(path, values, metadata=None):
+    """A container holding F32 tensor 'w' of ``values``, NaNs included, as
+    another tool might write it."""
+    header = {"w": {"dtype": "F32", "shape": [len(values)],
+                    "data_offsets": [0, 4 * len(values)]}}
+    if metadata is not None:
+        header["__metadata__"] = metadata
+    text = json.dumps(header, separators=(",", ":")).encode()
+    path.write_bytes(len(text).to_bytes(8, "little") + text
+                     + np.array(values, np.float32).tobytes())
+    return path
+
+
 @pytest.mark.parametrize("command", [["sweep"], ["ablate", "--lambda", "1"]])
 def test_a_run_on_a_nan_model_exits_1_as_non_finite(capsys, fixture_paths, command):
     tmp_path, real_path, syn_path = fixture_paths
     tau_path = tmp_path / "tau.st"
     run_cli(capsys, "diff", real_path, syn_path, "--out", tau_path)
-    header = b'{"w":{"dtype":"F32","shape":[2],"data_offsets":[0,8]}}'  # written by another tool
-    (tmp_path / "nan.st").write_bytes(len(header).to_bytes(8, "little") + header
-                                      + np.array([np.nan, 1.0], np.float32).tobytes())
-    code, _, err = run_cli(capsys, command[0], tmp_path / "nan.st", tau_path, *command[1:],
+    nan_path = write_by_hand(tmp_path / "nan.st", [np.nan, 1.0])
+    code, _, err = run_cli(capsys, command[0], nan_path, tau_path, *command[1:],
                            "--evaluator", CONSTANT_EVALUATOR, "--workdir", tmp_path / "work")
     assert code == 1
     assert json.loads(err)["error"] == {
         "kind": "non_finite", "message": "model tensor 'w' has a non-finite value at flat index 0"}
+
+
+# {model}, {tau} and {nan} stand for the model, a finite task vector and one
+# holding a NaN; each command loads every vector before it computes.
+NAN_VECTOR_COMMANDS = {
+    "ensemble": ["ensemble", "{tau}", "{nan}", "--out", "{out}"],
+    "apply_zero": ["apply", "{model}", "{nan}", "--lambda", "0", "--out", "{out}"],
+    "apply_zero_two": ["apply", "{model}", "{tau}", "{nan}", "--lambda", "0", "--out", "{out}"],
+    "apply": ["apply", "{model}", "{nan}", "--lambda", "0.5", "--out", "{out}"],
+    "cosine": ["cosine", "{tau}", "{nan}"],
+    "similarity": ["report", "similarity", "{tau}", "{nan}", "--out-dir", "{out}"],
+    "sweep": ["sweep", "{model}", "{nan}", "--evaluator", CONSTANT_EVALUATOR,
+              "--workdir", "{out}"],
+    "ablate": ["ablate", "{model}", "{tau}", "{nan}", "--lambda", "1",
+               "--evaluator", CONSTANT_EVALUATOR, "--workdir", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", NAN_VECTOR_COMMANDS)
+def test_a_nan_task_vector_exits_1_as_non_finite(capsys, fixture_paths, command):
+    tmp_path, real_path, syn_path = fixture_paths
+    tau_path = tmp_path / "tau.st"
+    run_cli(capsys, "diff", real_path, syn_path, "--out", tau_path)
+    nan_path = write_by_hand(tmp_path / "nan_tau.st", [1.0, np.nan], {
+        "synvec.kind": "task_vector",
+        "synvec.base_schema": fingerprint(read_checkpoint(real_path)).schema_hash})
+    paths = {"{model}": syn_path, "{tau}": tau_path, "{nan}": nan_path, "{out}": tmp_path / "out"}
+    code, _, err = run_cli(capsys, *(paths.get(arg, arg) for arg in NAN_VECTOR_COMMANDS[command]))
+    assert code == 1
+    assert json.loads(err)["error"] == {
+        "kind": "non_finite",
+        "message": "task vector tensor 'w' has a non-finite delta at flat index 1"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("vectors", [1, 2], ids=["one", "two"])
+def test_apply_at_lambda_zero_on_a_nan_model_exits_1_as_non_finite(capsys, fixture_paths,
+                                                                  vectors):
+    tmp_path, real_path, syn_path = fixture_paths
+    tau_path = tmp_path / "tau.st"
+    run_cli(capsys, "diff", real_path, syn_path, "--out", tau_path)
+    nan_path = write_by_hand(tmp_path / "nan.st", [np.nan, 1.0])
+    code, _, err = run_cli(capsys, "apply", nan_path, *[tau_path] * vectors, "--lambda", "0",
+                           "--out", tmp_path / "out.st")
+    assert code == 1
+    assert json.loads(err)["error"] == {
+        "kind": "non_finite", "message": "model tensor 'w' has a non-finite value at flat index 0"}
+    assert not (tmp_path / "out.st").exists()
 
 
 def test_sweep_workers_reach_config_as_given(capsys, monkeypatch, fixture_paths, tmp_path):
