@@ -330,10 +330,10 @@ def apply_task_vector(model: TensorMap, tau: TaskVector, lam: float, *,
                       out: str | Path | None = None) -> TensorMap:
     """Return model + lam * deltas, keeping the model's dtypes and metadata.
 
-    lam == 0 is a bitwise no-op: without ``out``, the returned map shares the
-    model's values, which are scanned for NaN/inf since no kernel runs. A
-    non-finite model value or result (e.g. an F16 overflow after narrowing)
-    is an error naming the tensor and the first offending element.
+    Every lam runs the kernel, so the result is a copy; lam == 0 copies the
+    model bit for bit. A non-finite model value or result (e.g. an F16
+    overflow after narrowing) is an error naming the tensor and the first
+    offending element.
 
     With ``out``, the output is written to that path a window at a time as
     it is computed, in the bytes :func:`~synvec.tensor_store.write_checkpoint`
@@ -342,21 +342,19 @@ def apply_task_vector(model: TensorMap, tau: TaskVector, lam: float, *,
     """
     require_finite_real(lam, "scaling factor")
     _require_compatible(model, tau.deltas)
-    if lam == 0.0:
-        require_finite(model, "model" + _NON_FINITE_VALUE)
-        if out is None:
-            return model.with_metadata(model.metadata)
-        stream = TensorStream.of(model)
-    else:
-        shift, message = _shift(lam)
-        stream = TensorStream(model, _elementwise(
-            shift, (("model", model), ("task vector", tau.deltas)), message))
+    shift, message = _shift(lam)
+    stream = TensorStream(model, _elementwise(
+        shift, (("model", model), ("task vector", tau.deltas)), message))
     return stream.collect() if out is None else write_and_map(stream, out)
 
 
 def _shift(lam: float):
-    """The kernel op of model + lam * delta, and its overflow message."""
+    """The kernel op of model + lam * delta, and its overflow message. At
+    lam == 0 the op gives back the model block, whose -0.0 entries adding
+    0 * delta would turn into +0.0."""
     def shift(row, model_block, delta_block):
+        if lam == 0:
+            return model_block
         np.multiply(delta_block, row.dtype.type(lam), out=row, dtype=row.dtype)
         return np.add(model_block, row, out=row, dtype=row.dtype)
 
@@ -477,21 +475,20 @@ def apply_ensemble(model: TensorMap, vectors: Sequence[TaskVector], lam: float, 
     ``apply_task_vector(model, ensemble_average(vectors), lam, out=out)``;
     ``out`` is as for :func:`apply_task_vector`.
 
-    For k >= 2 vectors and lam != 0 it is one pass over the model and the
-    vectors, and no mean tensor is held: each leaf's mean is taken as
-    :func:`ensemble_average` takes it, narrowed into a block of the storage
-    dtype, checked with that function's message, then shifted as
-    :func:`apply_task_vector` shifts. Errors therefore come in pass order,
-    tensor by tensor: where the shift of an earlier tensor fails (or meets a
-    non-finite model value) and the F64 mean of a later one overflows, this
-    reports the earlier tensor, where the mean computed first would report
-    the later. lam == 0 and k == 1 run the composition itself: a shift at
-    lam == 0 would turn the model's -0.0 entries into +0.0.
+    One vector is applied with :func:`apply_task_vector`. For k >= 2 it is
+    one pass over the model and the vectors, and no mean tensor is held:
+    each leaf's mean is taken as :func:`ensemble_average` takes it, narrowed
+    into a block of the storage dtype, checked with that function's message,
+    then shifted as :func:`apply_task_vector` shifts. Errors therefore come
+    in pass order, tensor by tensor: where the shift of an earlier tensor
+    fails (or meets a non-finite model value) and the F64 mean of a later
+    one overflows, this reports the earlier tensor, where the mean computed
+    first would report the later.
     """
     _shared_schema(vectors)  # the composition's checks, in its order
     require_finite_real(lam, "scaling factor")
-    if len(vectors) == 1 or lam == 0:
-        return apply_task_vector(model, ensemble_average(vectors), lam, out=out)
+    if len(vectors) == 1:
+        return apply_task_vector(model, vectors[0], lam, out=out)
     _require_compatible(model, vectors[0].deltas)
     block = min(_largest_size(model), BLOCK_ELEMENTS)
     mean, (shift, message) = _mean_op(len(vectors), block), _shift(lam)

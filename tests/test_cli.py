@@ -738,9 +738,10 @@ def test_merge_command_peak_rss_excludes_the_output(tmp_path, command, inputs, b
     ["diff", "real", "syn", "--out", "out.st"],
     ["ensemble", "tau0", "tau1", "tau2", "tau3", "--out", "out.st"],
     ["apply", "real", "tau0", "tau1", "tau2", "tau3", "--lambda", "0.5", "--out", "out.st"],
+    ["apply", "real", "tau0", "tau1", "tau2", "tau3", "--lambda", "0", "--out", "out.st"],
     ["report", "similarity", "tau0", "tau1", "tau2", "tau3", "--out-dir", "report_dir"],
     ["inspect", "--content-hash", "tau0"],
-], ids=["diff", "ensemble", "apply_four", "similarity", "inspect"])
+], ids=["diff", "ensemble", "apply_four", "apply_four_at_zero", "similarity", "inspect"])
 def test_command_peak_rss_on_one_large_tensor(tmp_path, argv):
     inputs = [arg for arg in argv if arg in ("real", "syn", "tau0", "tau1", "tau2", "tau3")]
     paths = dict(zip(inputs, write_wide_checkpoints(tmp_path, inputs, tensors=1)))

@@ -26,7 +26,7 @@ from synvec.sweep_harness import (
     run_domain_ablation,
     run_lambda_sweep,
 )
-from synvec import tensor_store
+from synvec import tensor_store, vector_ops
 from synvec.tensor_store import TensorMap, fingerprint, read_checkpoint, write_checkpoint
 from synvec.vector_ops import TaskVector, compute_task_vector, ensemble_average, save_task_vector
 
@@ -473,11 +473,13 @@ def test_ablation_determinism(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-# --- one model scan per sweep, parallel ablation points, evaluator process groups ---
+# --- no model scan in a sweep, parallel ablation points, evaluator process groups ---
 
 
+# Every point, lambda = 0 included, checks its output in the kernel and
+# nothing checks the model whole.
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_scans_the_model_on_disk_once(tmp_path, monkeypatch, workers):
+def test_no_sweep_point_scans_the_model_on_disk(tmp_path, monkeypatch, workers):
     in_memory = TensorMap({"a": np.ones(5, np.float16), "b": np.zeros(3, np.float32)})
     vectors = [compute_task_vector(
         TensorMap({"a": np.full(5, 2.0, np.float16), "b": np.ones(3, np.float32)}), in_memory)]
@@ -491,11 +493,12 @@ def test_sweep_scans_the_model_on_disk_once(tmp_path, monkeypatch, workers):
         return original(values, scratch)
 
     monkeypatch.setattr(tensor_store, "first_non_finite", counting)
+    monkeypatch.setattr(vector_ops, "first_non_finite", counting)
     config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path / "w",
                          parallel_workers=workers)
     result = run_lambda_sweep(model, vectors, config)
     assert len(result.records) == 11
-    assert sorted(scanned) == ["a", "b"]
+    assert scanned == []
 
 
 def test_a_sweep_point_has_the_bytes_of_the_full_prefix_ablation_point(tmp_path):

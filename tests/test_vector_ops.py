@@ -788,7 +788,9 @@ def _fault_operands(dtype, model_value, delta_value, index):
      "applying scale 1.0 produced a non-finite value in tensor 'w' at flat index {index}"),
     ("mean", np.float64, 1.0, np.finfo(np.float64).max, 0.5,
      "task vector tensor 'w' has a non-finite delta at flat index {index}"),
-], ids=["model", "shift", "mean"])
+    ("mean", np.float64, 1.0, np.finfo(np.float64).max, 0.0,
+     "task vector tensor 'w' has a non-finite delta at flat index {index}"),
+], ids=["model", "shift", "mean", "mean_at_zero"])
 def test_apply_ensemble_faults_keep_their_type_and_message(fault, dtype, model_value,
                                                            delta_value, lam, message):
     index = BLOCK_ELEMENTS + 3
@@ -820,18 +822,19 @@ def test_fused_apply_ensemble_reports_the_earlier_of_two_faults():
     assert (exc.value.tensor, exc.value.index) == ("w", index)
 
 
-def test_apply_ensemble_holds_no_mean(monkeypatch, tmp_path):
+@pytest.mark.parametrize("lam", [0.4, 0.0])
+def test_apply_ensemble_holds_no_mean(monkeypatch, tmp_path, lam):
     def refused(*args, **kwargs):
         raise AssertionError("ensemble_average called")
 
     model, vectors = fused_operands(np.float32, 3)
-    expected = apply_task_vector(model, ensemble_average(vectors), 0.4)
+    expected = apply_task_vector(model, ensemble_average(vectors), lam)
     monkeypatch.setattr(vector_ops, "ensemble_average", refused)
     monkeypatch.setattr(sweep_harness, "ensemble_average", refused)
-    assert apply_ensemble(model, vectors, 0.4) == expected
+    assert apply_ensemble(model, vectors, lam) == expected
     evaluator = f"{shlex.quote(sys.executable)} -c \"import json; print(json.dumps({{'wer': 1.0}}))\""
     config = SweepConfig(evaluator=evaluator, workdir=tmp_path / "w")
-    result = run_domain_ablation(model, vectors, 0.4, config, ks=[2, 3])
+    result = run_domain_ablation(model, vectors, lam, config, ks=[2, 3])
     assert [p.k for p in result.points] == [2, 3]
 
 
