@@ -386,9 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toy-run", help="run the desk-scale adaptation experiment")
     p.add_argument("--protocol", default="single", choices=["single", "ensemble"])
-    p.add_argument("--num-classes-per-domain", type=_count(2), default=10)
-    p.add_argument("--feature-dim", type=_count(1), default=32)
-    p.add_argument("--num-source-domains", type=_count(1), default=1)
+    p.add_argument("--num-classes-per-domain", type=_count(2),
+                   default=ToyDataSpec.num_classes_per_domain)
+    p.add_argument("--feature-dim", type=_count(1), default=ToyDataSpec.feature_dim)
+    p.add_argument("--num-source-domains", type=_count(1), default=ToyDataSpec.num_source_domains)
     p.add_argument("--class-mean-scale", type=float, default=ToyDataSpec.class_mean_scale)
     p.add_argument("--domain-offset-scale", type=float, default=ToyDataSpec.domain_offset_scale)
     p.add_argument("--base-noise-stddev", type=float, default=ToyDataSpec.base_noise_stddev)
@@ -400,13 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default=ConditionShift.extra_noise_stddev)
     p.add_argument("--samples-per-class", type=_count(1),
                    default=ToyDataSpec.samples_per_class)
-    p.add_argument("--channel-variant", type=int, default=0)
+    p.add_argument("--channel-variant", type=int, default=ToyDataSpec.channel_variant)
     p.add_argument("--data-seed", type=int, default=None,
                    help="defaults to the global --seed")
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--epochs", type=_count(0), default=30)
-    p.add_argument("--batch-size", type=_count(1), default=32)
-    p.add_argument("--l2-penalty", type=float, default=1e-4)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=_count(0), default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=_count(1), default=TrainConfig.batch_size)
+    p.add_argument("--l2-penalty", type=float, default=TrainConfig.l2_penalty)
     p.add_argument("--train-seed", type=int, default=None,
                    help="defaults to the global --seed")
     p.add_argument("--lambdas", default=None,

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from synvec import cli, tensor_store, vector_ops
 from synvec.cli import main
 from synvec.tensor_store import TensorMap, fingerprint, read_checkpoint, write_checkpoint
+from synvec.toy_experiment import ToyDataSpec, TrainConfig
 from synvec.vector_ops import (
     Provenance,
     TaskVector,
@@ -407,6 +409,18 @@ def test_toy_run_command(capsys, tmp_path):
     assert payload["protocol"] == "single"
     assert payload["num_seeds"] == 2
     assert json.loads(json_out.read_text()) == payload
+
+
+def test_toy_run_flags_default_to_the_dataclass_defaults(capsys, monkeypatch):
+    calls = []
+
+    def recording(spec, config, grid, num_seeds):
+        calls.append((spec, config))
+        return SimpleNamespace(to_json=str, to_csv=str, to_json_obj=dict)
+
+    monkeypatch.setattr(cli, "run_adaptation_protocol", recording)
+    assert run_cli(capsys, "toy-run")[0] == 0
+    assert calls == [(ToyDataSpec(), TrainConfig())]
 
 
 def test_toy_run_ensemble_protocol(capsys):
