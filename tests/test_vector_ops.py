@@ -89,6 +89,7 @@ def test_apply_zero_lambda_is_bitwise_identity(rng):
     tau = compute_task_vector(other, model)
     out = apply_task_vector(model, tau, 0.0)
     assert out == model
+    assert not any(np.shares_memory(arr, model[name]) for name, arr in out.items())  # a copy
 
 
 def test_apply_reconstructs_real_model(rng):
