@@ -230,3 +230,51 @@ def test_regeneration_yields_identical_digests(tmp_path):
     m2 = json.loads((second / "manifest.json").read_text())
     digests = lambda m: {f["name"]: f["sha256"] for f in m["files"]}
     assert digests(m1) == digests(m2)
+
+
+# --- golden bytes ---
+
+
+def golden_similarity_vectors():
+    """Three labeled vectors whose labels need XML escaping; tensor ``z`` has
+    zero norm in the first vector only."""
+    return [
+        ("a<b", vector_from({"layer.w": [1.0, 2.0, -0.5], "z": [0.0, 0.0]})),
+        ("c&d", vector_from({"layer.w": [0.25, 2.0, 1.5], "z": [1.0, -3.0]})),
+        ("e>f", vector_from({"layer.w": [-1.0, 0.5, 0.5], "z": [2.0, 0.5]})),
+    ]
+
+
+def file_digests(bundle):
+    return {f.name: f.sha256[:16] for _, f in bundle.files()}
+
+
+# Pinned so that a refactor of the report path cannot change a byte unnoticed.
+GOLDEN_DIGESTS = {
+    "similarity_global": {"similarity.csv": "9b33a05b5af3f607",
+                          "similarity.svg": "9d6d8c161b835da5"},
+    "similarity_per_tensor": {
+        "similarity_layer.w.csv": "804684197e25c3fd", "similarity_z.csv": "687b6a1f9d30a358",
+        "similarity_layer.w.svg": "9e5e8f2c69f8b5ff", "similarity_z.svg": "b6e2e016b2d5b965"},
+    "sweep": {"sweep_tts_real.csv": "7e77ccbcb1a72d6b", "sweep_single.csv": "38ed987fd4d114f8",
+              "sweep.svg": "392e5f5647f1e229"},
+    "table": {"table.csv": "25f7f543d31f9d5b"},
+}
+
+
+def golden_bundles():
+    vectors = golden_similarity_vectors()
+    return {
+        "similarity_global": build_similarity_report(vectors),
+        "similarity_per_tensor": build_similarity_report(vectors, granularity="per_tensor"),
+        "sweep": build_sweep_report(
+            [sweep_result([(0.0, 12.5), (0.5, 9.75), (1.0, 11.0)]), sweep_result([(0.5, 10.0)])],
+            ["tts & real", "<single>"]),
+        "table": build_table_report({"Weather": 15.45, "Music": 8.0},
+                                    {"Weather": 20.38, "Music": 7.5}),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
+def test_report_bytes_are_pinned(kind):
+    assert file_digests(golden_bundles()[kind]) == GOLDEN_DIGESTS[kind]
