@@ -129,6 +129,30 @@ def _esc(text: str) -> str:
     )
 
 
+def _svg(width: int, height: int, title: str, body: list[str]) -> bytes:
+    """An SVG document: ``title``, a white background, then ``body``."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<title>{_esc(title)}</title>',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        *body,
+        "</svg>",
+    ]
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+def _text(x: float, y: float, text: str, size: int, anchor: str | None = None,
+          fill: str = "#111111", rotate: int | None = None) -> str:
+    """An SVG ``<text>`` of escaped ``text``, turned ``rotate`` degrees about
+    its anchor point; int coordinates print as is, floats to two decimals."""
+    x, y = (f"{v:.2f}" if isinstance(v, float) else v for v in (x, y))
+    anchor_attr = "" if anchor is None else f' text-anchor="{anchor}"'
+    transform = "" if rotate is None else f' transform="rotate({rotate} {x} {y})"'
+    return (f'<text x="{x}" y="{y}"{anchor_attr} font-family="sans-serif" '
+            f'font-size="{size}" fill="{fill}"{transform}>{_esc(text)}</text>')
+
+
 def _svg_heatmap(matrix: SimilarityMatrix, title: str) -> bytes:
     n = len(matrix.labels)
     cell = 46
@@ -136,26 +160,11 @@ def _svg_heatmap(matrix: SimilarityMatrix, title: str) -> bytes:
     top = 14 + 7 * max(len(label) for label in matrix.labels)
     width = left + n * cell + 20
     height = top + n * cell + 40
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<title>{_esc(title)}</title>',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
-    for row in range(n):
-        y = top + row * cell
-        parts.append(
-            f'<text x="{left - 6}" y="{y + cell / 2 + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12" fill="#111111">'
-            f'{_esc(matrix.labels[row])}</text>'
-        )
-        x = left + row * cell
-        parts.append(
-            f'<text x="{x + cell / 2:.2f}" y="{top - 6}" text-anchor="start" '
-            f'font-family="sans-serif" font-size="12" fill="#111111" '
-            f'transform="rotate(-60 {x + cell / 2:.2f} {top - 6})">'
-            f'{_esc(matrix.labels[row])}</text>'
-        )
+    parts = []
+    for row, label in enumerate(matrix.labels):
+        parts.append(_text(left - 6, top + row * cell + cell / 2 + 4, label, 12, "end"))
+        parts.append(_text(left + row * cell + cell / 2, top - 6, label, 12, "start",
+                           rotate=-60))
     for row in range(n):
         for col in range(n):
             value = float(matrix.values[row, col])
@@ -171,18 +180,9 @@ def _svg_heatmap(matrix: SimilarityMatrix, title: str) -> bytes:
                 f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
                 f'fill="{fill}" stroke="#ffffff" stroke-width="1"/>'
             )
-            parts.append(
-                f'<text x="{x + cell / 2:.2f}" y="{y + cell / 2 + 4:.2f}" '
-                f'text-anchor="middle" font-family="sans-serif" font-size="11" '
-                f'fill="{text_fill}">{label}</text>'
-            )
-    legend_y = top + n * cell + 24
-    parts.append(
-        f'<text x="{left}" y="{legend_y}" font-family="sans-serif" font-size="12" '
-        f'fill="#111111">cosine similarity, scale fixed to [-1, 1]</text>'
-    )
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+            parts.append(_text(x + cell / 2, y + cell / 2 + 4, label, 11, "middle", text_fill))
+    parts.append(_text(left, top + n * cell + 24, "cosine similarity, scale fixed to [-1, 1]", 12))
+    return _svg(width, height, title, parts)
 
 
 def _tick_values(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -219,12 +219,7 @@ def _svg_line_chart(
         return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<title>{_esc(title)}</title>',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{left}" y="20" font-family="sans-serif" font-size="14" '
-        f'fill="#111111">{_esc(title)}</text>',
+        _text(left, 20, title, 14),
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" fill="none" '
         f'stroke="#444444" stroke-width="1"/>',
     ]
@@ -234,29 +229,16 @@ def _svg_line_chart(
             f'<line x1="{x:.2f}" y1="{top + plot_h}" x2="{x:.2f}" '
             f'y2="{top + plot_h + 5}" stroke="#444444" stroke-width="1"/>'
         )
-        parts.append(
-            f'<text x="{x:.2f}" y="{top + plot_h + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" fill="#111111">{tick:g}</text>'
-        )
+        parts.append(_text(x, top + plot_h + 18, f"{tick:g}", 11, "middle"))
     for tick in _tick_values(y_lo, y_hi):
         y = sy(tick)
         parts.append(
             f'<line x1="{left - 5}" y1="{y:.2f}" x2="{left}" y2="{y:.2f}" '
             f'stroke="#444444" stroke-width="1"/>'
         )
-        parts.append(
-            f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="#111111">{tick:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" fill="#111111">{_esc(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" fill="#111111" '
-        f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">{_esc(y_label)}</text>'
-    )
+        parts.append(_text(left - 8, y + 4, f"{tick:.4g}", 11, "end"))
+    parts.append(_text(left + plot_w / 2, height - 10, x_label, 12, "middle"))
+    parts.append(_text(16, top + plot_h / 2, y_label, 12, "middle", rotate=-90))
     for index, (label, points) in enumerate(series):
         color = _SERIES_COLORS[index % len(_SERIES_COLORS)]
         ordered = sorted(points)
@@ -274,12 +256,8 @@ def _svg_line_chart(
             f'x2="{left + plot_w + 34}" y2="{legend_y - 4}" stroke="{color}" '
             f'stroke-width="2"/>'
         )
-        parts.append(
-            f'<text x="{left + plot_w + 40}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="11" fill="#111111">{_esc(label)}</text>'
-        )
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+        parts.append(_text(left + plot_w + 40, legend_y, label, 11))
+    return _svg(width, height, title, parts)
 
 
 def _matrix_csv(matrix: SimilarityMatrix) -> bytes:
@@ -309,23 +287,16 @@ def build_similarity_report(
         "base_schema": schema_hash,
     }
     matrices = similarity_matrix(labeled_vectors, granularity)
+    if granularity == "global":
+        views = [("similarity", "Cosine similarity", matrices)]
+    else:
+        views = [(f"similarity_{_sanitize(tensor_name)}", f"Cosine similarity ({tensor_name})",
+                  matrix) for tensor_name, matrix in matrices.items()]
     tables = []
     figures = []
-    if granularity == "global":
-        tables.append(ReportFile("similarity.csv", _matrix_csv(matrices)))
-        figures.append(
-            ReportFile("similarity.svg", _svg_heatmap(matrices, "Cosine similarity"))
-        )
-    else:
-        for tensor_name, matrix in matrices.items():
-            stem = f"similarity_{_sanitize(tensor_name)}"
-            tables.append(ReportFile(f"{stem}.csv", _matrix_csv(matrix)))
-            figures.append(
-                ReportFile(
-                    f"{stem}.svg",
-                    _svg_heatmap(matrix, f"Cosine similarity ({tensor_name})"),
-                )
-            )
+    for stem, title, matrix in views:
+        tables.append(ReportFile(f"{stem}.csv", _matrix_csv(matrix)))
+        figures.append(ReportFile(f"{stem}.svg", _svg_heatmap(matrix, title)))
     return ReportBundle(name=name, tables=tuple(tables), figures=tuple(figures), inputs=inputs)
 
 

@@ -527,22 +527,24 @@ def cosine_similarity(
     dots = {name: add_up(size, sums)  # one walk over both maps
             for name, size, sums in _per_leaf([a.deltas, b.deltas], _leaf_products)}
     if granularity == "per_tensor":
-        out: dict[str, float | None] = {}
-        for name, dot in dots.items():
-            na, nb = sq_a[name], sq_b[name]
-            if na == 0.0 or nb == 0.0:
-                out[name] = None
-            else:
-                out[name] = float(np.clip(dot / math.sqrt(na * nb), -1.0, 1.0))
-        return out
+        return {name: _cosine(dot, sq_a[name], sq_b[name]) for name, dot in dots.items()}
     dot_total = norm_a = norm_b = 0.0
     for name, dot in dots.items():
         dot_total += dot
         norm_a += sq_a[name]
         norm_b += sq_b[name]
-    if norm_a == 0.0 or norm_b == 0.0:
+    value = _cosine(dot_total, norm_a, norm_b)
+    if value is None:
         raise ZeroNormError("global cosine similarity is undefined for a zero-norm task vector")
-    return float(np.clip(dot_total / math.sqrt(norm_a * norm_b), -1.0, 1.0))
+    return value
+
+
+def _cosine(dot: float, sq_a: float, sq_b: float) -> float | None:
+    """``dot / (|a| |b|)`` clamped to [-1, 1] from a dot product and two
+    squared sums, or None (undefined) when either norm is zero."""
+    if sq_a == 0.0 or sq_b == 0.0:
+        return None
+    return float(np.clip(dot / math.sqrt(sq_a * sq_b), -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -629,27 +631,22 @@ def similarity_matrix(
     labels = tuple(label for label, _ in labeled_vectors)
     vectors = [vector for _, vector in labeled_vectors]
     n = len(vectors)
-    if granularity == "global":
-        values = np.eye(n, dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                values[i, j] = values[j, i] = cosine_similarity(vectors[i], vectors[j], "global")
+    pairs = {(i, j): cosine_similarity(vectors[i], vectors[j], granularity)
+             for i in range(n) for j in range(i + 1, n)}
+
+    def matrix(diagonal: list[float], cells: dict) -> SimilarityMatrix:
+        """The symmetric matrix with ``diagonal`` and ``cells[(i, j)]`` (None: NaN) off it."""
+        values = np.diag(np.array(diagonal, dtype=np.float64))
+        for (i, j), value in cells.items():
+            values[i, j] = values[j, i] = np.nan if value is None else value
         return SimilarityMatrix(labels=labels, values=values)
-    names = vectors[0].deltas.names()
-    matrices = {name: np.eye(n, dtype=np.float64) for name in names}
-    for i in range(n):
-        for j in range(i + 1, n):
-            # granularity is "per_tensor" here, or cosine_similarity rejects it
-            per_tensor = cosine_similarity(vectors[i], vectors[j], granularity)
-            for name, value in per_tensor.items():
-                cell = np.nan if value is None else value
-                matrices[name][i, j] = matrices[name][j, i] = cell
+
+    if granularity == "global":
+        return matrix([1.0] * n, pairs)
     # A tensor whose squared sum is zero also has an undefined self-similarity.
-    for name in names:
-        for i, vector in enumerate(vectors):
-            if vector._squared_sums[name] == 0.0:
-                matrices[name][i, i] = np.nan
-    return {name: SimilarityMatrix(labels=labels, values=m) for name, m in matrices.items()}
+    return {name: matrix([np.nan if v._squared_sums[name] == 0.0 else 1.0 for v in vectors],
+                         {pair: per_tensor[name] for pair, per_tensor in pairs.items()})
+            for name in vectors[0].deltas.names()}
 
 
 def save_task_vector(tau: TaskVector, path: str | Path) -> None:
