@@ -9,6 +9,9 @@ plotted values exactly); SVG annotations are rounded for display only.
 Output layout on disk: ``<out_root>/<name>/manifest.json`` plus the bundle's
 ``*.csv`` and ``*.svg`` files. The manifest lists every emitted file with a
 sha256 digest; its own ``created_at`` stamp lives outside any hashed content.
+A bundle names each file once, and none ``manifest.json``: two inputs whose
+sanitized labels collide are a ValidationError, raised before anything is
+written, not one file silently overwriting the other.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from ._version import __version__
 from .errors import ValidationError
 from .sweep_harness import SweepResult, relative_wer
 from .tensor_store import open_replacing
-from .vector_ops import SimilarityMatrix, TaskVector, similarity_matrix
+from .vector_ops import SimilarityMatrix, TaskVector, require_finite_real, similarity_matrix
 
 _UNDEFINED_CELL = ""  # CSV marker for undefined (zero-norm) similarities
 
@@ -64,6 +67,14 @@ class ReportBundle:
     tables: tuple[ReportFile, ...]
     figures: tuple[ReportFile, ...]
     inputs: dict
+
+    def __post_init__(self):
+        seen = {"manifest.json"}
+        for _, f in self.files():
+            if f.name in seen:
+                raise ValidationError(
+                    f"report {self.name!r} would write the file {f.name!r} more than once")
+            seen.add(f.name)
 
     def files(self) -> list[tuple[str, ReportFile]]:
         return [("table", f) for f in self.tables] + [("figure", f) for f in self.figures]
@@ -315,6 +326,8 @@ def build_sweep_report(
     tables = []
     series = []
     for label, result in zip(labels, results):
+        if not result.records:
+            raise ValidationError(f"sweep series {label!r} has no records to plot")
         points = [(r.lam, r.wer) for r in result.records]
         tables.append(
             ReportFile(f"sweep_{_sanitize(label)}.csv", result.to_csv().encode("utf-8"))
@@ -352,6 +365,9 @@ def build_table_report(
     if not baseline:
         raise ValidationError("table report needs at least one domain")
     domains = list(baseline)
+    for d in domains:
+        require_finite_real(baseline[d], f"baseline WER of {d!r}")
+        require_finite_real(adapted[d], f"adapted WER of {d!r}")
     relatives = {d: relative_wer(baseline[d], adapted[d]) for d in domains}
     mean_baseline = sum(baseline.values()) / len(domains)
     mean_adapted = sum(adapted.values()) / len(domains)

@@ -481,6 +481,43 @@ def test_report_sweep_command(capsys, fixture_paths, tmp_path):
     assert (tmp_path / "reports" / "sweep" / "sweep.svg").exists()
 
 
+@pytest.mark.parametrize("case, named", [
+    ("tensor names that sanitize alike", "similarity_layer_1.w.csv"),
+    ("repeated sweep labels", "sweep_x.csv"),
+    ("empty records", "'empty'"), ("no records key", "'bare'"),
+    ("NaN WER", "adapted WER of 'Weather'"), ("Infinity WER", "baseline WER of 'Weather'")])
+def test_report_refusals_are_validation_errors_that_write_nothing(capsys, tmp_path, case, named):
+    deltas = TensorMap({name: np.ones(2, dtype=np.float32) for name in ("layer 1.w", "layer_1.w")})
+    taus = [tmp_path / f"tau_{i}.st" for i in range(2)]
+    for i, path in enumerate(taus):
+        save_task_vector(TaskVector(deltas, fingerprint(deltas), Provenance(f"d{i}")), path)
+    sweeps = {name: tmp_path / f"{name}.json" for name in ("one", "empty", "bare")}
+    sweeps["one"].write_text(json.dumps({"lambda_grid": [0.0],
+                                         "records": [{"lambda": 0.0, "wer": 1.0}]}))
+    sweeps["empty"].write_text(json.dumps({"lambda_grid": [0.0], "records": []}))
+    sweeps["bare"].write_text(json.dumps({"lambda_grid": [0.0]}))
+    wers = {name: tmp_path / f"{name}.json" for name in ("finite", "nan", "inf")}
+    for name, text in (("finite", "15.45"), ("nan", "NaN"), ("inf", "Infinity")):
+        wers[name].write_text(f'{{"Weather": {text}}}')
+    out = tmp_path / "out"
+    argv = {
+        "tensor names that sanitize alike":
+            ["report", "similarity", *taus, "--granularity", "per_tensor"],
+        "repeated sweep labels": ["report", "sweep", sweeps["one"], sweeps["one"],
+                                  "--labels", "x,x"],
+        "empty records": ["report", "sweep", sweeps["one"], sweeps["empty"]],
+        "no records key": ["report", "sweep", sweeps["bare"]],
+        "NaN WER": ["report", "table", "--baseline", wers["finite"], "--adapted", wers["nan"]],
+        "Infinity WER": ["report", "table", "--baseline", wers["inf"], "--adapted",
+                         wers["finite"]],
+    }[case]
+    code, payload, err = run_cli(capsys, *argv, "--out-dir", out)
+    assert (code, payload) == (1, None)
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation" and named in error["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case, exit_code", [
     ("diff", 2), ("apply", 2), ("cosine", 1), ("report sweep", 1),
     ("report sweep record", 1), ("report table", 1)])

@@ -9,6 +9,8 @@ import pytest
 
 from synvec.errors import ValidationError
 from synvec.report import (
+    ReportBundle,
+    ReportFile,
     build_similarity_report,
     build_sweep_report,
     build_table_report,
@@ -200,6 +202,12 @@ def test_table_report_non_positive_baseline():
         build_table_report({"a": 0.0}, {"a": 1.0})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_table_report_rejects_non_finite_wer(value):
+    with pytest.raises(ValidationError, match="adapted WER of 'a' must be a finite"):
+        build_table_report({"a": 10.0}, {"a": value})
+
+
 # --- bundle writing ---
 
 
@@ -230,6 +238,13 @@ def test_regeneration_yields_identical_digests(tmp_path):
     m2 = json.loads((second / "manifest.json").read_text())
     digests = lambda m: {f["name"]: f["sha256"] for f in m["files"]}
     assert digests(m1) == digests(m2)
+
+
+@pytest.mark.parametrize("names", [("a.csv", "a.csv"), ("manifest.json",)])
+def test_bundle_refuses_a_file_name_it_would_write_twice(names):
+    files = tuple(ReportFile(name, str(i).encode()) for i, name in enumerate(names))
+    with pytest.raises(ValidationError, match=f"file {names[-1]!r} more than once"):
+        ReportBundle(name="r", tables=files, figures=(), inputs={})
 
 
 # --- golden bytes ---
