@@ -1,5 +1,6 @@
 """CLI: thin wrapping of module ops, JSON stdout, exit-code contract."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 from synvec import cli, tensor_store, vector_ops
 from synvec.cli import main
 from synvec.tensor_store import TensorMap, fingerprint, read_checkpoint, write_checkpoint
-from synvec.toy_experiment import ToyDataSpec, TrainConfig
+from synvec.toy_experiment import ConditionShift, ToyDataSpec, TrainConfig
 from synvec.vector_ops import (
     Provenance,
     TaskVector,
@@ -421,6 +422,58 @@ def test_toy_run_flags_default_to_the_dataclass_defaults(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_adaptation_protocol", recording)
     assert run_cli(capsys, "toy-run")[0] == 0
     assert calls == [(ToyDataSpec(), TrainConfig())]
+
+
+# Every toy-run parameter flag at a value other than its default, and the
+# dataclasses those flags must build.
+TOY_FLAGS = [
+    "--num-classes-per-domain", "3", "--feature-dim", "6", "--num-source-domains", "2",
+    "--class-mean-scale", "0.9", "--domain-offset-scale", "0.5", "--base-noise-stddev", "0.7",
+    "--channel-gain", "0.6", "--channel-scale", "0.3", "--channel-bias-scale", "0.5",
+    "--extra-noise-stddev", "0.9", "--samples-per-class", "8", "--channel-variant", "2",
+    "--data-seed", "5", "--learning-rate", "0.2", "--epochs", "4", "--batch-size", "16",
+    "--l2-penalty", "0.001", "--train-seed", "7",
+]
+TOY_FLAG_SPEC = ToyDataSpec(
+    num_classes_per_domain=3, feature_dim=6, num_source_domains=2, class_mean_scale=0.9,
+    domain_offset_scale=0.5, base_noise_stddev=0.7,
+    condition_shift=ConditionShift(channel_gain=0.6, channel_scale=0.3, channel_bias_scale=0.5,
+                                   extra_noise_stddev=0.9),
+    samples_per_class=8, channel_variant=2, seed=5,
+)
+TOY_FLAG_CONFIG = TrainConfig(learning_rate=0.2, epochs=4, batch_size=16, l2_penalty=0.001,
+                              seed=7)
+
+
+def test_toy_run_flags_reach_every_dataclass_field(capsys, monkeypatch):
+    for value, default in ((TOY_FLAG_SPEC, ToyDataSpec()),
+                           (TOY_FLAG_SPEC.condition_shift, ConditionShift()),
+                           (TOY_FLAG_CONFIG, TrainConfig())):
+        assert all(getattr(value, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(value))
+    calls = []
+
+    def recording(spec, config, grid, num_seeds):
+        calls.append((spec, config, grid, num_seeds))
+        return SimpleNamespace(to_json=str, to_csv=str, to_json_obj=dict)
+
+    monkeypatch.setattr(cli, "run_ensemble_protocol", recording)
+    argv = ["--seed", "9", "toy-run", "--protocol", "ensemble", *TOY_FLAGS,
+            "--lambdas", "0.0,0.5", "--num-seeds", "2"]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == [(TOY_FLAG_SPEC, TOY_FLAG_CONFIG, (0.0, 0.5), 2)]
+
+
+@pytest.mark.parametrize("protocol, digest", [
+    ("single", "10a4acad4374f827793563c6b38fa0a3c5bada3c89fbae0cf6482face9fefef7"),
+    ("ensemble", "ae8b0aa7ef021d946624ce0a199796e8610ce6656f80e45ce7b675ebcc8cf9f0"),
+])
+def test_toy_run_json_with_every_flag_set_is_pinned(capsys, tmp_path, protocol, digest):
+    json_out = tmp_path / "toy.json"
+    code, _, _ = run_cli(capsys, "toy-run", "--protocol", protocol, *TOY_FLAGS,
+                         "--lambdas", "0.0,0.5,1.0", "--num-seeds", 2, "--json-out", json_out)
+    assert code == 0
+    assert hashlib.sha256(json_out.read_bytes()).hexdigest() == digest
 
 
 def test_toy_run_ensemble_protocol(capsys):
