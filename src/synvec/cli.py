@@ -15,6 +15,7 @@ import logging
 import signal
 import sys
 import threading
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from . import __version__
@@ -234,31 +235,29 @@ def _cmd_ablate(args) -> dict:
     return _write_result(args, result)
 
 
+def _toy_flag_fields():
+    """The toy-run parameters with a flag named after them: each bounded field
+    of the toy dataclasses but the seeds, whose flags default to the global
+    --seed."""
+    return [f for cls in (ToyDataSpec, ConditionShift, TrainConfig) for f in fields(cls)
+            if "low" in f.metadata and f.name != "seed"]
+
+
+def _from_flags(args, cls, **given):
+    """``cls`` with ``given``, a nested toy dataclass built from its own flags,
+    and each other field from the flag named after it."""
+    return cls(**given, **{
+        f.name: _from_flags(args, type(f.default)) if is_dataclass(f.default)
+        else getattr(args, f.name)
+        for f in fields(cls) if f.name not in given
+    })
+
+
 def _cmd_toy_run(args) -> dict:
-    spec = ToyDataSpec(
-        num_classes_per_domain=args.num_classes_per_domain,
-        feature_dim=args.feature_dim,
-        num_source_domains=args.num_source_domains,
-        class_mean_scale=args.class_mean_scale,
-        domain_offset_scale=args.domain_offset_scale,
-        base_noise_stddev=args.base_noise_stddev,
-        condition_shift=ConditionShift(
-            channel_gain=args.channel_gain,
-            channel_scale=args.channel_scale,
-            channel_bias_scale=args.channel_bias_scale,
-            extra_noise_stddev=args.extra_noise_stddev,
-        ),
-        samples_per_class=args.samples_per_class,
-        channel_variant=args.channel_variant,
-        seed=args.data_seed if args.data_seed is not None else args.seed,
-    )
-    config = TrainConfig(
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        l2_penalty=args.l2_penalty,
-        seed=args.train_seed if args.train_seed is not None else args.seed,
-    )
+    spec = _from_flags(args, ToyDataSpec,
+                       seed=args.seed if args.data_seed is None else args.data_seed)
+    config = _from_flags(args, TrainConfig,
+                         seed=args.seed if args.train_seed is None else args.train_seed)
     grid = _parse_list(args.lambdas) if args.lambdas else DEFAULT_LAMBDA_GRID
     runner = run_ensemble_protocol if args.protocol == "ensemble" else run_adaptation_protocol
     return _write_result(args, runner(spec, config, grid, args.num_seeds))
@@ -332,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"synvec {__version__}")
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
-    parser.add_argument("--seed", type=int, default=0, help="default seed for seeded commands")
+    parser.add_argument("--seed", type=_count(0), default=0,
+                        help="default seed for seeded commands")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("diff", help="task vector = real checkpoint - synthetic checkpoint")
@@ -386,29 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toy-run", help="run the desk-scale adaptation experiment")
     p.add_argument("--protocol", default="single", choices=["single", "ensemble"])
-    p.add_argument("--num-classes-per-domain", type=_count(2),
-                   default=ToyDataSpec.num_classes_per_domain)
-    p.add_argument("--feature-dim", type=_count(1), default=ToyDataSpec.feature_dim)
-    p.add_argument("--num-source-domains", type=_count(1), default=ToyDataSpec.num_source_domains)
-    p.add_argument("--class-mean-scale", type=float, default=ToyDataSpec.class_mean_scale)
-    p.add_argument("--domain-offset-scale", type=float, default=ToyDataSpec.domain_offset_scale)
-    p.add_argument("--base-noise-stddev", type=float, default=ToyDataSpec.base_noise_stddev)
-    p.add_argument("--channel-gain", type=float, default=ConditionShift.channel_gain)
-    p.add_argument("--channel-scale", type=float, default=ConditionShift.channel_scale)
-    p.add_argument("--channel-bias-scale", type=float,
-                   default=ConditionShift.channel_bias_scale)
-    p.add_argument("--extra-noise-stddev", type=float,
-                   default=ConditionShift.extra_noise_stddev)
-    p.add_argument("--samples-per-class", type=_count(1),
-                   default=ToyDataSpec.samples_per_class)
-    p.add_argument("--channel-variant", type=int, default=ToyDataSpec.channel_variant)
-    p.add_argument("--data-seed", type=int, default=None,
+    for f in _toy_flag_fields():
+        p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                       type=_count(f.metadata["low"]) if type(f.default) is int else float)
+    p.add_argument("--data-seed", type=_count(0), default=None,
                    help="defaults to the global --seed")
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--epochs", type=_count(0), default=TrainConfig.epochs)
-    p.add_argument("--batch-size", type=_count(1), default=TrainConfig.batch_size)
-    p.add_argument("--l2-penalty", type=float, default=TrainConfig.l2_penalty)
-    p.add_argument("--train-seed", type=int, default=None,
+    p.add_argument("--train-seed", type=_count(0), default=None,
                    help="defaults to the global --seed")
     p.add_argument("--lambdas", default=None,
                    help="comma-separated grid (default 0.0,0.1,...,1.0)")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from .vector_ops import (
     apply_task_vector,
     compute_task_vector,
     ensemble_average,
+    require_finite_real,
 )
 
 # Stream tags for deriving independent generator streams from one seed.
@@ -43,6 +44,26 @@ _CHANNEL_STREAM = 3
 
 WEIGHT_TENSOR = "linear.weight"
 BIAS_TENSOR = "linear.bias"
+
+
+def _bounded(default, low, above=False):
+    """A dataclass field with ``default`` whose value must be a finite number
+    of at least ``low``, or above ``low`` if ``above`` is set; the bound is kept
+    in the field's metadata, where :func:`_check_bounds` and the CLI read it."""
+    return field(default=default, metadata={"low": low, "above": above})
+
+
+def _check_bounds(instance) -> None:
+    """A ValidationError naming the first bounded field of ``instance`` whose
+    value is not finite or falls outside its bound."""
+    for f in fields(instance):
+        if "low" in f.metadata:
+            value = require_finite_real(getattr(instance, f.name), f.name)
+            low, above = f.metadata["low"], f.metadata["above"]
+            if value < low or (above and value == low):
+                raise ValidationError(
+                    f"{f.name} must be {'>' if above else '>='} {low}, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -58,17 +79,13 @@ class ConditionShift:
     equal seeds.
     """
 
-    channel_gain: float = 0.5
-    channel_scale: float = 0.25
-    channel_bias_scale: float = 0.6
-    extra_noise_stddev: float = 1.0
+    channel_gain: float = _bounded(0.5, 0, above=True)
+    channel_scale: float = _bounded(0.25, 0)
+    channel_bias_scale: float = _bounded(0.6, 0)
+    extra_noise_stddev: float = _bounded(1.0, 0)
 
     def __post_init__(self):
-        if self.channel_gain <= 0:
-            raise ValidationError("channel_gain must be positive")
-        for name in ("channel_scale", "channel_bias_scale", "extra_noise_stddev"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
+        _check_bounds(self)
 
 
 ZERO_SHIFT = ConditionShift(1.0, 0.0, 0.0, 0.0)
@@ -83,24 +100,19 @@ class ToyDataSpec:
     Generation is a pure function of (spec fields, domain, condition, split).
     """
 
-    num_classes_per_domain: int = 10
-    feature_dim: int = 32
-    num_source_domains: int = 1
-    class_mean_scale: float = 0.8
-    domain_offset_scale: float = 0.4
-    base_noise_stddev: float = 0.85
+    num_classes_per_domain: int = _bounded(10, 2)
+    feature_dim: int = _bounded(32, 1)
+    num_source_domains: int = _bounded(1, 1)
+    class_mean_scale: float = _bounded(0.8, 0)
+    domain_offset_scale: float = _bounded(0.4, 0)
+    base_noise_stddev: float = _bounded(0.85, 0)
     condition_shift: ConditionShift = ConditionShift()
-    samples_per_class: int = 32
-    channel_variant: int = 0
-    seed: int = 0
+    samples_per_class: int = _bounded(32, 1)
+    channel_variant: int = _bounded(0, 0)
+    seed: int = _bounded(0, 0)
 
     def __post_init__(self):
-        if self.num_classes_per_domain < 2:
-            raise ValidationError("num_classes_per_domain must be at least 2")
-        if self.feature_dim < 1 or self.num_source_domains < 1 or self.samples_per_class < 1:
-            raise ValidationError("dims, domain count, and samples_per_class must be positive")
-        if self.base_noise_stddev < 0 or self.class_mean_scale < 0 or self.domain_offset_scale < 0:
-            raise ValidationError("scales and stddevs must be non-negative")
+        _check_bounds(self)
 
     @property
     def num_classes_total(self) -> int:
@@ -225,17 +237,14 @@ def concat_datasets(datasets: Sequence[ToyDataset]) -> ToyDataset:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.1
-    epochs: int = 30
-    batch_size: int = 32
-    l2_penalty: float = 1e-4
-    seed: int = 0
+    learning_rate: float = _bounded(0.1, 0, above=True)
+    epochs: int = _bounded(30, 0)
+    batch_size: int = _bounded(32, 1)
+    l2_penalty: float = _bounded(1e-4, 0)
+    seed: int = _bounded(0, 0)
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs < 0 or self.batch_size < 1:
-            raise ValidationError("learning_rate and batch_size must be positive, epochs >= 0")
-        if self.l2_penalty < 0:
-            raise ValidationError("l2_penalty must be non-negative")
+        _check_bounds(self)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,21 @@ def test_unknown_domain_and_condition_rejected():
 def test_unknown_domain_label_rejected(domain):
     with pytest.raises(ValidationError, match="unknown domain"):
         generate_toy_data(small_spec(num_source_domains=3), domain, "real", "train")
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (ToyDataSpec, "class_mean_scale", math.inf),
+    (ToyDataSpec, "base_noise_stddev", math.nan),
+    (ConditionShift, "extra_noise_stddev", math.inf),
+    (TrainConfig, "learning_rate", math.nan),
+    (TrainConfig, "l2_penalty", math.inf),
+    (ToyDataSpec, "channel_variant", -1),
+    (ToyDataSpec, "seed", -1),
+    (TrainConfig, "seed", -1),
+])
+def test_toy_parameters_outside_their_bounds_are_validation_errors(cls, field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        cls(**{field: value})
 
 
 def test_channel_is_shared_across_seeds_within_variant():
