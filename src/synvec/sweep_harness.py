@@ -7,12 +7,13 @@ Anything else counts as a per-grid-point failure, as does a checkpoint that
 cannot be written (``io``) or would hold a NaN or infinity (``non_finite``). A
 run only fails outright when every point fails: with a NonFiniteValueError if
 every failure is ``non_finite``, else with an EvaluatorError.
-``SYNVEC_EVAL_TIMEOUT_SECS`` (default 3600) bounds each invocation. Each
-evaluator runs in a session of its own, so a timeout kills it together with
-any children it started. Being in its own session, it does not see a Ctrl-C
-or a signal sent to synvec's process group, so an exception that ends a sweep
-or an ablation (KeyboardInterrupt included) kills every evaluator group the
-run still has, and the run starts no more.
+``SYNVEC_EVAL_TIMEOUT_SECS`` (default 3600, at most ``MAX_TIMEOUT_SECS``)
+bounds each invocation. Each evaluator runs in a session of its own, so a
+timeout kills it together with any children it started. Being in its own
+session, it does not see a Ctrl-C or a signal sent to synvec's process
+group, so an exception that ends a sweep or an ablation (KeyboardInterrupt
+included) kills every evaluator group the run still has, and the run starts
+no more.
 
 Every sweep and ablation point is a task (checkpoint name, scaling factor,
 vectors) that :func:`~synvec.vector_ops.apply_ensemble` materializes, run on one
@@ -67,6 +68,9 @@ logger = logging.getLogger(__name__)
 
 TIMEOUT_ENV_VAR = "SYNVEC_EVAL_TIMEOUT_SECS"
 DEFAULT_TIMEOUT_SECS = 3600.0
+# The longest wait Popen.communicate hands to poll(), which counts milliseconds
+# in a C int; a longer one raises OverflowError.
+MAX_TIMEOUT_SECS = (2**31 - 1) / 1000
 
 # Sweep grid 0.0, 0.1, ..., 1.0; zero anchors the unmodified-model baseline.
 DEFAULT_LAMBDA_GRID = tuple(round(i / 10, 1) for i in range(11))
@@ -226,8 +230,9 @@ def _eval_timeout() -> float:
         timeout = float(raw)
     except ValueError:
         raise ValidationError(f"{TIMEOUT_ENV_VAR} must be a number, got {raw!r}")
-    if timeout <= 0:
-        raise ValidationError(f"{TIMEOUT_ENV_VAR} must be positive, got {raw!r}")
+    if not 0 < timeout <= MAX_TIMEOUT_SECS:  # also false for NaN
+        raise ValidationError(f"{TIMEOUT_ENV_VAR} must be a positive number of seconds, "
+                              f"at most {MAX_TIMEOUT_SECS}, got {raw!r}")
     return timeout
 
 
@@ -348,7 +353,9 @@ def _run_directory(config: SweepConfig) -> Iterator[Path]:
     a workdir never share a file: the first free ``run_NNN``, made
     atomically. A run that starts after another has ended takes the same
     name, so canonical results still repeat. The directory is removed at the
-    end unless it holds kept checkpoints."""
+    end unless it holds kept checkpoints. A bad evaluator timeout is refused
+    before anything is made."""
+    _eval_timeout()
     config.workdir.mkdir(parents=True, exist_ok=True)
     for number in itertools.count():
         path = config.workdir / f"run_{number:03d}"
@@ -531,6 +538,8 @@ def run_domain_ablation(
     seed_list = [int(s) for s in seeds]
     if policy == "random" and not seed_list:
         raise ValidationError("random policy needs at least one seed")
+    if any(s < 0 for s in seed_list):
+        raise ValidationError(f"seeds must be non-negative, got {seed_list}")
 
     subsets: list[tuple[int, int, list[TaskVector]]] = []  # (k, seed, subset), in (k, seed) order
     for k in ks:

@@ -618,6 +618,8 @@ def test_usage_error_exits_64(capsys):
           "--workers", "0"], "--workers"),
         (["ablate", "SYN", "TAU", "--lambda", "0.5", "--evaluator", CONSTANT_EVALUATOR,
           "--workdir", "WORK", "--workers", "-2"], "--workers"),
+        (["--seed", "-1", "ablate", "SYN", "TAU", "--lambda", "0.5", "--evaluator",
+          CONSTANT_EVALUATOR, "--workdir", "WORK"], "--seed"),
     ],
 )
 def test_non_positive_counts_are_usage_errors(capsys, fixture_paths, tmp_path, argv, flag):
@@ -634,12 +636,47 @@ def test_non_positive_counts_are_usage_errors(capsys, fixture_paths, tmp_path, a
 @pytest.mark.parametrize("flag, value", [
     ("--batch-size", "0"), ("--epochs", "-1"), ("--num-source-domains", "0"),
     ("--feature-dim", "0"), ("--samples-per-class", "0"), ("--num-classes-per-domain", "1"),
+    ("--channel-variant", "-1"), ("--data-seed", "-1"), ("--train-seed", "-1"),
 ])
 def test_toy_count_flags_below_their_minimum_are_usage_errors(capsys, flag, value):
     assert main(["toy-run", flag, value]) == 64
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == "usage"
     assert flag in error["message"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--base-noise-stddev", "nan", "--epochs", "0"], "base_noise_stddev"),
+    (["--learning-rate", "nan"], "learning_rate"),
+    (["--channel-gain", "inf"], "channel_gain"),
+])
+def test_toy_parameters_outside_their_bounds_are_validation_errors(capsys, argv, field):
+    code, payload, err = run_cli(capsys, "toy-run", *argv)
+    assert (code, payload) == (1, None)
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation"
+    assert error["message"].startswith(f"{field} must be")
+
+
+@pytest.mark.parametrize("case", ["timeout inf", "timeout 1e400", "timeout nan",
+                                  "timeout 1e9", "ablate seed"])
+def test_refused_runs_exit_1_before_writing(capsys, monkeypatch, fixture_paths, case):
+    tmp_path, _, _ = fixture_paths
+    argv = sweep_args(fixture_paths)
+    kind, value = case.split()
+    if kind == "timeout":
+        monkeypatch.setenv("SYNVEC_EVAL_TIMEOUT_SECS", value)
+        named = "SYNVEC_EVAL_TIMEOUT_SECS"
+    else:
+        argv = ["ablate", *argv[1:3], "--lambda", "0.5", "--policy", "random", "--seeds=-1",
+                *argv[3:7]]
+        named = "seeds"
+    code, payload, err = run_cli(capsys, *argv)
+    assert (code, payload) == (1, None)
+    assert "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation" and error["message"].startswith(f"{named} must be")
+    assert not (tmp_path / "work").exists()
 
 
 def test_help_exits_zero_and_lists_subcommands(capsys):
