@@ -1,9 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from synvec.tensor_store import Dtype, TensorMap, write_checkpoint
 
 DTYPES = (np.float16, np.float32, np.float64)
+
+# pytest's pythonpath setting reaches this process only; the CLI runs and
+# peak-RSS probes that tests start import synvec from the same tree.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def random_shape(rng, max_dims=3, max_side=8):
