@@ -235,14 +235,6 @@ def _cmd_ablate(args) -> dict:
     return _write_result(args, result)
 
 
-def _toy_flag_fields():
-    """The toy-run parameters with a flag named after them: each bounded field
-    of the toy dataclasses but the seeds, whose flags default to the global
-    --seed."""
-    return [f for cls in (ToyDataSpec, ConditionShift, TrainConfig) for f in fields(cls)
-            if "low" in f.metadata and f.name != "seed"]
-
-
 def _from_flags(args, cls, **given):
     """``cls`` with ``given``, a nested toy dataclass built from its own flags,
     and each other field from the flag named after it."""
@@ -386,9 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toy-run", help="run the desk-scale adaptation experiment")
     p.add_argument("--protocol", default="single", choices=["single", "ensemble"])
-    for f in _toy_flag_fields():
-        p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
-                       type=_count(f.metadata["low"]) if type(f.default) is int else float)
+    # A flag per bounded field, named after it, with its default and bound; the
+    # seeds' flags below default to the global --seed.
+    for cls in (ToyDataSpec, ConditionShift, TrainConfig):
+        for f in fields(cls):
+            if "low" in f.metadata and f.name != "seed":
+                kind = _count(f.metadata["low"]) if type(f.default) is int else float
+                p.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
     p.add_argument("--data-seed", type=_count(0), default=None,
                    help="defaults to the global --seed")
     p.add_argument("--train-seed", type=_count(0), default=None,

@@ -68,8 +68,7 @@ logger = logging.getLogger(__name__)
 
 TIMEOUT_ENV_VAR = "SYNVEC_EVAL_TIMEOUT_SECS"
 DEFAULT_TIMEOUT_SECS = 3600.0
-# The longest wait Popen.communicate hands to poll(), which counts milliseconds
-# in a C int; a longer one raises OverflowError.
+# Popen.communicate waits in poll(), whose C int of milliseconds overflows past this.
 MAX_TIMEOUT_SECS = (2**31 - 1) / 1000
 
 # Sweep grid 0.0, 0.1, ..., 1.0; zero anchors the unmodified-model baseline.
@@ -229,10 +228,10 @@ def _eval_timeout() -> float:
     try:
         timeout = float(raw)
     except ValueError:
-        raise ValidationError(f"{TIMEOUT_ENV_VAR} must be a number, got {raw!r}")
+        timeout = math.nan
     if not 0 < timeout <= MAX_TIMEOUT_SECS:  # also false for NaN
-        raise ValidationError(f"{TIMEOUT_ENV_VAR} must be a positive number of seconds, "
-                              f"at most {MAX_TIMEOUT_SECS}, got {raw!r}")
+        raise ValidationError(f"{TIMEOUT_ENV_VAR} must be a number of seconds in "
+                              f"(0, {MAX_TIMEOUT_SECS}], got {raw!r}")
     return timeout
 
 
@@ -353,9 +352,8 @@ def _run_directory(config: SweepConfig) -> Iterator[Path]:
     a workdir never share a file: the first free ``run_NNN``, made
     atomically. A run that starts after another has ended takes the same
     name, so canonical results still repeat. The directory is removed at the
-    end unless it holds kept checkpoints. A bad evaluator timeout is refused
-    before anything is made."""
-    _eval_timeout()
+    end unless it holds kept checkpoints."""
+    _eval_timeout()  # a bad timeout is refused before the run makes anything
     config.workdir.mkdir(parents=True, exist_ok=True)
     for number in itertools.count():
         path = config.workdir / f"run_{number:03d}"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -47,23 +48,26 @@ BIAS_TENSOR = "linear.bias"
 
 
 def _bounded(default, low, above=False):
-    """A dataclass field with ``default`` whose value must be a finite number
-    of at least ``low``, or above ``low`` if ``above`` is set; the bound is kept
-    in the field's metadata, where :func:`_check_bounds` and the CLI read it."""
+    """A dataclass field with ``default`` whose value must be a finite number,
+    an integer if ``default`` is one, of at least ``low``, or above ``low`` if
+    ``above`` is set; the bound is kept in the field's metadata, where
+    :func:`_check_bounds` and the CLI read it."""
     return field(default=default, metadata={"low": low, "above": above})
 
 
 def _check_bounds(instance) -> None:
     """A ValidationError naming the first bounded field of ``instance`` whose
-    value is not finite or falls outside its bound."""
+    value is not finite, not an integer where the default is one, or outside
+    its bound."""
     for f in fields(instance):
         if "low" in f.metadata:
             value = require_finite_real(getattr(instance, f.name), f.name)
             low, above = f.metadata["low"], f.metadata["above"]
-            if value < low or (above and value == low):
-                raise ValidationError(
-                    f"{f.name} must be {'>' if above else '>='} {low}, got {value!r}"
-                )
+            integral = type(f.default) is int
+            if (value < low or (above and value == low)
+                    or integral and not isinstance(value, numbers.Integral)):
+                raise ValidationError(f"{f.name} must be {'an integer' if integral else 'a number'}"
+                                      f" {'>' if above else '>='} {low}, got {value!r}")
 
 
 @dataclass(frozen=True)

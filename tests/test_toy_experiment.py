@@ -114,6 +114,8 @@ def test_unknown_domain_label_rejected(domain):
     (ToyDataSpec, "channel_variant", -1),
     (ToyDataSpec, "seed", -1),
     (TrainConfig, "seed", -1),
+    (ToyDataSpec, "feature_dim", 2.5),
+    (TrainConfig, "epochs", 2.0),
 ])
 def test_toy_parameters_outside_their_bounds_are_validation_errors(cls, field, value):
     with pytest.raises(ValidationError, match=f"^{field} must be"):
