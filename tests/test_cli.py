@@ -668,8 +668,8 @@ def test_refused_runs_exit_1_before_writing(capsys, monkeypatch, fixture_paths, 
         monkeypatch.setenv("SYNVEC_EVAL_TIMEOUT_SECS", value)
         named = "SYNVEC_EVAL_TIMEOUT_SECS"
     else:
-        argv = ["ablate", *argv[1:3], "--lambda", "0.5", "--policy", "random", "--seeds=-1",
-                *argv[3:7]]
+        # The sweep's model, vector, evaluator and workdir, without its --lambdas.
+        argv = ["ablate", *argv[1:-2], "--lambda", "0.5", "--policy", "random", "--seeds=-1"]
         named = "seeds"
     code, payload, err = run_cli(capsys, *argv)
     assert (code, payload) == (1, None)
