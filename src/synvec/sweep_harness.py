@@ -61,6 +61,7 @@ from .vector_ops import (
     TaskVector,
     apply_ensemble,
     ensemble_average,
+    require_count,
     require_finite_real,
 )
 
@@ -107,8 +108,7 @@ class SweepConfig:
             raise ValidationError("evaluator command must be non-empty")
         object.__setattr__(self, "lambda_grid", validate_lambda_grid(self.lambda_grid))
         object.__setattr__(self, "workdir", Path(self.workdir))
-        if self.parallel_workers < 1:
-            raise ValidationError("parallel_workers must be a positive integer")
+        require_count(self.parallel_workers, "parallel_workers", 1)
 
 
 @dataclass(frozen=True)
@@ -528,16 +528,14 @@ def run_domain_ablation(
     total = len(vector_list)
     if ks is None:
         ks = range(1, total + 1)
-    ks = [int(k) for k in ks]
-    if any(k < 1 or k > total for k in ks):
+    ks = [int(require_count(k, "ks", 1)) for k in ks]
+    if any(k > total for k in ks):
         raise ValidationError(f"every k must lie in 1..{total}, got {ks}")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValidationError(f"k values must be strictly increasing, got {ks}")
-    seed_list = [int(s) for s in seeds]
+    seed_list = [int(require_count(s, "seeds", 0)) for s in seeds]
     if policy == "random" and not seed_list:
         raise ValidationError("random policy needs at least one seed")
-    if any(s < 0 for s in seed_list):
-        raise ValidationError(f"seeds must be non-negative, got {seed_list}")
 
     subsets: list[tuple[int, int, list[TaskVector]]] = []  # (k, seed, subset), in (k, seed) order
     for k in ks:

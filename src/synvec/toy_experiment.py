@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -34,6 +33,7 @@ from .vector_ops import (
     apply_task_vector,
     compute_task_vector,
     ensemble_average,
+    require_count,
     require_finite_real,
 )
 
@@ -49,25 +49,24 @@ BIAS_TENSOR = "linear.bias"
 
 def _bounded(default, low, above=False):
     """A dataclass field with ``default`` whose value must be a finite number,
-    an integer if ``default`` is one, of at least ``low``, or above ``low`` if
-    ``above`` is set; the bound is kept in the field's metadata, where
-    :func:`_check_bounds` and the CLI read it."""
+    an integer if ``default`` is one, of at least ``low``, or a float above
+    ``low`` if ``above`` is set; the bound is kept in the field's metadata,
+    where :func:`_check_bounds` and the CLI read it."""
     return field(default=default, metadata={"low": low, "above": above})
 
 
 def _check_bounds(instance) -> None:
     """A ValidationError naming the first bounded field of ``instance`` whose
-    value is not finite, not an integer where the default is one, or outside
-    its bound."""
+    value is not an integer of at least its bound where the default is one
+    (:func:`require_count`), or else not finite or outside its bound."""
     for f in fields(instance):
         if "low" in f.metadata:
-            value = require_finite_real(getattr(instance, f.name), f.name)
-            low, above = f.metadata["low"], f.metadata["above"]
-            integral = type(f.default) is int
-            if (value < low or (above and value == low)
-                    or integral and not isinstance(value, numbers.Integral)):
-                raise ValidationError(f"{f.name} must be {'an integer' if integral else 'a number'}"
-                                      f" {'>' if above else '>='} {low}, got {value!r}")
+            value, low, above = getattr(instance, f.name), f.metadata["low"], f.metadata["above"]
+            if type(f.default) is int:
+                require_count(value, f.name, low)
+            elif require_finite_real(value, f.name) < low or above and value == low:
+                raise ValidationError(f"{f.name} must be a number {'>' if above else '>='} {low},"
+                                      f" got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,9 @@ class ToyDataSpec:
 
     def __post_init__(self):
         _check_bounds(self)
+        if not isinstance(self.condition_shift, ConditionShift):
+            raise ValidationError(
+                f"condition_shift must be a ConditionShift, got {self.condition_shift!r}")
 
     @property
     def num_classes_total(self) -> int:
@@ -604,8 +606,7 @@ def _run_protocol(
     """Per seed, the mean of the task vectors of the named domain groups
     (see :func:`_condition_vectors`) adapts the target model."""
     grid = validate_lambda_grid(lambda_grid)
-    if num_seeds < 1:
-        raise ValidationError("num_seeds must be positive")
+    require_count(num_seeds, "num_seeds", 1)
     specs = [replace(data_spec, seed=_derived_seed(data_spec.seed, i)) for i in range(num_seeds)]
     configs = [replace(train_config, seed=_derived_seed(train_config.seed, i))
                for i in range(num_seeds)]
@@ -652,7 +653,8 @@ def run_ensemble_protocol(
     pool, target model) fixed, which isolates the effect of ensemble size.
     With one source domain this reduces exactly to the pooled protocol.
     """
-    if num_vectors is not None and not 1 <= num_vectors <= data_spec.num_source_domains:
+    if (num_vectors is not None
+            and require_count(num_vectors, "num_vectors", 1) > data_spec.num_source_domains):
         raise ValidationError(
             f"num_vectors must lie in 1..{data_spec.num_source_domains}, got {num_vectors}"
         )

@@ -12,18 +12,19 @@ means) runs in F64 with a deterministic, fixed reduction order regardless of
 storage dtype. Small deltas between large weights survive this; they would
 not survive F16 arithmetic.
 
-Five operations share one elementwise kernel: compute, apply, scale, the
-ensemble mean, and the apply of an ensemble, which fuses the mean into the
-apply leaf by leaf (see :func:`apply_ensemble`). Each tensor is processed
-leaf by leaf (``tensor_store.leaves``, at most
-``tensor_store.BLOCK_ELEMENTS`` elements each), widened into compute-dtype
-scratch allocated once per call, operated on, narrowed into a reused output
-window and checked for NaN/inf while the leaf is still in cache. It is the
-arithmetic's only finite check: a NaN or infinity in an operand makes the
-output at its index non-finite, so the error path can name that operand
-without a scan of the inputs. No operation produces a non-finite value.
+Four operations share one elementwise kernel: compute, apply, scale and the
+ensemble mean; applying an ensemble runs apply's pass over the model and the
+mean, read as a stream, so a window's mean is checked before it is shifted
+(see :func:`apply_ensemble`). Each tensor is processed leaf by leaf
+(``tensor_store.leaves``, at most ``tensor_store.BLOCK_ELEMENTS`` elements
+each), widened into compute-dtype scratch allocated once per call, operated
+on, narrowed into a reused output window and checked for NaN/inf while the
+leaf is still in cache. It is the arithmetic's only finite check: a NaN or
+infinity in an operand makes the output at its index non-finite, so the
+error path can name that operand without a scan of the inputs. No operation
+produces a non-finite value.
 
-The kernel yields the output a window at a time (``tensor_store.walk``),
+The kernel yields the output a window at a time (``tensor_store.windows``),
 and each operand hands back the mapped pages behind each window. Without
 ``out``, the windows are collected into one array per tensor (scale takes
 no ``out``). With ``out=path``, each window is written to ``path`` as it is
@@ -80,6 +81,7 @@ from .tensor_store import (
     schema_compatible,
     schema_of,
     walk,
+    windows,
     write_and_map,
     write_checkpoint,
 )
@@ -204,40 +206,44 @@ def require_finite_real(value, what: str):
     return value
 
 
+def require_count(value, what: str, low: int):
+    """``value`` if it is an integer other than a bool, of at least ``low``;
+    else a ValidationError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _require_compatible(a: TensorMap, b: TensorMap) -> None:
     report = schema_compatible(a, b)
     if not report.ok:
         raise SchemaMismatchError(report)
 
 
-class _NonFiniteStep(Exception):
-    """Raised as ``_NonFiniteStep(message, index)`` by a kernel op whose
-    intermediate block holds a NaN or infinity at ``index``."""
-
-
-def _elementwise(op, operands: Sequence[tuple[str, TensorMap]], message: str,
+def _elementwise(op, operands: Sequence[tuple[str, TensorMap | TensorStream]], message: str,
                  norms: dict | None = None) -> Iterator[tuple[str, np.ndarray]]:
-    """One pass of ``op`` over schema-compatible (role, map) operands,
-    yielding the result a window at a time as ``(name, values)`` in name
-    order (a ``TensorStream``'s items; ``values`` is reused for the next).
-
+    """One pass of ``op`` over schema-compatible (role, map or stream)
+    operands, the first a map, yielding the result a window at a time as
+    ``(name, values)`` in name order (a ``TensorStream``'s items; ``values``
+    is reused for the next). Each operand is read as a stream, in step: its
+    windows depend only on each tensor's size and itemsize, so they line up.
     For each tensor of the first map and each leaf of it, ``op(row,
     *blocks)`` returns the array that holds its result. ``row`` is a scratch
     row of the tensor's ``_COMPUTE_DTYPE``, or the output leaf itself when
     the storage dtype is the compute dtype. A result that is not the output
     leaf is narrowed (round to nearest even) into it. Each output leaf is
-    checked at once. The first NaN or infinity raises ``NonFiniteValueError``
-    naming the role of the first operand not finite at that index, or else
-    (an overflow) with ``message``, formatted as in ``require_finite``. An op
-    that checks a step of its own raises :class:`_NonFiniteStep` with the
-    index in the leaf, which is reported the same way.
+    checked at once: the first NaN or infinity raises
+    ``NonFiniteValueError`` naming the role of the first operand not finite
+    there, or else (an overflow) with ``message``, formatted as in
+    ``require_finite``.
 
     With ``norms``, a dict, each output leaf's :func:`_leaf_norms` are taken
     while it is in cache, and each tensor's go into ``norms`` under its name
     once its last window has been consumed.
     """
-    maps = [tmap for _, tmap in operands]
-    layout = maps[0]
+    layout = operands[0][1]
+    streams = [(operand if isinstance(operand, TensorStream) else TensorStream.of(operand)).tensors
+               for _, operand in operands]
     block = min(_largest_size(layout), BLOCK_ELEMENTS)
     wide = np.empty(block, dtype=np.float64)  # rows for storage narrower than compute
     bits = np.empty(block, dtype=np.uint64)
@@ -245,38 +251,34 @@ def _elementwise(op, operands: Sequence[tuple[str, TensorMap]], message: str,
     # One window of output, viewed as each tensor's dtype in turn.
     window = np.empty(-(-min(largest, RELEASE_BYTES) // 8), dtype=np.float64)
     for name in layout:
-        dtype = layout[name].dtype
-        compute = _COMPUTE_DTYPE[Dtype.from_numpy(dtype)]
-        flats = [tmap[name].reshape(-1) for tmap in maps]
-        narrowed, rows = window.view(dtype), wide.view(compute)
+        arr = layout[name]
+        compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
+        narrowed, rows = window.view(arr.dtype), wide.view(compute)
         leaf_norms = []
-        for begin, end, leaves in walk(maps, name):
+        for begin, end, leaves in windows(arr.size, arr.itemsize):
+            blocks = [next(stream)[1] for stream in streams]
             # An overflow is an infinity, which the check reports. The state is set per
             # window: set around the loop, it would reach the consumer across each yield.
             with np.errstate(over="ignore"):
                 for start, stop in leaves:
                     target = narrowed[start - begin : stop - begin]
-                    row = target if dtype == compute else rows[: stop - start]
-                    try:
-                        values = op(row, *[flat[start:stop] for flat in flats])
-                    except _NonFiniteStep as step:
-                        message, index = step.args
-                        raise non_finite_error(message, name, start + index) from None
+                    row = target if arr.dtype == compute else rows[: stop - start]
+                    values = op(row, *[b[start - begin : stop - begin] for b in blocks])
                     if values is not target:
                         np.copyto(target, values, casting="same_kind")
                     index = first_non_finite(target, bits)
                     if index is not None:
-                        index += start
-                        culprit = next((role for (role, _), flat in zip(operands, flats)
-                                        if not math.isfinite(flat[index])), None)
+                        index += start - begin
+                        culprit = next((role for (role, _), b in zip(operands, blocks)
+                                        if not math.isfinite(b[index])), None)
                         raise non_finite_error(
                             message if culprit is None else culprit + _NON_FINITE_VALUE,
-                            name, index)
+                            name, begin + index)
                     if norms is not None:  # the row is free once narrowed
                         leaf_norms.append(_leaf_norms(wide[: stop - start], target))
             yield name, narrowed[: end - begin]
         if norms is not None:
-            norms[name] = _tensor_norms(flats[0].size, leaf_norms)
+            norms[name] = _tensor_norms(arr.size, leaf_norms)
 
 
 def _vector_result(stream: TensorStream, base_schema: Fingerprint, provenance: Provenance,
@@ -342,24 +344,25 @@ def apply_task_vector(model: TensorMap, tau: TaskVector, lam: float, *,
     """
     require_finite_real(lam, "scaling factor")
     _require_compatible(model, tau.deltas)
-    shift, message = _shift(lam)
-    stream = TensorStream(model, _elementwise(
-        shift, (("model", model), ("task vector", tau.deltas)), message))
-    return stream.collect() if out is None else write_and_map(stream, out)
+    return _apply(model, tau.deltas, lam, out)
 
 
-def _shift(lam: float):
-    """The kernel op of model + lam * delta, and its overflow message. At
-    lam == 0 the op gives back the model block, whose -0.0 entries adding
-    0 * delta would turn into +0.0."""
+def _apply(model: TensorMap, deltas: TensorMap | TensorStream, lam: float,
+           out: str | Path | None) -> TensorMap:
+    """The pass of model + lam * deltas shared by :func:`apply_task_vector`
+    and :func:`apply_ensemble`. At lam == 0 its op gives back the model
+    block, whose -0.0 entries adding 0 * delta would turn into +0.0."""
     def shift(row, model_block, delta_block):
         if lam == 0:
             return model_block
         np.multiply(delta_block, row.dtype.type(lam), out=row, dtype=row.dtype)
         return np.add(model_block, row, out=row, dtype=row.dtype)
 
-    return shift, (f"applying scale {lam} produced a non-finite value in tensor {{name!r}} "
-                   "at flat index {index}")
+    message = (f"applying scale {lam} produced a non-finite value in tensor {{name!r}} "
+               "at flat index {index}")
+    stream = TensorStream(model, _elementwise(
+        shift, (("model", model), ("task vector", deltas)), message))
+    return stream.collect() if out is None else write_and_map(stream, out)
 
 
 def _merged_provenance(vectors: Sequence[TaskVector]) -> Provenance:
@@ -437,6 +440,15 @@ def _mean_op(k: int, block: int):
     return mean
 
 
+def _mean_stream(vectors: Sequence[TaskVector], norms: dict | None = None) -> TensorStream:
+    """The checked mean of k >= 2 task vectors (see :func:`ensemble_average`),
+    a window at a time; ``norms`` is as for :func:`_elementwise`."""
+    layout = vectors[0].deltas
+    mean = _mean_op(len(vectors), min(_largest_size(layout), BLOCK_ELEMENTS))
+    return TensorStream(layout.with_metadata(None), _elementwise(
+        mean, [("task vector", v.deltas) for v in vectors], _NON_FINITE_DELTA, norms))
+
+
 def ensemble_average(vectors: Sequence[TaskVector], *, out: str | Path | None = None,
                      norms: bool = True) -> TaskVector:
     """Per-element arithmetic mean of task vectors sharing one base schema.
@@ -461,12 +473,9 @@ def ensemble_average(vectors: Sequence[TaskVector], *, out: str | Path | None = 
             return first
         return _vector_result(TensorStream.of(first.deltas), first.base_schema,
                               first.provenance, out)
-    mean = _mean_op(len(vectors), min(_largest_size(vectors[0].deltas), BLOCK_ELEMENTS))
     stream_norms = {} if out is not None and norms else None
-    deltas = _elementwise(mean, [("task vector", v.deltas) for v in vectors], _NON_FINITE_DELTA,
-                          stream_norms)
-    return _vector_result(TensorStream(vectors[0].deltas.with_metadata(None), deltas),
-                          base_schema, _merged_provenance(vectors), out, stream_norms)
+    return _vector_result(_mean_stream(vectors, stream_norms), base_schema,
+                          _merged_provenance(vectors), out, stream_norms)
 
 
 def apply_ensemble(model: TensorMap, vectors: Sequence[TaskVector], lam: float, *,
@@ -475,37 +484,21 @@ def apply_ensemble(model: TensorMap, vectors: Sequence[TaskVector], lam: float, 
     ``apply_task_vector(model, ensemble_average(vectors), lam, out=out)``;
     ``out`` is as for :func:`apply_task_vector`.
 
-    One vector is applied with :func:`apply_task_vector`. For k >= 2 it is
-    one pass over the model and the vectors, and no mean tensor is held:
-    each leaf's mean is taken as :func:`ensemble_average` takes it, narrowed
-    into a block of the storage dtype, checked with that function's message,
-    then shifted as :func:`apply_task_vector` shifts. Errors therefore come
-    in pass order, tensor by tensor: where the shift of an earlier tensor
-    fails (or meets a non-finite model value) and the F64 mean of a later
-    one overflows, this reports the earlier tensor, where the mean computed
-    first would report the later.
+    One vector is applied with :func:`apply_task_vector`. For k >= 2 this is
+    that function's pass over the model and :func:`ensemble_average`'s mean
+    as a stream, so no mean tensor is held, and errors come in pass order:
+    each window of the mean is checked before it is shifted. Where the shift
+    of an earlier tensor fails (or meets a non-finite model value) and the
+    F64 mean of a later one overflows, this reports the earlier tensor, where
+    the mean computed first would report the later; within one window
+    (about 512 KiB) of one tensor, it reports the mean.
     """
     _shared_schema(vectors)  # the composition's checks, in its order
     require_finite_real(lam, "scaling factor")
     if len(vectors) == 1:
         return apply_task_vector(model, vectors[0], lam, out=out)
     _require_compatible(model, vectors[0].deltas)
-    block = min(_largest_size(model), BLOCK_ELEMENTS)
-    mean, (shift, message) = _mean_op(len(vectors), block), _shift(lam)
-    narrowed = np.empty(block, dtype=np.float64)  # the mean in storage dtype, viewed per tensor
-    bits = np.empty(block, dtype=np.uint64)
-
-    def shift_by_mean(row, model_block, *blocks):
-        delta = narrowed.view(model_block.dtype)[: row.size]
-        np.copyto(delta, mean(row, *blocks), casting="same_kind")
-        index = first_non_finite(delta, bits)
-        if index is not None:
-            raise _NonFiniteStep(_NON_FINITE_DELTA, index)
-        return shift(row, model_block, delta)
-
-    operands = [("model", model), *(("task vector", v.deltas) for v in vectors)]
-    stream = TensorStream(model, _elementwise(shift_by_mean, operands, message))
-    return stream.collect() if out is None else write_and_map(stream, out)
+    return _apply(model, _mean_stream(vectors), lam, out)
 
 
 def cosine_similarity(
@@ -567,30 +560,18 @@ def norm_stats(tau: TaskVector) -> NormReport:
     The global l2 norm is the square root of the sum of per-tensor squared
     sums, so it equals the norm of the full flattened vector.
     """
-    per_tensor: dict[str, TensorStats] = {}
-    sq_total = 0.0
-    abs_total = 0.0
-    max_total = 0.0
+    def stats(sq: float, abs_sum: float, top: float, size: int) -> TensorStats:
+        return TensorStats(l2_norm=math.sqrt(sq), max_abs=top,
+                           mean_abs=abs_sum / size if size else 0.0, num_elements=size)
+
+    rows = {name: (*norms, tau.deltas[name].size) for name, norms in tau._norms.items()}
+    sq_total = abs_total = max_total = 0.0
     n_total = 0
-    for name, (sq, abs_sum, top) in tau._norms.items():
-        size = tau.deltas[name].size
-        per_tensor[name] = TensorStats(
-            l2_norm=math.sqrt(sq),
-            max_abs=top,
-            mean_abs=abs_sum / size if size else 0.0,
-            num_elements=size,
-        )
-        sq_total += sq
-        abs_total += abs_sum
+    for sq, abs_sum, top, size in rows.values():
+        sq_total, abs_total, n_total = sq_total + sq, abs_total + abs_sum, n_total + size
         max_total = max(max_total, top)
-        n_total += size
-    total = TensorStats(
-        l2_norm=math.sqrt(sq_total),
-        max_abs=max_total,
-        mean_abs=abs_total / n_total if n_total else 0.0,
-        num_elements=n_total,
-    )
-    return NormReport(per_tensor=per_tensor, total=total)
+    return NormReport(per_tensor={name: stats(*row) for name, row in rows.items()},
+                      total=stats(sq_total, abs_total, max_total, n_total))
 
 
 def scale_task_vector(tau: TaskVector, factor: float) -> TaskVector:
@@ -701,9 +682,11 @@ def _task_vector_from_map(tmap: TensorMap, path: str | Path) -> TaskVector:
     if CREATED_FROM_KEY in metadata:
         try:
             pair = json.loads(metadata[CREATED_FROM_KEY])
-            created_from = (str(pair[0]), str(pair[1]))
-        except (ValueError, IndexError, TypeError):
+        except ValueError:
+            pair = None
+        if not (isinstance(pair, list) and len(pair) == 2):  # as _container_metadata writes it
             raise ValidationError(f"{path}: malformed {CREATED_FROM_KEY} metadata")
+        created_from = (str(pair[0]), str(pair[1]))
     provenance = Provenance(
         source_domain_label=metadata.get(DOMAIN_KEY),
         real_condition_label=metadata.get(REAL_LABEL_KEY),

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synvec.tensor_store import Dtype, TensorMap, write_checkpoint
+from synvec.tensor_store import Dtype, TensorMap, schema_of, write_checkpoint
+from synvec.vector_ops import BASE_SCHEMA_KEY, KIND_KEY, TASK_VECTOR_KIND
 
 DTYPES = (np.float16, np.float32, np.float64)
 
@@ -67,3 +68,12 @@ def write_merge_fixture(dtype):
 
     pairs = [(model(f"real_{i}.st", 0.05), model(f"syn_{i}.st", 0.05)) for i in range(4)]
     return pairs, model("target.st", 0.1)
+
+
+def write_task_vector_container(path, key, value):
+    """A one-tensor task vector container at ``path`` whose metadata ``key``
+    is set to ``value``."""
+    deltas = TensorMap({"w": np.ones(2, np.float32)})
+    metadata = {KIND_KEY: TASK_VECTOR_KIND, BASE_SCHEMA_KEY: schema_of(deltas).schema_hash}
+    write_checkpoint(deltas.with_metadata({**metadata, key: value}), path)
+    return path

@@ -28,7 +28,7 @@ from synvec.vector_ops import (
     save_task_vector,
 )
 
-from conftest import write_merge_fixture
+from conftest import write_merge_fixture, write_task_vector_container
 
 # The stub evaluators are stdlib-only, so they start without site (-S).
 PY = f"{shlex.quote(sys.executable)} -S"
@@ -573,7 +573,8 @@ def test_report_refusals_are_validation_errors_that_write_nothing(capsys, tmp_pa
 
 @pytest.mark.parametrize("case, exit_code", [
     ("diff", 2), ("apply", 2), ("cosine", 1), ("report sweep", 1),
-    ("report sweep record", 1), ("report table", 1)])
+    ("report sweep record", 1), ("report table", 1), ("cosine base schema", 1),
+    ("cosine created_from", 1)])
 def test_malformed_input_gives_one_error_line_and_the_documented_code(
         capsys, fixture_paths, case, exit_code):
     tmp_path, real_path, syn_path = fixture_paths
@@ -586,6 +587,10 @@ def test_malformed_input_gives_one_error_line_and_the_documented_code(
     bad_json.write_text('{"records": [', encoding="utf-8")
     no_lambda.write_text(json.dumps({"lambda_grid": [0.0], "records": [{"wer": 1.0}]}))
     out = tmp_path / "out"
+    other_schema = write_task_vector_container(tmp_path / "schema.st",
+                                               vector_ops.BASE_SCHEMA_KEY, "0" * 64)
+    no_pair = write_task_vector_container(tmp_path / "pair.st",
+                                          vector_ops.CREATED_FROM_KEY, "not json")
     argv, named = {
         "diff": (["diff", truncated, syn_path, "--out", out], truncated),
         "apply": (["apply", truncated, tau, "--lambda", "0.5", "--out", out], truncated),
@@ -594,6 +599,8 @@ def test_malformed_input_gives_one_error_line_and_the_documented_code(
         "report sweep record": (["report", "sweep", no_lambda, "--out-dir", out], no_lambda),
         "report table": (["report", "table", "--baseline", wers, "--adapted", bad_json,
                           "--out-dir", out], bad_json),
+        "cosine base schema": (["cosine", other_schema, other_schema], other_schema),
+        "cosine created_from": (["cosine", no_pair, no_pair], no_pair),
     }[case]
     code, payload, err = run_cli(capsys, *argv)
     assert (code, payload) == (exit_code, None)

@@ -27,6 +27,12 @@ from synvec.sweep_harness import (
     run_lambda_sweep,
 )
 from synvec import tensor_store, vector_ops
+from synvec.toy_experiment import (
+    ToyDataSpec,
+    TrainConfig,
+    run_adaptation_protocol,
+    run_ensemble_protocol,
+)
 from synvec.tensor_store import TensorMap, fingerprint, read_checkpoint, write_checkpoint
 from synvec.vector_ops import TaskVector, compute_task_vector, ensemble_average, save_task_vector
 
@@ -237,6 +243,21 @@ def test_negative_wer_is_output_failure(tmp_path):
         run_lambda_sweep(model, vectors, config)
 
 
+@pytest.mark.parametrize("printed", [
+    "[1.0]", '{"loss": 1.0}', '{"wer": NaN}', '{"wer": true}', '{"wer": "1.0"}'])
+def test_evaluator_output_without_a_finite_wer_is_an_output_failure(tmp_path, printed):
+    command = f"{PY} -c {shlex.quote(f'print({printed!r})')}"
+    with pytest.raises(EvaluatorError) as exc:
+        invoke_evaluator(command, tmp_path / "unused.st")
+    assert exc.value.failure_kind == "output"
+
+
+def test_a_missing_evaluator_is_a_spawn_failure(tmp_path):
+    with pytest.raises(EvaluatorError) as exc:
+        invoke_evaluator(str(tmp_path / "no-such-evaluator"), tmp_path / "unused.st")
+    assert exc.value.failure_kind == "spawn"
+
+
 def test_timeout_is_per_point_failure(tmp_path, monkeypatch):
     monkeypatch.setenv("SYNVEC_EVAL_TIMEOUT_SECS", "0.3")
     model, vectors = fixture_model_and_vectors()
@@ -445,6 +466,32 @@ def test_ablation_validates_ks(tmp_path):
         run_domain_ablation(model, vectors, 1.0, config, ks=[2, 1])
     with pytest.raises(ValidationError):
         run_domain_ablation(model, vectors, 1.0, config, ks=[3])
+
+
+TOY = (ToyDataSpec(samples_per_class=8, num_classes_per_domain=3, feature_dim=6),
+       TrainConfig(epochs=5))
+
+
+def _ablate(workdir, **kw):
+    model, vectors = fixture_model_and_vectors()
+    config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=workdir)
+    return run_domain_ablation(model, vectors, 1.0, config, **kw)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("num_seeds", lambda work: run_adaptation_protocol(*TOY, num_seeds=True)),
+    ("num_seeds", lambda work: run_adaptation_protocol(*TOY, num_seeds=1.5)),
+    ("num_vectors", lambda work: run_ensemble_protocol(*TOY, num_seeds=1, num_vectors=1.5)),
+    ("parallel_workers", lambda work: SweepConfig(CONSTANT_EVALUATOR, work, parallel_workers=1.5)),
+    ("parallel_workers", lambda work: SweepConfig(CONSTANT_EVALUATOR, work, parallel_workers=True)),
+    ("ks", lambda work: _ablate(work, ks=[1.5, 2])),
+    ("seeds", lambda work: _ablate(work, ks=[1], policy="random", seeds=[0.7, 1.2])),
+], ids=["num_seeds_bool", "num_seeds_float", "num_vectors", "workers_float", "workers_bool",
+        "ks", "seeds"])
+def test_library_counts_must_be_integers(tmp_path, name, call):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer >= "):
+        call(tmp_path / "work")
+    assert not (tmp_path / "work").exists()
 
 
 def test_ablation_csv_shape(tmp_path):

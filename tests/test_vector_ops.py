@@ -3,6 +3,7 @@
 import hashlib
 import math
 import pickle
+import re
 import shlex
 import sys
 
@@ -44,7 +45,7 @@ from synvec.vector_ops import (
     similarity_matrix,
 )
 
-from conftest import random_map_pair, random_tensor_map
+from conftest import random_map_pair, random_tensor_map, write_task_vector_container
 
 
 def simple_vector(values, dtype=np.float32, name="w"):
@@ -563,6 +564,20 @@ def test_load_rejects_plain_checkpoint(tmp_path):
         load_task_vector(tmp_path / "m.st")
 
 
+@pytest.mark.parametrize("key, value, error", [
+    (vector_ops.BASE_SCHEMA_KEY, "0" * 64, FingerprintMismatchError),
+    (vector_ops.CREATED_FROM_KEY, "not json", ValidationError),
+    (vector_ops.CREATED_FROM_KEY, "{}", ValidationError),
+    (vector_ops.CREATED_FROM_KEY, '"ab"', ValidationError),
+    (vector_ops.CREATED_FROM_KEY, '["a", "b", "c"]', ValidationError),
+])
+def test_load_refuses_metadata_that_does_not_match_the_container(tmp_path, key, value, error):
+    path = write_task_vector_container(tmp_path / "tau.st", key, value)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: ") as exc:
+        load_task_vector(path)
+    assert type(exc.value) is error
+
+
 def test_save_load_keeps_unrelated_metadata(tmp_path):
     tau = simple_vector([1.0, 2.0])
     tau = TaskVector(
@@ -821,6 +836,19 @@ def test_fused_apply_ensemble_reports_the_earlier_of_two_faults():
     with pytest.raises(NonFiniteValueError) as exc:  # the mean, computed whole first
         apply_task_vector(model, ensemble_average(vectors), 1.0)
     assert (exc.value.tensor, exc.value.index) == ("w", index)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_apply_ensemble_checks_a_windows_mean_before_shifting_it():
+    # One 512 KiB window of F64: the shift overflows at index 3, the mean at 40000.
+    model, delta = np.zeros(1 << 16), np.zeros(1 << 16)
+    model[3], delta[3], delta[40000] = 1.7e308, 6e307, np.finfo(np.float64).max
+    deltas = TensorMap({"w": delta})
+    vectors = [TaskVector(deltas, fingerprint(deltas))] * 2
+    with pytest.raises(NonFiniteValueError) as exc:
+        apply_ensemble(TensorMap({"w": model}), vectors, 1.0)
+    assert (exc.value.tensor, exc.value.index) == ("w", 40000)
+    assert str(exc.value) == "task vector tensor 'w' has a non-finite delta at flat index 40000"
 
 
 @pytest.mark.parametrize("lam", [0.4, 0.0])
