@@ -56,8 +56,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import EvaluatorError, NonFiniteValueError, SynvecError, ValidationError
-from .tensor_store import TensorMap
+from .tensor_store import TensorMap, require_finite
 from .vector_ops import (
+    _NON_FINITE_DELTA,
     TaskVector,
     apply_ensemble,
     ensemble_average,
@@ -93,19 +94,33 @@ def relative_wer(baseline: float, adapted: float) -> float:
     return 100.0 * (baseline - adapted) / baseline
 
 
+def _evaluator_tokens(template: str) -> tuple[str, ...]:
+    """The words of an evaluator command template, split as a POSIX shell
+    would; a ValidationError if there are none or it cannot be split."""
+    try:
+        tokens = tuple(shlex.split(template)) if isinstance(template, str) else ()
+    except ValueError as exc:  # an unclosed quote, or an escape at the end
+        raise ValidationError(f"evaluator command {template!r} cannot be split: {exc}") from None
+    if not tokens:
+        raise ValidationError("evaluator command must be non-empty")
+    return tokens
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid, evaluator command template, and working directory for a sweep."""
+    """Grid, evaluator command template, and working directory for a sweep.
+    The template is split into words once, here, so a run that could not
+    start its evaluator is refused before it makes anything."""
 
     evaluator: str
     workdir: Path
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     keep_checkpoints: bool = False
     parallel_workers: int = 1
+    _argv: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.evaluator or not self.evaluator.strip():
-            raise ValidationError("evaluator command must be non-empty")
+        object.__setattr__(self, "_argv", _evaluator_tokens(self.evaluator))
         object.__setattr__(self, "lambda_grid", validate_lambda_grid(self.lambda_grid))
         object.__setattr__(self, "workdir", Path(self.workdir))
         require_count(self.parallel_workers, "parallel_workers", 1)
@@ -274,18 +289,20 @@ class _LiveEvaluators:
 
 
 def invoke_evaluator(
-    command: str, checkpoint: Path, lam: float | None = None,
+    command: str | Sequence[str], checkpoint: Path, lam: float | None = None,
     live: _LiveEvaluators | None = None,
 ) -> tuple[float, str, float]:
     """Run the evaluator once; return (wer, raw stdout, wall seconds).
 
-    Raises EvaluatorError on spawn failure, nonzero exit, timeout, or output
-    that is not a JSON object with a finite non-negative numeric "wer". On a
-    timeout or an interrupt the evaluator's whole process group is killed.
-    ``live``, if given, holds the evaluator while it runs.
+    ``command`` is the template, or its words as a :class:`SweepConfig`
+    holds them. Raises EvaluatorError on spawn failure, nonzero exit,
+    timeout, or output that is not a JSON object with a finite non-negative
+    numeric "wer". On a timeout or an interrupt the evaluator's whole
+    process group is killed. ``live``, if given, holds the evaluator while
+    it runs.
     """
     argv = []
-    for token in shlex.split(command):
+    for token in _evaluator_tokens(command) if isinstance(command, str) else command:
         token = token.replace("{checkpoint}", str(checkpoint))
         if lam is not None:
             token = token.replace("{lambda}", repr(float(lam)))
@@ -338,11 +355,13 @@ def invoke_evaluator(
 
 
 def _normalize_vectors(vectors: TaskVector | Sequence[TaskVector]) -> list[TaskVector]:
-    if isinstance(vectors, TaskVector):
-        return [vectors]
-    out = list(vectors)
+    """The vectors as a non-empty list, each scanned for a non-finite delta
+    before the run makes anything: a point at lambda 0 reads none of them."""
+    out = [vectors] if isinstance(vectors, TaskVector) else list(vectors)
     if not out:
         raise ValidationError("need at least one task vector")
+    for vector in out:
+        require_finite(vector.deltas, _NON_FINITE_DELTA)
     return out
 
 
@@ -379,7 +398,7 @@ def _evaluate_point(model: TensorMap, vectors: Sequence[TaskVector], lam: float,
     except NonFiniteValueError as exc:  # an overflow at this lambda, or a non-finite model
         return EvalFailure(lam=lam, kind="non_finite", message=str(exc))
     try:
-        wer, stdout, wall = invoke_evaluator(config.evaluator, checkpoint, lam, live)
+        wer, stdout, wall = invoke_evaluator(config._argv, checkpoint, lam, live)
         logger.debug("lambda=%g wer=%g (%.2fs)", lam, wer, wall)
         return EvalRecord(
             lam=lam,

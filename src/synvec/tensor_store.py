@@ -509,12 +509,12 @@ def fingerprint(tmap: TensorMap, *, include_content: bool = False) -> Fingerprin
     return Fingerprint(schema_hash=schema_of(tmap).schema_hash, content_hash=content)
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+def _unique_keys(path: Path, pairs: list[tuple[str, object]]) -> dict[str, object]:
     # json.loads would otherwise keep the last of two entries with one name.
     out: dict[str, object] = {}
     for key, value in pairs:
         if key in out:
-            raise InvalidHeaderError(f"header has duplicate key {key!r}")
+            raise InvalidHeaderError(f"{path}: header has duplicate key {key!r}")
         out[key] = value
     return out
 
@@ -523,9 +523,9 @@ def _parse_header_entry(path: Path, name: str, entry: object, data_size: int) ->
     if not isinstance(entry, dict):
         raise InvalidHeaderError(f"{path}: header entry for {name!r} is not an object")
     dtype_str = entry.get("dtype")
-    if dtype_str not in _DTYPE_BY_NAME:
+    dtype = _DTYPE_BY_NAME.get(dtype_str) if isinstance(dtype_str, str) else None
+    if dtype is None:
         raise UnknownDtypeError(f"{path}: tensor {name!r} declares unknown dtype {dtype_str!r}")
-    dtype = _DTYPE_BY_NAME[dtype_str]
     shape = entry.get("shape")
     if (
         not isinstance(shape, list)
@@ -605,8 +605,11 @@ def read_checkpoint(path: str | Path) -> TensorMap:
             )
         header_bytes = handle.read(header_len)
         try:
-            header = json.loads(header_bytes.decode("utf-8"), object_pairs_hook=_unique_keys)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            header = json.loads(header_bytes.decode("utf-8"),
+                                object_pairs_hook=functools.partial(_unique_keys, path))
+        # ValueError: not UTF-8, not JSON, or an integer too long to convert;
+        # RecursionError: nested too deep to decode.
+        except (ValueError, RecursionError) as exc:
             raise InvalidHeaderError(f"{path}: header is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(header, dict):
             raise InvalidHeaderError(f"{path}: header JSON is not an object")
@@ -633,17 +636,22 @@ def read_checkpoint(path: str | Path) -> TensorMap:
         entries: dict[str, np.ndarray] = {}
         offsets: dict[str, int] = {}
         for meta in metas:
-            if meta.num_elements == 0:
-                entries[meta.name] = np.empty(meta.shape, dtype=meta.dtype.numpy_dtype)
-            else:
-                offsets[meta.name] = data_start + meta.byte_range[0]
-                flat = np.frombuffer(
-                    buffer,
-                    dtype=meta.dtype.numpy_dtype,
-                    count=meta.num_elements,
-                    offset=offsets[meta.name],
-                )
-                entries[meta.name] = flat.reshape(meta.shape)
+            try:
+                if meta.num_elements == 0:
+                    entries[meta.name] = np.empty(meta.shape, dtype=meta.dtype.numpy_dtype)
+                else:
+                    offsets[meta.name] = data_start + meta.byte_range[0]
+                    flat = np.frombuffer(
+                        buffer,
+                        dtype=meta.dtype.numpy_dtype,
+                        count=meta.num_elements,
+                        offset=offsets[meta.name],
+                    )
+                    entries[meta.name] = flat.reshape(meta.shape)
+            except ValueError as exc:  # more dimensions, or larger ones, than numpy holds
+                raise InvalidHeaderError(f"{path}: tensor {meta.name!r} has shape "
+                                         f"{list(meta.shape)}, which numpy cannot hold: {exc}"
+                                         ) from None
         if not hasattr(mmap, "MADV_DONTNEED"):
             offsets = {}  # no pages can be handed back
         return TensorMap(entries, raw_metadata, _buffer=buffer, _offsets=offsets)

@@ -19,10 +19,15 @@ mean, read as a stream, so a window's mean is checked before it is shifted
 (``tensor_store.leaves``, at most ``tensor_store.BLOCK_ELEMENTS`` elements
 each), widened into compute-dtype scratch allocated once per call, operated
 on, narrowed into a reused output window and checked for NaN/inf while the
-leaf is still in cache. It is the arithmetic's only finite check: a NaN or
+leaf is still in cache. It is the arithmetic's finite check: a NaN or
 infinity in an operand makes the output at its index non-finite, so the
 error path can name that operand without a scan of the inputs. No operation
-produces a non-finite value.
+produces a non-finite value. A :class:`TaskVector`'s deltas are likewise
+checked where they are read, not when the vector is built: by the kernel,
+by a reduction whose per-tensor sum is not finite (only then is the vector
+scanned, to name the tensor and index), and by a scan where an operation
+reads none of its values (apply at lam == 0, the mean of one vector written
+to ``out``, a save).
 
 The kernel yields the output a window at a time (``tensor_store.windows``),
 and each operand hands back the mapped pages behind each window. Without
@@ -31,9 +36,9 @@ no ``out``). With ``out=path``, each window is written to ``path`` as it is
 produced (``tensor_store.write_checkpoint`` of a ``TensorStream``), so about
 a window per operand and one output window are held at a time, and the
 result holds the written file, mapped back. Either way the result records
-that it was checked, so writing it, wrapping it in a :class:`TaskVector` or
-applying it again scans nothing. A task vector written with ``out`` also
-gets its norms from the stream, so printing them reads none of the file.
+that it was checked, so writing it or applying it again scans nothing. A
+task vector written with ``out`` also gets its norms from the stream, so
+printing them reads none of the file.
 
 Dot products, squared norms and absolute sums are taken per leaf: each leaf
 is widened exactly to F64 in one leaf-sized scratch and summed with
@@ -123,7 +128,18 @@ class Provenance:
 
 @dataclass(frozen=True)
 class TaskVector:
-    """A schema-shaped set of finite parameter deltas plus provenance."""
+    """A schema-shaped set of finite parameter deltas plus provenance.
+
+    Construction checks the schema only. The deltas must be finite, and that
+    is checked where their values are first read, so building a vector reads
+    none of them: the first operation that reads a NaN or infinity raises
+    ``NonFiniteValueError`` ("task vector tensor ... has a non-finite delta
+    at flat index ...", the first such tensor and index). The kernel checks
+    what it computes, reductions check their per-tensor sums, and the
+    operations that read no value of a vector (``apply`` at lam == 0, the
+    mean of one vector written to ``out``, :func:`save_task_vector`) scan it.
+    With several bad inputs, the one named is the first the operation reads.
+    """
 
     deltas: TensorMap
     base_schema: Fingerprint
@@ -136,21 +152,32 @@ class TaskVector:
                 f"delta schema hash {actual[:12]}... does not match recorded "
                 f"base schema {self.base_schema.schema_hash[:12]}..."
             )
-        require_finite(self.deltas, _NON_FINITE_DELTA)
 
     @functools.cached_property
     def _squared_sums(self) -> dict[str, float]:
         """Per-tensor F64 sums of squared deltas, computed once per vector."""
-        return {name: add_up(size, sums)
-                for name, size, sums in _per_leaf([self.deltas], _leaf_squares)}
+        squared = {name: add_up(size, sums)
+                   for name, size, sums in _per_leaf([self.deltas], _leaf_squares)}
+        self._check_sums(squared.values())
+        return squared
 
     @functools.cached_property
     def _norms(self) -> dict[str, tuple[float, float, float]]:
         """Per-tensor F64 (sum of squares, sum of absolute values, largest
         absolute value) of the deltas, computed once per vector, or on the
         stream that wrote them."""
-        return {name: _tensor_norms(size, leaf_norms)
-                for name, size, leaf_norms in _per_leaf([self.deltas], _leaf_norms)}
+        norms = {name: _tensor_norms(size, leaf_norms)
+                 for name, size, leaf_norms in _per_leaf([self.deltas], _leaf_norms)}
+        self._check_sums(n[0] for n in norms.values())
+        return norms
+
+    def _check_sums(self, squared_sums) -> None:
+        """The finite check of a reduction over the deltas: a NaN or infinity
+        makes its tensor's squared sum non-finite, so the deltas are scanned,
+        to name it, only when a sum is. A sum that overflows over finite F64
+        deltas is no error: the scan finds nothing."""
+        if not all(map(math.isfinite, squared_sums)):
+            require_finite(self.deltas, _NON_FINITE_DELTA)
 
 
 def _largest_size(tmap: TensorMap) -> int:
@@ -234,8 +261,8 @@ def _elementwise(op, operands: Sequence[tuple[str, TensorMap | TensorStream]], m
     leaf is narrowed (round to nearest even) into it. Each output leaf is
     checked at once: the first NaN or infinity raises
     ``NonFiniteValueError`` naming the role of the first operand not finite
-    there, or else (an overflow) with ``message``, formatted as in
-    ``require_finite``.
+    there (a "task vector" with the text of a non-finite delta), or else (an
+    overflow) with ``message``, formatted as in ``require_finite``.
 
     With ``norms``, a dict, each output leaf's :func:`_leaf_norms` are taken
     while it is in cache, and each tensor's go into ``norms`` under its name
@@ -271,9 +298,11 @@ def _elementwise(op, operands: Sequence[tuple[str, TensorMap | TensorStream]], m
                         index += start - begin
                         culprit = next((role for (role, _), b in zip(operands, blocks)
                                         if not math.isfinite(b[index])), None)
-                        raise non_finite_error(
-                            message if culprit is None else culprit + _NON_FINITE_VALUE,
-                            name, begin + index)
+                        if culprit == "task vector":
+                            message = _NON_FINITE_DELTA
+                        elif culprit is not None:
+                            message = culprit + _NON_FINITE_VALUE
+                        raise non_finite_error(message, name, begin + index)
                     if norms is not None:  # the row is free once narrowed
                         leaf_norms.append(_leaf_norms(wide[: stop - start], target))
             yield name, narrowed[: end - begin]
@@ -351,7 +380,12 @@ def _apply(model: TensorMap, deltas: TensorMap | TensorStream, lam: float,
            out: str | Path | None) -> TensorMap:
     """The pass of model + lam * deltas shared by :func:`apply_task_vector`
     and :func:`apply_ensemble`. At lam == 0 its op gives back the model
-    block, whose -0.0 entries adding 0 * delta would turn into +0.0."""
+    block, whose -0.0 entries adding 0 * delta would turn into +0.0; so the
+    output does not see the deltas, and a map of them is scanned first (a
+    stream is a kernel's output, checked as it is read)."""
+    if lam == 0 and isinstance(deltas, TensorMap):
+        require_finite(deltas, _NON_FINITE_DELTA)
+
     def shift(row, model_block, delta_block):
         if lam == 0:
             return model_block
@@ -471,6 +505,7 @@ def ensemble_average(vectors: Sequence[TaskVector], *, out: str | Path | None = 
         first = vectors[0]
         if out is None:
             return first
+        require_finite(first.deltas, _NON_FINITE_DELTA)  # a map's stream is taken as finite
         return _vector_result(TensorStream.of(first.deltas), first.base_schema,
                               first.provenance, out)
     stream_norms = {} if out is not None and norms else None
@@ -638,7 +673,8 @@ def save_task_vector(tau: TaskVector, path: str | Path) -> None:
     map are overwritten.
     """
     metadata = _container_metadata(tau.deltas.metadata, tau.base_schema, tau.provenance)
-    write_checkpoint(tau.deltas.with_metadata(metadata), path)
+    require_finite(tau.deltas, _NON_FINITE_DELTA)
+    write_checkpoint(TensorStream.of(tau.deltas.with_metadata(metadata)), path)
 
 
 def _container_metadata(plain: dict[str, str], base_schema: Fingerprint,

@@ -253,6 +253,70 @@ def test_inspect_content_hash_walks_each_tensor_in_one_pass(capsys, monkeypatch,
         assert payload["global_l2"] == norm_stats(load_task_vector(path)).total.l2_norm
 
 
+@pytest.mark.parametrize("command", ["ensemble", "apply", "report similarity"])
+def test_merge_commands_read_each_input_once(capsys, monkeypatch, tmp_path, command):
+    # Loading a task vector reads none of its values: the kernel checks what it
+    # reads, and a reduction scans a vector only when a sum is not finite.
+    monkeypatch.chdir(tmp_path)
+    pairs, target = write_merge_fixture(np.float32)
+    taus = [f"tau_{i}.st" for i in range(3)]
+    for (real, syn), tau in zip(pairs, taus):
+        assert run_cli(capsys, "diff", real, syn, "--out", tau)[0] == 0
+    walks, scans = [], []
+
+    def counting_walk(maps, name):
+        walks.extend([name] * len(maps))
+        return real_walk(maps, name)
+
+    def counting_scan(tmap, *args):
+        scans.append(tmap)
+        return real_scan(tmap, *args)
+
+    real_walk, real_scan = tensor_store.walk, TensorMap._scan
+    monkeypatch.setattr(tensor_store, "walk", counting_walk)
+    monkeypatch.setattr(vector_ops, "walk", counting_walk)
+    monkeypatch.setattr(TensorMap, "_scan", counting_scan)
+    argv, inputs = {
+        "ensemble": (["ensemble", *taus, "--out", "out.st"], 3),
+        "apply": (["apply", target, *taus, "--lambda", "0.5", "--out", "out.st"], 4),
+        "report similarity": (["report", "similarity", *taus, "--out-dir", "report"], None),
+    }[command]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert scans == []
+    if inputs is not None:  # one walk per input tensor that holds a value: the kernel's
+        layout = read_checkpoint(taus[0])
+        assert sorted(walks) == sorted([name for name in layout if layout[name].size] * inputs)
+
+
+@pytest.mark.parametrize("dtype", [["F32"], {"F32": "F32"}], ids=["list", "object"])
+def test_inspect_of_a_dtype_that_is_not_a_string_exits_2(capsys, tmp_path, dtype):
+    header = json.dumps({"w": {"dtype": dtype, "shape": [1], "data_offsets": [0, 4]}}).encode()
+    path = tmp_path / "dtype.st"
+    path.write_bytes(len(header).to_bytes(8, "little") + header + bytes(4))
+    code, payload, err = run_cli(capsys, "inspect", path)
+    assert (code, payload) == (2, None)
+    assert json.loads(err)["error"] == {
+        "kind": "unknown_dtype",
+        "message": f"{path}: tensor 'w' declares unknown dtype {dtype!r}"}
+
+
+@pytest.mark.parametrize("command", ["sweep", "ablate"])
+def test_an_evaluator_template_that_cannot_be_split_exits_1_before_writing(
+        capsys, fixture_paths, command):
+    tmp_path, _, _ = fixture_paths
+    argv = sweep_args(fixture_paths)
+    argv[argv.index("--evaluator") + 1] = "'unclosed {checkpoint}"
+    if command == "ablate":
+        argv = ["ablate", *argv[1:-2], "--lambda", "0.5"]
+    code, payload, err = run_cli(capsys, *argv)
+    assert (code, payload) == (1, None)
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation"
+    assert error["message"].startswith("evaluator command \"'unclosed {checkpoint}\" cannot be")
+    assert not (tmp_path / "work").exists()
+
+
 def test_sweep_command(capsys, fixture_paths, tmp_path):
     _, real_path, syn_path = fixture_paths
     tau_path = tmp_path / "tau.st"

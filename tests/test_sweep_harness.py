@@ -142,6 +142,28 @@ def test_sweep_config_rejects_bad_grids(tmp_path):
         SweepConfig(evaluator="  ", workdir=tmp_path)
 
 
+@pytest.mark.parametrize("template", ["'unclosed {checkpoint}", "evaluate {checkpoint} \\"])
+def test_a_template_that_cannot_be_split_is_refused_when_configured(tmp_path, template):
+    with pytest.raises(ValidationError) as exc:
+        SweepConfig(evaluator=template, workdir=tmp_path / "work")
+    assert str(exc.value).startswith(f"evaluator command {template!r} cannot be split")
+    with pytest.raises(ValidationError):  # called directly, the same refusal
+        invoke_evaluator(template, tmp_path / "unused.st")
+
+
+def test_the_template_is_split_once_per_config(tmp_path, monkeypatch):
+    model, vectors = fixture_model_and_vectors()
+    config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path,
+                         lambda_grid=(0.0, 0.5, 1.0))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the template was split again")
+
+    monkeypatch.setattr(shlex, "split", refused)
+    result = run_lambda_sweep(model, vectors, config)
+    assert [r.wer for r in result.records] == [12.5] * 3
+
+
 def test_default_grid_spans_zero_to_one():
     assert DEFAULT_LAMBDA_GRID == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 

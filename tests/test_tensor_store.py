@@ -16,6 +16,7 @@ from synvec.errors import (
     ContainerError,
     InvalidHeaderError,
     NonFiniteValueError,
+    SynvecError,
     TruncatedDataError,
     UnknownDtypeError,
     ValidationError,
@@ -37,7 +38,13 @@ from synvec.tensor_store import (
     windows,
     write_checkpoint,
 )
-from synvec.vector_ops import compute_task_vector
+from synvec.vector_ops import (
+    Provenance,
+    TaskVector,
+    compute_task_vector,
+    load_task_vector,
+    save_task_vector,
+)
 
 from conftest import random_tensor_map
 
@@ -364,6 +371,124 @@ def test_duplicate_tensor_name_rejected(tmp_path, second_range, data_len):
     path.write_bytes(len(header).to_bytes(8, "little") + header + b"\x00" * data_len)
     with pytest.raises(InvalidHeaderError, match="duplicate"):
         read_checkpoint(path)
+
+
+def test_duplicate_key_error_names_the_file(tmp_path):
+    path = tmp_path / "dup.st"
+    header = b'{"__metadata__":{"a":"1","a":"2"}}'
+    path.write_bytes(len(header).to_bytes(8, "little") + header)
+    with pytest.raises(InvalidHeaderError) as exc:
+        read_checkpoint(path)
+    assert str(exc.value) == f"{path}: header has duplicate key 'a'"
+
+
+@pytest.mark.parametrize("dtype", [["F32"], {"F32": "F32"}], ids=["list", "object"])
+def test_a_dtype_that_is_not_a_string_is_an_unknown_dtype(tmp_path, dtype):
+    path = build_file(tmp_path / "dtype.st", [("w", dtype, [1], [0, 4], b"\x00" * 4)])
+    with pytest.raises(UnknownDtypeError) as exc:
+        read_checkpoint(path)
+    assert str(exc.value) == f"{path}: tensor 'w' declares unknown dtype {dtype!r}"
+
+
+@pytest.mark.parametrize("case", ["long integer", "deep nesting", "huge empty", "65 dims"])
+def test_a_header_json_or_numpy_cannot_hold_is_an_invalid_header(tmp_path, case):
+    path = tmp_path / "bad.st"
+    entry = '"w":{{"dtype":"F32","shape":{},"data_offsets":{}}}'
+    header, data = {
+        "long integer": ("{" + entry.format("[" + "1" * 5000 + "]", "[0,4]") + "}", 4),
+        "deep nesting": ("[" * 100_000 + "]" * 100_000, 0),
+        "huge empty": ("{" + entry.format(f"[0,{2**64}]", "[0,0]") + "}", 0),
+        "65 dims": ("{" + entry.format(json.dumps([1] * 65), "[0,4]") + "}", 4),
+    }[case]
+    path.write_bytes(len(header).to_bytes(8, "little") + header.encode() + bytes(data))
+    with pytest.raises(InvalidHeaderError) as exc:
+        read_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+# --- header fuzz: damage to a task vector's header is a typed refusal ---
+
+
+class _Object(list):
+    """A JSON object as a list of (key, value) pairs, so that a key may repeat."""
+
+
+def _editable(node):
+    if isinstance(node, dict):
+        return _Object([key, _editable(value)] for key, value in node.items())
+    if isinstance(node, list):
+        return [_editable(value) for value in node]
+    return node
+
+
+def _dump(node) -> str:
+    if isinstance(node, _Object):
+        return "{" + ",".join(f"{json.dumps(key)}:{_dump(value)}" for key, value in node) + "}"
+    if isinstance(node, list):
+        return "[" + ",".join(map(_dump, node)) + "]"
+    return json.dumps(node)
+
+
+def _containers(node):
+    """``node`` and every array or object inside it, if it is one."""
+    if isinstance(node, list):
+        yield node
+        for item in node:
+            yield from _containers(item[1] if isinstance(node, _Object) else item)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_damaged_task_vector_header_is_a_typed_refusal(tmp_path, data):
+    # Every damage to the header of a valid task vector container, read by
+    # both readers, either loads or raises a SynvecError; any other exception
+    # fails the test.
+    source = tmp_path / "valid.st"
+    if not source.exists():
+        deltas = TensorMap({"a": np.array([1.0, -2.0], np.float32),
+                            "b": np.array([0.5, 1.0, 3.0], np.float16)})
+        save_task_vector(TaskVector(deltas, fingerprint(deltas),
+                                    Provenance("music", "human", "tts", ("real.st", "syn.st"))),
+                         source)
+    raw = source.read_bytes()
+    size = int.from_bytes(raw[:8], "little")
+    root = [_editable(json.loads(raw[8 : 8 + size]))]  # a holder, so the root can be edited
+    for _ in range(data.draw(st.integers(0, 3), "edits")):
+        items = data.draw(st.sampled_from(list(_containers(root))), "container")
+        if not items:
+            continue
+        index = data.draw(st.integers(0, len(items) - 1), "index")
+        edit = data.draw(st.sampled_from(["replace", "drop", "repeat"]), "edit")
+        if edit == "drop":
+            del items[index]
+        elif edit == "repeat":
+            items.insert(index, items[index])
+        elif isinstance(items, _Object):
+            items[index] = [items[index][0], _editable(data.draw(_JSON, "value"))]
+        else:
+            items[index] = _editable(data.draw(_JSON, "value"))
+    header = bytearray("".join(map(_dump, root)).encode())
+    for position, mask in data.draw(st.lists(st.tuples(st.integers(0, 10**6),
+                                                       st.integers(1, 255)), max_size=3),
+                                    "flips"):
+        if header:
+            header[position % len(header)] ^= mask
+    path = tmp_path / "damaged.st"
+    path.unlink(missing_ok=True)  # a new file, not one an earlier map still reads
+    path.write_bytes(len(header).to_bytes(8, "little") + bytes(header) + raw[8 + size :])
+    for read in (read_checkpoint, load_task_vector):
+        try:
+            read(path)
+        except SynvecError:
+            pass
 
 
 def test_non_finite_write_rejected_then_permitted(tmp_path):

@@ -20,7 +20,12 @@ from synvec.errors import (
     ValidationError,
     ZeroNormError,
 )
-from synvec.sweep_harness import SweepConfig, run_domain_ablation, validate_lambda_grid
+from synvec.sweep_harness import (
+    SweepConfig,
+    run_domain_ablation,
+    run_lambda_sweep,
+    validate_lambda_grid,
+)
 from synvec.tensor_store import (
     BLOCK_ELEMENTS,
     Dtype,
@@ -736,6 +741,67 @@ def test_non_finite_model_is_named(lam):
         apply_task_vector(TensorMap({"w": model}), simple_vector([1.0] * 5), lam)
     assert (exc.value.tensor, exc.value.index) == ("w", 3)
     assert str(exc.value) == "model tensor 'w' has a non-finite value at flat index 3"
+
+
+BAD_SIZE, BAD_INDEX = BLOCK_ELEMENTS + 5, BLOCK_ELEMENTS + 3
+
+
+def non_finite_vector(value) -> TaskVector:
+    """A task vector whose tensor 'w' holds ``value`` at BAD_INDEX, after a
+    finite tensor 'a'."""
+    w = np.ones(BAD_SIZE, np.float32)
+    w[BAD_INDEX] = value
+    deltas = TensorMap({"a": np.ones(2, np.float32), "w": w})
+    return TaskVector(deltas, fingerprint(deltas))
+
+
+def _config(tmp_path):
+    return SweepConfig(evaluator="unused {checkpoint}", workdir=tmp_path / "work",
+                       lambda_grid=(0.0, 0.5))
+
+
+# Each operation that reads a task vector's values, on a finite vector
+# ``good``, the bad ``tau``, a zero model and a temporary directory.
+NON_FINITE_READS = {
+    "apply": lambda good, tau, model, tmp: apply_task_vector(model, tau, 0.5),
+    "apply_zero": lambda good, tau, model, tmp: apply_task_vector(model, tau, 0.0),
+    "ensemble_one_out": lambda good, tau, model, tmp: ensemble_average([tau], out=tmp / "out"),
+    "ensemble_two": lambda good, tau, model, tmp: ensemble_average([good, tau]),
+    "cosine": lambda good, tau, model, tmp: cosine_similarity(good, tau),
+    "norm_stats": lambda good, tau, model, tmp: norm_stats(tau),
+    "scale": lambda good, tau, model, tmp: scale_task_vector(tau, 2.0),
+    "save": lambda good, tau, model, tmp: save_task_vector(tau, tmp / "out"),
+    "sweep": lambda good, tau, model, tmp: run_lambda_sweep(model, tau, _config(tmp)),
+    "ablate": lambda good, tau, model, tmp: run_domain_ablation(model, [good, tau], 0.0,
+                                                                _config(tmp)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("read", NON_FINITE_READS)
+def test_a_non_finite_task_vector_constructs_and_fails_where_it_is_read(tmp_path, value, read):
+    tau = non_finite_vector(value)  # builds: construction reads no value
+    good = non_finite_vector(1.0)
+    model = TensorMap({name: np.zeros_like(tau.deltas[name]) for name in tau.deltas})
+    with pytest.raises(NonFiniteValueError) as exc:
+        NON_FINITE_READS[read](good, tau, model, tmp_path)
+    assert type(exc.value) is NonFiniteValueError
+    assert (exc.value.tensor, exc.value.index) == ("w", BAD_INDEX)
+    assert str(exc.value) == f"task vector tensor 'w' has a non-finite delta at flat index {BAD_INDEX}"
+    assert list(tmp_path.iterdir()) == []  # no file, and no run directory
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_squared_sum_that_overflows_over_finite_f64_deltas_is_no_error():
+    top = np.finfo(np.float64).max
+    a, b = (TaskVector(deltas, fingerprint(deltas)) for deltas in (
+        TensorMap({"w": np.array([top, 1.0, 0.0])}), TensorMap({"w": np.array([0.0, 1.0, 0.0])})))
+    assert cosine_similarity(a, b) == 0.0
+    assert cosine_similarity(b, a, "per_tensor") == {"w": 0.0}
+    stats = norm_stats(a)
+    assert (stats.total.l2_norm, stats.total.max_abs) == (math.inf, top)
+    assert stats.per_tensor["w"].mean_abs == (top + 1.0) / 3
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
