@@ -14,20 +14,19 @@ out contiguously from offset 0 in the same lexicographic order. Reading
 accepts any valid file (arbitrary range order, whitespace-padded headers),
 not just canonical ones.
 
-Reads are memory-mapped: tensor values are read-only views into the mapped
-file. Every pass over a tensor's values walks the same leaves, the nodes of
-numpy's pairwise-sum split that first fit in :data:`BLOCK_ELEMENTS`
-(:func:`leaves`), grouped into windows of about :data:`RELEASE_BYTES`
-(:func:`walk`). A pass hands the mapped pages behind it back to the OS once
-per window, so it keeps about a window of each map resident, not a tensor
-or the whole file.
+Reads map the file, and ``tmap[name]`` is a read-only view of the mapping,
+but no pass reads through it: every pass walks the leaves of numpy's
+pairwise-sum split that first fit in :data:`BLOCK_ELEMENTS` (:func:`leaves`),
+in windows of about :data:`RELEASE_BYTES` (:func:`walk`), and reads each
+window of a file with ``os.preadv`` into one buffer (:func:`_reader`). So it
+holds a window of each map, and a shrunk file is a ``TruncatedDataError``.
 Writes are header first: :func:`write_checkpoint` builds the header from the
 names, dtypes and shapes alone, then writes the data a window at a time. A
 :class:`TensorStream` (a kernel's output, window by window) is written as it
 is produced, so the output is never held whole, and :func:`write_and_map`
 then maps the written file back in place of the output. Writes go to a new
 file beside the target that then replaces it (:func:`open_replacing`), so a
-file that is still mapped as an input can be overwritten safely, and a write
+file that is still open as an input can be overwritten safely, and a write
 that fails part way leaves the target as it was.
 
 Finite values: reading accepts NaN and infinity, and
@@ -39,11 +38,10 @@ of :data:`BLOCK_ELEMENTS` at a time; it is the only finite check in the
 toolkit. ``vector_ops``'s kernel calls it on each output leaf, and
 :meth:`TensorMap.non_finite_tensors` is the only caller that scans a whole
 map. It memoises its answer on maps whose values cannot change: maps
-:func:`read_checkpoint` returns (views of a read-only file mapping), and
+:func:`read_checkpoint` returns (read from a file opened read-only), and
 maps of kernel output, collected or written and mapped back, which are
-known finite without a scan. A map built
-from a caller's arrays is scanned on every call, because the caller may
-still write to them.
+known finite without a scan. A map built from a caller's arrays is scanned
+on every call, because the caller may still write to them.
 """
 
 from __future__ import annotations
@@ -57,6 +55,7 @@ import mmap
 import os
 import secrets
 import stat
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator, Mapping, Sequence
@@ -124,7 +123,7 @@ class TensorMeta:
 
 
 BLOCK_ELEMENTS = 1 << 15  # per leaf of a pass: a leaf and its scratch stay in cache
-RELEASE_BYTES = 1 << 19  # per window of a pass: the mapped pages behind a window go back
+RELEASE_BYTES = 1 << 19  # per window of a pass: the bytes one read of a file map fills
 
 
 def _half(size: int) -> int:
@@ -180,15 +179,10 @@ def windows(size: int, itemsize: int) -> tuple[Window, ...]:
     return tuple((group[0][0], group[-1][1], tuple(group)) for group in groups)
 
 
-def walk(maps: Sequence["TensorMap"], name: str) -> Iterator[Window]:
-    """The :func:`windows` of tensor ``name`` of ``maps``, which share its
-    size and dtype. Once the next window is asked for, each map hands back
-    the mapped pages behind the last one (see :meth:`TensorMap.items`)."""
+def walk(maps: Sequence["TensorMap"], name: str) -> tuple[Window, ...]:
+    """The :func:`windows` of a pass over tensor ``name`` of ``maps`` (one size and dtype)."""
     arr = maps[0][name]
-    for window in windows(arr.size, arr.itemsize):
-        yield window
-        for tmap in maps:
-            tmap._release(name, window[0], window[1])
+    return windows(arr.size, arr.itemsize)
 
 _EXPONENT_BITS = {2: np.uint16(0x7C00), 4: np.uint32(0x7F800000),
                   8: np.uint64(0x7FF0000000000000)}
@@ -231,21 +225,20 @@ class TensorMap:
     """An ordered collection of named float tensors plus string metadata.
 
     Canonical iteration order is lexicographic by name. Values are read-only
-    numpy arrays in their storage dtype (float16/32/64, little-endian); maps
-    returned by :func:`read_checkpoint` keep their values as views into the
-    memory-mapped file. Instances are immutable after construction and safe
-    to share across threads.
+    numpy arrays in their storage dtype (float16/32/64, little-endian). On
+    maps returned by :func:`read_checkpoint`, ``tmap[name]`` is a view into
+    the mapped file. Instances are immutable after construction and safe to
+    share across threads (each pass makes its own read buffer).
 
     Non-finite values are legal in a map (they are accepted on read and
     reported by :meth:`non_finite_tensors`); arithmetic and writing reject
     them.
 
-    ``_buffer`` keeps the file mapping behind the values alive, and
-    ``_offsets`` gives each non-empty tensor's byte offset in it, where pages
-    can be handed back; ``_non_finite`` is the already known answer of
-    :meth:`non_finite_tensors`. A buffer or a known answer marks the values
-    as unchangeable, so that the answer is kept once computed (threads that
-    ask before that may each scan, and get the same answer).
+    ``_buffer`` is the open file that passes read, ``_offsets`` each non-empty
+    tensor's byte offset in it, and ``_non_finite`` the known answer of
+    :meth:`non_finite_tensors`. A file or a known answer marks the values as
+    unchangeable, so that the answer is kept once computed (threads that ask
+    before that may each scan, and get the same answer).
     """
 
     __slots__ = ("_entries", "_metadata", "_buffer", "_offsets", "_non_finite")
@@ -296,28 +289,15 @@ class TensorMap:
         return list(self._entries)
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        """(name, values) pairs in name order. On a map read from a file, each
-        tensor's pages go back to the OS (``MADV_DONTNEED``) once the pass moves
-        past it; a later read faults the same bytes back in from the page cache,
-        so only resident memory changes, never a value. A pass by :func:`walk`
-        hands them back a window at a time."""
+        """(name, values) pairs in name order. The values are read-only copies,
+        each read as the pass reaches it (:func:`_reader`)."""
+        read = _reader(self)
         for name, arr in self._entries.items():
-            yield name, arr
-            self._release(name, 0, arr.size)
-
-    def _release(self, name: str, begin: int, end: int) -> None:
-        """Hand back the mapped pages of elements ``[begin, end)`` of tensor
-        ``name`` that a pass has moved past: from the page holding ``begin``
-        (a pass is past whatever precedes it) up to the page holding ``end``."""
-        offset = self._offsets.get(name)
-        if offset is not None:
-            itemsize = self._entries[name].itemsize
-            start = (offset + begin * itemsize) // mmap.PAGESIZE * mmap.PAGESIZE
-            # Keep the page holding the next bytes: a fault on it may map the pages
-            # around it back in, released ones included.
-            stop = (offset + end * itemsize) // mmap.PAGESIZE * mmap.PAGESIZE
-            if stop > start:
-                self._buffer.madvise(mmap.MADV_DONTNEED, start, stop - start)
+            copy = np.empty(arr.shape, arr.dtype)
+            for begin, end, _ in walk((self,), name):
+                copy.reshape(-1)[begin:end] = read(name, begin, end)
+            copy.flags.writeable = False
+            yield name, copy
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
@@ -341,11 +321,7 @@ class TensorMap:
 
     def non_finite_tensors(self) -> dict[str, int]:
         """Names of tensors containing NaN/inf, mapped to the first bad index."""
-        if self._non_finite is None:
-            if self._buffer is None:  # the caller may still write to the values
-                return self._scan()
-            self._non_finite = self._scan()
-        return dict(self._non_finite)
+        return dict(self._scan() if self._non_finite is None else self._non_finite)
 
     def _scan(self, digest: hashlib._Hash | None = None) -> dict[str, int]:
         largest = max((arr.size for arr in self._entries.values()), default=0)
@@ -358,6 +334,8 @@ class TensorMap:
                 index = first_non_finite(values, scratch)
                 if index is not None:
                     out[name] = begin + index
+        if self._buffer is not None:
+            self._non_finite = out
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -377,13 +355,34 @@ class TensorMap:
         return f"TensorMap({len(self)} tensors, {self.data_nbytes} data bytes)"
 
 
+def _reader(tmap: TensorMap):
+    """``read(name, begin, end)`` for one pass: the flat values ``[begin, end)``
+    of tensor ``name`` of ``tmap``, valid until the next call, read from its
+    file into one window buffer (a short read: the file shrank) or viewed."""
+    if tmap._buffer is None:  # a strided tensor is flattened once, not per window
+        flat = functools.lru_cache(maxsize=1)(lambda name: tmap._entries[name].reshape(-1))
+        return lambda name, begin, end: flat(name)[begin:end]
+    window = np.empty(min(tmap.data_nbytes, RELEASE_BYTES), dtype=np.uint8)
+
+    def read(name: str, begin: int, end: int) -> np.ndarray:
+        dtype = tmap._entries[name].dtype
+        out = window[: (end - begin) * dtype.itemsize]
+        start = tmap._offsets[name] + begin * dtype.itemsize
+        if os.preadv(tmap._buffer.fileno(), [out], start) < out.nbytes:
+            raise TruncatedDataError(f"{tmap._buffer.name}: tensor {name!r} needs bytes up to "
+                                     f"offset {start + out.nbytes}, but the file has shrunk")
+        return out.view(dtype)
+
+    return read
+
+
 def _windows_of(tmap: TensorMap) -> Iterator[tuple[str, int, np.ndarray]]:
     """``(name, begin, values)`` per window of each tensor of ``tmap`` in name
-    order: the flat values from element ``begin`` on (see :func:`walk`)."""
-    for name, arr in tmap._entries.items():
-        flat = arr.reshape(-1)
+    order: the flat values from element ``begin`` on (see :func:`_reader`)."""
+    read = _reader(tmap)
+    for name in tmap._entries:
         for begin, end, _ in walk((tmap,), name):
-            yield name, begin, flat[begin:end]
+            yield name, begin, read(name, begin, end)
 
 
 @dataclass(frozen=True)
@@ -496,15 +495,11 @@ def schema_compatible(a: TensorMap | ModelSchema, b: TensorMap | ModelSchema) ->
 
 def fingerprint(tmap: TensorMap, *, include_content: bool = False) -> Fingerprint:
     """Fingerprint a map. Content hashing is off by default (it reads all data).
-    On a map that keeps its scan memo, the pass that hashes also fills it."""
+    The pass that hashes also scans: the scan memo of a map read from a file."""
     content = None
     if include_content:
         digest = hashlib.sha256()
-        if tmap._buffer is not None and tmap._non_finite is None:
-            tmap._non_finite = tmap._scan(digest)
-        else:
-            for _, _, values in _windows_of(tmap):
-                digest.update(values.data)
+        tmap._scan(digest)
         content = digest.hexdigest()
     return Fingerprint(schema_hash=schema_of(tmap).schema_hash, content_hash=content)
 
@@ -583,15 +578,17 @@ def _check_coverage(path: Path, metas: list[TensorMeta], data_size: int) -> None
 
 
 def read_checkpoint(path: str | Path) -> TensorMap:
-    """Read a checkpoint container into a TensorMap backed by a memory map.
+    """Read a checkpoint container into a TensorMap of the open file.
 
     Raises a distinct :class:`~synvec.errors.ContainerError` subclass for each
     malformation: invalid header JSON/structure, unknown dtype, overlapping or
-    gapped byte ranges, and truncated data. The file must not shrink while the
-    map is in use: reading a value past its new end ends the process (SIGBUS).
+    gapped byte ranges, and truncated data. Passes read the open file, where a
+    shrunk one is a TruncatedDataError; ``tmap[name]`` and ``==`` read its
+    mapping, where a byte past the new end ends the process (SIGBUS).
     """
     path = Path(path)
-    with open(path, "rb") as handle:
+    handle = open(path, "rb")
+    try:
         prefix = handle.read(8)
         if len(prefix) < 8:
             raise TruncatedDataError(
@@ -629,9 +626,8 @@ def read_checkpoint(path: str | Path) -> TensorMap:
             metas.append(_parse_header_entry(path, name, entry, data_size))
         _check_coverage(path, metas, data_size)
 
-        buffer = None
-        if data_size > 0:
-            buffer = mmap.mmap(handle.fileno(), length=file_size, access=mmap.ACCESS_READ)
+        mapping = mmap.mmap(handle.fileno(), length=file_size, access=mmap.ACCESS_READ)
+        weakref.finalize(mapping, handle.close)  # open while a view of the mapping lives
 
         entries: dict[str, np.ndarray] = {}
         offsets: dict[str, int] = {}
@@ -642,7 +638,7 @@ def read_checkpoint(path: str | Path) -> TensorMap:
                 else:
                     offsets[meta.name] = data_start + meta.byte_range[0]
                     flat = np.frombuffer(
-                        buffer,
+                        mapping,
                         dtype=meta.dtype.numpy_dtype,
                         count=meta.num_elements,
                         offset=offsets[meta.name],
@@ -652,9 +648,10 @@ def read_checkpoint(path: str | Path) -> TensorMap:
                 raise InvalidHeaderError(f"{path}: tensor {meta.name!r} has shape "
                                          f"{list(meta.shape)}, which numpy cannot hold: {exc}"
                                          ) from None
-        if not hasattr(mmap, "MADV_DONTNEED"):
-            offsets = {}  # no pages can be handed back
-        return TensorMap(entries, raw_metadata, _buffer=buffer, _offsets=offsets)
+    except BaseException:
+        handle.close()
+        raise
+    return TensorMap(entries, raw_metadata, _buffer=handle, _offsets=offsets)
 
 
 def _is_std_stream(info: os.stat_result) -> bool:
@@ -722,9 +719,8 @@ def write_checkpoint(tmap: TensorMap | TensorStream, path: str | Path) -> None:
 
     The header goes first, built from the names, dtypes and shapes alone;
     then the data, a window at a time. So a :class:`TensorStream` is written
-    as its kernel produces it, and a read map hands the pages behind each
-    window back once it is written. A failed write leaves ``path`` as it was
-    (:func:`open_replacing`).
+    as its kernel produces it, and a read map is read a window at a time. A
+    failed write leaves ``path`` as it was (:func:`open_replacing`).
 
     A map holding a NaN or infinity is refused: synvec writes finite values only.
     """
@@ -753,10 +749,9 @@ def write_checkpoint(tmap: TensorMap | TensorStream, path: str | Path) -> None:
 
 
 def write_and_map(stream: TensorStream, path: str | Path) -> TensorMap:
-    """:func:`write_checkpoint` of ``stream``, then the map written: read-only
-    views of the file now at ``path``, known to be finite, whose pages a pass
-    hands back behind it as on any read map. Neither the write nor the map
-    holds more of the output than the window being written.
+    """:func:`write_checkpoint` of ``stream``, then :func:`read_checkpoint` of
+    ``path``, known to be finite. Neither the write nor the map holds more of
+    the output than the window being written.
 
     A target that is written in place (a FIFO, a device, this process's
     stdout or stderr; see :func:`open_replacing`) cannot be mapped back: the

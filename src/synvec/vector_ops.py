@@ -29,8 +29,8 @@ scanned, to name the tensor and index), and by a scan where an operation
 reads none of its values (apply at lam == 0, the mean of one vector written
 to ``out``, a save).
 
-The kernel yields the output a window at a time (``tensor_store.windows``),
-and each operand hands back the mapped pages behind each window. Without
+The kernel yields the output a window at a time (``tensor_store.windows``)
+and reads each operand's file a window at a time (``_reader``). Without
 ``out``, the windows are collected into one array per tensor (scale takes
 no ``out``). With ``out=path``, each window is written to ``path`` as it is
 produced (``tensor_store.write_checkpoint`` of a ``TensorStream``), so about
@@ -77,6 +77,7 @@ from .tensor_store import (
     Fingerprint,
     TensorMap,
     TensorStream,
+    _reader,
     add_up,
     fingerprint,
     first_non_finite,
@@ -185,18 +186,19 @@ def _largest_size(tmap: TensorMap) -> int:
 
 
 def _per_leaf(maps: Sequence[TensorMap], reduce) -> Iterator[tuple[str, int, list]]:
-    """One walk over schema-compatible maps: per tensor in name order,
-    ``(name, size, results)`` with ``reduce(scratch, *blocks)`` of each leaf,
-    where ``scratch`` is an F64 array of the leaf's size."""
+    """One walk over schema-compatible maps, read by ``_reader``: per tensor
+    in name order, ``(name, size, results)`` with ``reduce(scratch, *blocks)``
+    of each leaf, where ``scratch`` is an F64 array of the leaf's size."""
     scratch = np.empty(min(_largest_size(maps[0]), BLOCK_ELEMENTS), dtype=np.float64)
+    reads = [_reader(tmap) for tmap in maps]
     for name in maps[0]:
-        flats = [tmap[name].reshape(-1) for tmap in maps]
         results = []
-        for _, _, leaves in walk(maps, name):
+        for begin, end, leaves in walk(maps, name):
+            blocks = [read(name, begin, end) for read in reads]
             for start, stop in leaves:
                 results.append(reduce(scratch[: stop - start],
-                                      *[flat[start:stop] for flat in flats]))
-        yield name, flats[0].size, results
+                                      *[block[start - begin : stop - begin] for block in blocks]))
+        yield name, maps[0][name].size, results
 
 
 # Leaf reductions. Widening to F64 is exact, and np.add.reduce is what np.sum
@@ -381,12 +383,14 @@ def _apply(model: TensorMap, deltas: TensorMap | TensorStream, lam: float,
     """The pass of model + lam * deltas shared by :func:`apply_task_vector`
     and :func:`apply_ensemble`. At lam == 0 its op gives back the model
     block, whose -0.0 entries adding 0 * delta would turn into +0.0; so the
-    output does not see the deltas, and a map of them is scanned first (a
-    stream is a kernel's output, checked as it is read)."""
+    output does not see the deltas: a map of them is scanned, not read by the
+    pass (a stream is a kernel's output, checked as the pass drains it)."""
+    operands = [("model", model), ("task vector", deltas)]
     if lam == 0 and isinstance(deltas, TensorMap):
         require_finite(deltas, _NON_FINITE_DELTA)
+        operands.pop()
 
-    def shift(row, model_block, delta_block):
+    def shift(row, model_block, delta_block=None):
         if lam == 0:
             return model_block
         np.multiply(delta_block, row.dtype.type(lam), out=row, dtype=row.dtype)
@@ -394,8 +398,7 @@ def _apply(model: TensorMap, deltas: TensorMap | TensorStream, lam: float,
 
     message = (f"applying scale {lam} produced a non-finite value in tensor {{name!r}} "
                "at flat index {index}")
-    stream = TensorStream(model, _elementwise(
-        shift, (("model", model), ("task vector", deltas)), message))
+    stream = TensorStream(model, _elementwise(shift, operands, message))
     return stream.collect() if out is None else write_and_map(stream, out)
 
 
@@ -730,6 +733,6 @@ def _task_vector_from_map(tmap: TensorMap, path: str | Path) -> TaskVector:
         created_from=created_from,
     )
     plain = {k: v for k, v in metadata.items() if k not in _RESERVED_KEYS}
-    deltas = tmap.with_metadata(plain)  # keeps the mapping, so one scan serves every use
+    deltas = tmap.with_metadata(plain)  # keeps the file, so one scan serves every use
     return TaskVector(deltas=deltas, base_schema=Fingerprint(schema_hash=actual),
                       provenance=provenance)

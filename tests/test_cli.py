@@ -289,6 +289,29 @@ def test_merge_commands_read_each_input_once(capsys, monkeypatch, tmp_path, comm
         assert sorted(walks) == sorted([name for name in layout if layout[name].size] * inputs)
 
 
+def test_apply_at_lambda_zero_reads_its_vector_once(capsys, monkeypatch, tmp_path):
+    # At lam == 0 the output is the model's bytes: the vector is scanned, and the
+    # pass reads the model alone.
+    monkeypatch.chdir(tmp_path)
+    pairs, target = write_merge_fixture(np.float32)
+    assert run_cli(capsys, "diff", *pairs[0], "--out", "tau.st")[0] == 0
+    walks = []
+
+    def counting_walk(maps, name):
+        walks.extend([name] * len(maps))
+        return real_walk(maps, name)
+
+    real_walk = tensor_store.walk
+    monkeypatch.setattr(tensor_store, "walk", counting_walk)
+    monkeypatch.setattr(vector_ops, "walk", counting_walk)
+    code, _, err = run_cli(capsys, "apply", target, "tau.st", "--lambda", "0", "--out", "out.st")
+    assert code == 0, err
+    assert Path("out.st").read_bytes() == Path(target).read_bytes()
+    layout = read_checkpoint("tau.st")
+    values = [name for name in layout if layout[name].size]
+    assert sorted(name for name in walks if name in values) == sorted(values * 2)
+
+
 @pytest.mark.parametrize("dtype", [["F32"], {"F32": "F32"}], ids=["list", "object"])
 def test_inspect_of_a_dtype_that_is_not_a_string_exits_2(capsys, tmp_path, dtype):
     header = json.dumps({"w": {"dtype": dtype, "shape": [1], "data_offsets": [0, 4]}}).encode()

@@ -5,6 +5,8 @@ import json
 import mmap
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -731,6 +733,65 @@ def test_a_pass_hands_back_pages_and_keeps_every_value(tmp_path):
     in_memory = compute_task_vector(*copies).deltas
     assert mapped == in_memory
     assert all(views[name].tobytes() == originals[name].tobytes() for name in originals)
+
+
+# --- a file that shrinks under a pass ---
+
+# Reads a two-tensor task vector container, cuts the file to 8 KiB (inside its
+# second tensor) and runs one pass over it; exits 2 with the error's text.
+SHRINK_PROBE = """
+import os, shutil, sys
+import numpy as np
+from synvec import cli
+from synvec.errors import TruncatedDataError
+from synvec.tensor_store import TensorMap, fingerprint, read_checkpoint
+from synvec.vector_ops import (TaskVector, compute_task_vector, load_task_vector, norm_stats,
+                               save_task_vector)
+
+case, path = sys.argv[1], sys.argv[2]
+deltas = TensorMap({"a": np.ones(1024, np.float32), "b": np.ones(65536, np.float32)})
+save_task_vector(TaskVector(deltas, fingerprint(deltas)), path)
+shutil.copy(path, path + ".copy")
+tmap, intact, tau = read_checkpoint(path), read_checkpoint(path + ".copy"), load_task_vector(path)
+
+def read_then_shrink(name):
+    read = read_checkpoint(name)
+    os.truncate(path, 8192)
+    return read
+
+if case == "cli diff":  # the file shrinks once the command has read its header
+    cli.read_checkpoint = read_then_shrink
+    sys.exit(cli.main(["diff", path, path + ".copy", "--out", path + ".out"]))
+os.truncate(path, 8192)
+passes = {
+    "non_finite_tensors": tmap.non_finite_tensors,
+    "items": lambda: list(tmap.items()),
+    "norm_stats": lambda: norm_stats(tau),
+    "compute_task_vector": lambda: compute_task_vector(tmap, intact),
+}
+try:
+    passes[case]()
+except TruncatedDataError as exc:
+    print(exc)
+    sys.exit(2)
+"""
+
+
+@pytest.mark.parametrize("case", ["non_finite_tensors", "items", "norm_stats",
+                                  "compute_task_vector", "cli diff"])
+def test_a_pass_over_a_file_that_shrank_is_a_truncated_data_error(tmp_path, case):
+    # A pass reads the file, not its mapping: the bytes the shrunk file lost are a
+    # short read, not a SIGBUS that ends the process.
+    path = tmp_path / "shrinks.st"
+    proc = subprocess.run([sys.executable, "-c", SHRINK_PROBE, case, str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 2, (proc.returncode, proc.stderr)
+    message = proc.stdout
+    if case == "cli diff":
+        error = json.loads(proc.stderr)["error"]
+        assert error["kind"] == "truncated_data"
+        message = error["message"]
+    assert f"{path}: tensor 'b' " in message
 
 
 # --- the leaf walk: numpy's pairwise-sum split ---

@@ -998,6 +998,26 @@ def test_out_writes_the_eager_bytes_and_returns_the_eager_values(tmp_path, monke
                 if any(np.shares_memory(values, arr) for _, arr in written.items())]
 
 
+@pytest.mark.parametrize("case", ["compute", "ensemble", "ensemble_one", "apply", "apply_zero",
+                                  "apply_ensemble"])
+def test_a_written_result_is_written_again_without_a_scan(tmp_path, monkeypatch, rng, case):
+    # Passes read the file into a buffer of their own, so a check that reads the
+    # written file shares no memory with its mapping: count the scans instead.
+    call, writer = _out_cases(rng)[case]
+    streamed = call(out=tmp_path / "out.st")
+    scans = []
+    original = TensorMap._scan
+
+    def counting_scan(tmap, *args):
+        scans.append(tmap)
+        return original(tmap, *args)
+
+    monkeypatch.setattr(TensorMap, "_scan", counting_scan)
+    writer(streamed, tmp_path / "again.st")
+    assert scans == []
+    assert (tmp_path / "again.st").read_bytes() == (tmp_path / "out.st").read_bytes()
+
+
 def test_out_maps_the_written_file_read_only(tmp_path, rng):
     real, syn = random_map_pair(rng)
     tau = compute_task_vector(real, syn, out=tmp_path / "tau.st")
