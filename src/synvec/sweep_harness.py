@@ -463,7 +463,7 @@ def run_lambda_sweep(
     with _run_directory(config) as run_dir:
         mean_path = run_dir / "mean.safetensors"
         try:
-            # Written once and mapped back, so the points read it a window at a time.
+            # Written once and read back, so the points read it a window at a time.
             mean = ensemble_average(vector_list, norms=False,
                                     out=mean_path if len(vector_list) > 1 else None)
             tasks = [(f"sweep_{index:03d}_lambda_{lam:g}.safetensors", lam, [mean])

@@ -14,17 +14,18 @@ out contiguously from offset 0 in the same lexicographic order. Reading
 accepts any valid file (arbitrary range order, whitespace-padded headers),
 not just canonical ones.
 
-Reads map the file, and ``tmap[name]`` is a read-only view of the mapping,
-but no pass reads through it: every pass walks the leaves of numpy's
-pairwise-sum split that first fit in :data:`BLOCK_ELEMENTS` (:func:`leaves`),
-in windows of about :data:`RELEASE_BYTES` (:func:`walk`), and reads each
-window of a file with ``os.preadv`` into one buffer (:func:`_reader`). So it
-holds a window of each map, and a shrunk file is a ``TruncatedDataError``.
+A map read from a file keeps the open file, and its values have one reader:
+every pass walks the leaves of numpy's pairwise-sum split that first fit in
+:data:`BLOCK_ELEMENTS` (:func:`leaves`), in windows of about
+:data:`RELEASE_BYTES` (:func:`walk`), and reads each window of the file with
+``os.preadv`` into one buffer (:func:`_reader`). So a pass holds a window of
+each map, and a shrunk file is a ``TruncatedDataError``. ``tmap[name]`` reads
+its whole tensor the same way into a new array, and ``==`` compares copies.
 Writes are header first: :func:`write_checkpoint` builds the header from the
 names, dtypes and shapes alone, then writes the data a window at a time. A
 :class:`TensorStream` (a kernel's output, window by window) is written as it
 is produced, so the output is never held whole, and :func:`write_and_map`
-then maps the written file back in place of the output. Writes go to a new
+then reads the written file back in place of the output. Writes go to a new
 file beside the target that then replaces it (:func:`open_replacing`), so a
 file that is still open as an input can be overwritten safely, and a write
 that fails part way leaves the target as it was.
@@ -39,7 +40,7 @@ toolkit. ``vector_ops``'s kernel calls it on each output leaf, and
 :meth:`TensorMap.non_finite_tensors` is the only caller that scans a whole
 map. It memoises its answer on maps whose values cannot change: maps
 :func:`read_checkpoint` returns (read from a file opened read-only), and
-maps of kernel output, collected or written and mapped back, which are
+maps of kernel output, collected or written and read back, which are
 known finite without a scan. A map built from a caller's arrays is scanned
 on every call, because the caller may still write to them.
 """
@@ -51,7 +52,6 @@ import enum
 import functools
 import hashlib
 import json
-import mmap
 import os
 import secrets
 import stat
@@ -181,7 +181,7 @@ def windows(size: int, itemsize: int) -> tuple[Window, ...]:
 
 def walk(maps: Sequence["TensorMap"], name: str) -> tuple[Window, ...]:
     """The :func:`windows` of a pass over tensor ``name`` of ``maps`` (one size and dtype)."""
-    arr = maps[0][name]
+    arr = maps[0]._entries[name]
     return windows(arr.size, arr.itemsize)
 
 _EXPONENT_BITS = {2: np.uint16(0x7C00), 4: np.uint32(0x7F800000),
@@ -225,20 +225,21 @@ class TensorMap:
     """An ordered collection of named float tensors plus string metadata.
 
     Canonical iteration order is lexicographic by name. Values are read-only
-    numpy arrays in their storage dtype (float16/32/64, little-endian). On
-    maps returned by :func:`read_checkpoint`, ``tmap[name]`` is a view into
-    the mapped file. Instances are immutable after construction and safe to
-    share across threads (each pass makes its own read buffer).
+    numpy arrays in their storage dtype (float16/32/64, little-endian); on a
+    map read from a file, ``tmap[name]`` reads its whole tensor into a new
+    array. Instances are immutable after construction and safe to share
+    across threads (each read makes its own buffer).
 
     Non-finite values are legal in a map (they are accepted on read and
     reported by :meth:`non_finite_tensors`); arithmetic and writing reject
     them.
 
-    ``_buffer`` is the open file that passes read, ``_offsets`` each non-empty
-    tensor's byte offset in it, and ``_non_finite`` the known answer of
-    :meth:`non_finite_tensors`. A file or a known answer marks the values as
-    unchangeable, so that the answer is kept once computed (threads that ask
-    before that may each scan, and get the same answer).
+    ``_buffer`` is the open file every value is read from, ``_offsets`` each
+    tensor's byte offset in it (``_entries`` then hold only stand-ins of the
+    right dtype and shape, never read), and ``_non_finite`` the known answer
+    of :meth:`non_finite_tensors`. A file or a known answer marks the values
+    as unchangeable, so that the answer is kept once computed (threads that
+    ask before that may each scan, and get the same answer).
     """
 
     __slots__ = ("_entries", "_metadata", "_buffer", "_offsets", "_non_finite")
@@ -291,13 +292,17 @@ class TensorMap:
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         """(name, values) pairs in name order. The values are read-only copies,
         each read as the pass reaches it (:func:`_reader`)."""
-        read = _reader(self)
-        for name, arr in self._entries.items():
-            copy = np.empty(arr.shape, arr.dtype)
-            for begin, end, _ in walk((self,), name):
-                copy.reshape(-1)[begin:end] = read(name, begin, end)
-            copy.flags.writeable = False
-            yield name, copy
+        for name in self._entries:
+            yield name, self._copy(name, walk((self,), name))
+
+    def _copy(self, name: str, spans: Sequence[Window]) -> np.ndarray:
+        """A read-only copy of tensor ``name``, read (:func:`_reader`) over ``spans``."""
+        arr, read = self._entries[name], _reader(self)
+        copy = np.empty(arr.shape, arr.dtype)
+        for begin, end, _ in spans:
+            copy.reshape(-1)[begin:end] = read(name, begin, end)
+        copy.flags.writeable = False
+        return copy
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
@@ -309,7 +314,9 @@ class TensorMap:
         return name in self._entries
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._entries[name]
+        """Read-only values; with a file, a new array read window by window, not as a pass."""
+        arr = self._entries[name]
+        return arr if self._buffer is None else self._copy(name, windows(arr.size, arr.itemsize))
 
     @property
     def num_elements(self) -> int:
@@ -324,8 +331,7 @@ class TensorMap:
         return dict(self._scan() if self._non_finite is None else self._non_finite)
 
     def _scan(self, digest: hashlib._Hash | None = None) -> dict[str, int]:
-        largest = max((arr.size for arr in self._entries.values()), default=0)
-        scratch = np.empty(min(largest, BLOCK_ELEMENTS), dtype=np.uint64)
+        scratch = np.empty(min(_largest_size(self), BLOCK_ELEMENTS), dtype=np.uint64)
         out = {}
         for name, begin, values in _windows_of(self):
             if digest is not None:
@@ -341,18 +347,16 @@ class TensorMap:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorMap):
             return NotImplemented
-        if self._metadata != other._metadata or self.names() != other.names():
-            return False
-        for name, arr in self._entries.items():
-            theirs = other._entries[name]
-            if arr.dtype != theirs.dtype or arr.shape != theirs.shape:
-                return False
-            if arr.tobytes() != theirs.tobytes():  # bitwise, NaN-safe
-                return False
-        return True
+        return (self._metadata == other._metadata and schema_of(self) == schema_of(other)
+                and all(mine.tobytes() == theirs.tobytes()  # bitwise, NaN-safe
+                        for (_, mine), (_, theirs) in zip(self.items(), other.items())))
 
     def __repr__(self) -> str:
         return f"TensorMap({len(self)} tensors, {self.data_nbytes} data bytes)"
+
+
+def _largest_size(tmap: TensorMap) -> int:
+    return max((arr.size for arr in tmap._entries.values()), default=0)
 
 
 def _reader(tmap: TensorMap):
@@ -582,12 +586,17 @@ def read_checkpoint(path: str | Path) -> TensorMap:
 
     Raises a distinct :class:`~synvec.errors.ContainerError` subclass for each
     malformation: invalid header JSON/structure, unknown dtype, overlapping or
-    gapped byte ranges, and truncated data. Passes read the open file, where a
-    shrunk one is a TruncatedDataError; ``tmap[name]`` and ``==`` read its
-    mapping, where a byte past the new end ends the process (SIGBUS).
+    gapped byte ranges, and truncated data. Only the header is read here;
+    every value is read from the open file when it is used, so a file that
+    has shrunk by then is a TruncatedDataError. The file is closed when the
+    last map that holds it goes.
     """
     path = Path(path)
-    handle = open(path, "rb")
+    with open(path, "rb") as opened:  # whose errors (a directory, no such file) name the path
+        fd = os.dup(opened.fileno())
+    handle = open(fd, "rb", closefd=False)  # fd closes when the last map holding handle goes
+    handle.raw.name = str(path)  # read errors name the file, not the descriptor
+    close = weakref.finalize(handle, os.close, fd)
     try:
         prefix = handle.read(8)
         if len(prefix) < 8:
@@ -626,31 +635,19 @@ def read_checkpoint(path: str | Path) -> TensorMap:
             metas.append(_parse_header_entry(path, name, entry, data_size))
         _check_coverage(path, metas, data_size)
 
-        mapping = mmap.mmap(handle.fileno(), length=file_size, access=mmap.ACCESS_READ)
-        weakref.finalize(mapping, handle.close)  # open while a view of the mapping lives
-
-        entries: dict[str, np.ndarray] = {}
-        offsets: dict[str, int] = {}
+        entries: dict[str, np.ndarray] = {}  # layout only: stand-ins of no bytes
         for meta in metas:
             try:
-                if meta.num_elements == 0:
-                    entries[meta.name] = np.empty(meta.shape, dtype=meta.dtype.numpy_dtype)
-                else:
-                    offsets[meta.name] = data_start + meta.byte_range[0]
-                    flat = np.frombuffer(
-                        mapping,
-                        dtype=meta.dtype.numpy_dtype,
-                        count=meta.num_elements,
-                        offset=offsets[meta.name],
-                    )
-                    entries[meta.name] = flat.reshape(meta.shape)
+                entries[meta.name] = np.broadcast_to(np.zeros((), meta.dtype.numpy_dtype),
+                                                     meta.shape)
             except ValueError as exc:  # more dimensions, or larger ones, than numpy holds
                 raise InvalidHeaderError(f"{path}: tensor {meta.name!r} has shape "
                                          f"{list(meta.shape)}, which numpy cannot hold: {exc}"
                                          ) from None
     except BaseException:
-        handle.close()
+        close()
         raise
+    offsets = {meta.name: data_start + meta.byte_range[0] for meta in metas}
     return TensorMap(entries, raw_metadata, _buffer=handle, _offsets=offsets)
 
 
@@ -732,8 +729,7 @@ def write_checkpoint(tmap: TensorMap | TensorStream, path: str | Path) -> None:
     if layout.metadata:
         header["__metadata__"] = {key: layout.metadata[key] for key in sorted(layout.metadata)}
     offset = 0
-    for name in layout.names():
-        arr = layout[name]
+    for name, arr in layout._entries.items():
         header[name] = {
             "dtype": Dtype.from_numpy(arr.dtype).value,
             "shape": list(arr.shape),
@@ -754,7 +750,7 @@ def write_and_map(stream: TensorStream, path: str | Path) -> TensorMap:
     the output than the window being written.
 
     A target that is written in place (a FIFO, a device, this process's
-    stdout or stderr; see :func:`open_replacing`) cannot be mapped back: the
+    stdout or stderr; see :func:`open_replacing`) cannot be read back: the
     stream is then collected, written whole and returned as collected.
     """
     if _in_place(_stat_or_none(path)):

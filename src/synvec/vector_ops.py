@@ -35,7 +35,7 @@ and reads each operand's file a window at a time (``_reader``). Without
 no ``out``). With ``out=path``, each window is written to ``path`` as it is
 produced (``tensor_store.write_checkpoint`` of a ``TensorStream``), so about
 a window per operand and one output window are held at a time, and the
-result holds the written file, mapped back. Either way the result records
+result holds the written file, read back. Either way the result records
 that it was checked, so writing it or applying it again scans nothing. A
 task vector written with ``out`` also gets its norms from the stream, so
 printing them reads none of the file.
@@ -77,6 +77,7 @@ from .tensor_store import (
     Fingerprint,
     TensorMap,
     TensorStream,
+    _largest_size,
     _reader,
     add_up,
     fingerprint,
@@ -181,10 +182,6 @@ class TaskVector:
             require_finite(self.deltas, _NON_FINITE_DELTA)
 
 
-def _largest_size(tmap: TensorMap) -> int:
-    return max((tmap[name].size for name in tmap), default=0)
-
-
 def _per_leaf(maps: Sequence[TensorMap], reduce) -> Iterator[tuple[str, int, list]]:
     """One walk over schema-compatible maps, read by ``_reader``: per tensor
     in name order, ``(name, size, results)`` with ``reduce(scratch, *blocks)``
@@ -198,7 +195,7 @@ def _per_leaf(maps: Sequence[TensorMap], reduce) -> Iterator[tuple[str, int, lis
             for start, stop in leaves:
                 results.append(reduce(scratch[: stop - start],
                                       *[block[start - begin : stop - begin] for block in blocks]))
-        yield name, maps[0][name].size, results
+        yield name, maps[0]._entries[name].size, results
 
 
 # Leaf reductions. Widening to F64 is exact, and np.add.reduce is what np.sum
@@ -276,11 +273,10 @@ def _elementwise(op, operands: Sequence[tuple[str, TensorMap | TensorStream]], m
     block = min(_largest_size(layout), BLOCK_ELEMENTS)
     wide = np.empty(block, dtype=np.float64)  # rows for storage narrower than compute
     bits = np.empty(block, dtype=np.uint64)
-    largest = max((layout[name].nbytes for name in layout), default=0)
+    largest = max((arr.nbytes for arr in layout._entries.values()), default=0)
     # One window of output, viewed as each tensor's dtype in turn.
     window = np.empty(-(-min(largest, RELEASE_BYTES) // 8), dtype=np.float64)
-    for name in layout:
-        arr = layout[name]
+    for name, arr in layout._entries.items():
         compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
         narrowed, rows = window.view(arr.dtype), wide.view(compute)
         leaf_norms = []
@@ -344,8 +340,8 @@ def compute_task_vector(real: TensorMap, syn: TensorMap, provenance: Provenance 
 
     With ``out``, the deltas are written to that path a window at a time as
     they are computed, in the bytes :func:`save_task_vector` would write, and
-    the returned vector's deltas are read-only views of the written file,
-    whose norms were taken on the way (:func:`norm_stats` reads none of it).
+    the returned vector's deltas are read from the written file when used,
+    and its norms were taken on the way (:func:`norm_stats` reads none of it).
     """
     _require_compatible(real, syn)
 
@@ -370,7 +366,7 @@ def apply_task_vector(model: TensorMap, tau: TaskVector, lam: float, *,
 
     With ``out``, the output is written to that path a window at a time as
     it is computed, in the bytes :func:`~synvec.tensor_store.write_checkpoint`
-    would write, and the returned map is a read-only view of the written
+    would write, and the returned map reads its values from the written
     file. A failure leaves ``out`` as it was.
     """
     require_finite_real(lam, "scaling factor")
@@ -530,12 +526,19 @@ def apply_ensemble(model: TensorMap, vectors: Sequence[TaskVector], lam: float, 
     F64 mean of a later one overflows, this reports the earlier tensor, where
     the mean computed first would report the later; within one window
     (about 512 KiB) of one tensor, it reports the mean.
+
+    At lam == 0 with no F64 tensor, no mean is taken: each vector is scanned,
+    in list order, as an F16 or F32 mean of finite deltas is finite.
     """
     _shared_schema(vectors)  # the composition's checks, in its order
     require_finite_real(lam, "scaling factor")
     if len(vectors) == 1:
         return apply_task_vector(model, vectors[0], lam, out=out)
     _require_compatible(model, vectors[0].deltas)
+    if lam == 0 and all(arr.dtype != np.float64 for arr in model._entries.values()):
+        for vector in vectors[:-1]:
+            require_finite(vector.deltas, _NON_FINITE_DELTA)
+        return _apply(model, vectors[-1].deltas, lam, out)  # which scans the last
     return _apply(model, _mean_stream(vectors), lam, out)
 
 
@@ -602,7 +605,7 @@ def norm_stats(tau: TaskVector) -> NormReport:
         return TensorStats(l2_norm=math.sqrt(sq), max_abs=top,
                            mean_abs=abs_sum / size if size else 0.0, num_elements=size)
 
-    rows = {name: (*norms, tau.deltas[name].size) for name, norms in tau._norms.items()}
+    rows = {name: (*norms, tau.deltas._entries[name].size) for name, norms in tau._norms.items()}
     sq_total = abs_total = max_total = 0.0
     n_total = 0
     for sq, abs_sum, top, size in rows.values():

@@ -10,6 +10,7 @@ import json
 import shlex
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,7 +379,7 @@ def test_criterion_9_sweep_harness_contract(tmp_path):
         model_path = tmp_path / "model.st"
         write_checkpoint(model, model_path)
         zero_record = next(r for r in result.records if r.lam == 0.0)
-        assert open(zero_record.checkpoint_path, "rb").read() == model_path.read_bytes()
+        assert Path(zero_record.checkpoint_path).read_bytes() == model_path.read_bytes()
 
         # partial evaluator failure leaves the other grid points intact
         flaky = (

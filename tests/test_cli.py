@@ -312,6 +312,54 @@ def test_apply_at_lambda_zero_reads_its_vector_once(capsys, monkeypatch, tmp_pat
     assert sorted(name for name in walks if name in values) == sorted(values * 2)
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_apply_at_lambda_zero_of_several_vectors_takes_no_mean(capsys, monkeypatch, tmp_path, k):
+    # An F32 mean of finite deltas is finite, and the pass at lam == 0 reads none of
+    # it: each vector is scanned once, in list order, and the pass reads the model.
+    monkeypatch.chdir(tmp_path)
+    pairs, target = write_merge_fixture(np.float32)
+    taus = [f"tau_{i}.st" for i in range(k)]
+    for pair, tau in zip(pairs, taus):
+        assert run_cli(capsys, "diff", *pair, "--out", tau)[0] == 0
+    walks, scans = [], []
+
+    def counting_walk(maps, name):
+        walks.extend((Path(tmap._buffer.name).name, name) for tmap in maps)
+        return real_walk(maps, name)
+
+    def counting_scan(tmap, *args):
+        scans.append(Path(tmap._buffer.name).name)
+        return real_scan(tmap, *args)
+
+    def no_mean(*args):
+        raise AssertionError("a mean was taken at lambda 0")
+
+    real_walk, real_scan = tensor_store.walk, TensorMap._scan
+    monkeypatch.setattr(tensor_store, "walk", counting_walk)
+    monkeypatch.setattr(vector_ops, "walk", counting_walk)
+    monkeypatch.setattr(TensorMap, "_scan", counting_scan)
+    monkeypatch.setattr(vector_ops, "_mean_op", no_mean)
+    code, _, err = run_cli(capsys, "apply", target, *taus, "--lambda", "0", "--out", "out.st")
+    assert code == 0, err
+    assert Path("out.st").read_bytes() == Path(target).read_bytes()
+    assert scans == taus
+    layout = read_checkpoint(target)
+    values = [name for name in layout if layout._entries[name].size]
+    assert sorted(walk for walk in walks if walk[1] in values) == sorted(
+        (path, name) for path in [target, *taus] for name in values)
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_an_input_that_cannot_be_opened_is_an_io_error_naming_it(capsys, tmp_path, kind):
+    path = tmp_path / "input.st"
+    if kind == "directory":
+        path.mkdir()
+    code, payload, err = run_cli(capsys, "inspect", path)
+    assert (code, payload) == (2, None)
+    error = json.loads(err)["error"]
+    assert error["kind"] == "io" and error["message"].endswith(f": {str(path)!r}")
+
+
 @pytest.mark.parametrize("dtype", [["F32"], {"F32": "F32"}], ids=["list", "object"])
 def test_inspect_of_a_dtype_that_is_not_a_string_exits_2(capsys, tmp_path, dtype):
     header = json.dumps({"w": {"dtype": dtype, "shape": [1], "data_offsets": [0, 4]}}).encode()
@@ -997,7 +1045,7 @@ def run_merge_chain(capsys, dtype):
         code = main([*args, "--out", out])
         captured = capsys.readouterr()
         assert code == 0, captured.err
-        digests[name] = (hashlib.sha256(open(out, "rb").read()).hexdigest()[:16],
+        digests[name] = (hashlib.sha256(Path(out).read_bytes()).hexdigest()[:16],
                          hashlib.sha256(captured.out.encode()).hexdigest()[:16])
 
     taus = [f"tau_{i}.st" for i in range(4)]
@@ -1094,13 +1142,13 @@ def test_out_may_be_a_fifo(capsys, monkeypatch, tmp_path, command):
     expected = run_to(capsys, argv, "regular.st")
     os.mkfifo("out.fifo")
     received = []
-    reader = threading.Thread(target=lambda: received.append(open("out.fifo", "rb").read()),
+    reader = threading.Thread(target=lambda: received.append(Path("out.fifo").read_bytes()),
                               daemon=True)
     reader.start()
     assert run_to(capsys, argv, "out.fifo") == expected
     reader.join(timeout=30)
     assert not reader.is_alive()
-    assert received == [open("regular.st", "rb").read()]
+    assert received == [Path("regular.st").read_bytes()]
 
 
 @pytest.mark.parametrize("command,over", [("diff", "real_0.st"), ("ensemble", "tau_0.st"),
@@ -1112,7 +1160,7 @@ def test_out_may_name_an_input(capsys, monkeypatch, tmp_path, command, over):
     argv = MERGE_COMMANDS[command]
     expected = run_to(capsys, argv, "separate.st")
     assert run_to(capsys, argv, over) == expected
-    assert open(over, "rb").read() == open("separate.st", "rb").read()
+    assert Path(over).read_bytes() == Path("separate.st").read_bytes()
     assert not [p for p in os.listdir() if p.endswith(".tmp")]
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,9 +54,10 @@ CONSTANT_EVALUATOR = f"{PY} -c \"import json; print(json.dumps({{'wer': 12.5}}))
 # difference as the WER; exits 3 where that norm equals argv[3].
 L2_EVALUATOR_SCRIPT = """
 import json, struct, sys
+from pathlib import Path
 
 def tensors(path):
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     size = int.from_bytes(data[:8], "little")
     header = json.loads(data[8:8 + size])
     header.pop("__metadata__", None)
@@ -314,7 +316,7 @@ def test_zero_lambda_checkpoint_matches_input_file(tmp_path):
     result = run_lambda_sweep(model, vectors, config)
     materialized = result.records[0].checkpoint_path
     assert (tmp_path / "work").exists()
-    assert open(materialized, "rb").read() == model_path.read_bytes()
+    assert Path(materialized).read_bytes() == model_path.read_bytes()
 
 
 def test_checkpoints_deleted_unless_kept(tmp_path):

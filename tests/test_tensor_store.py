@@ -521,20 +521,25 @@ def test_values_are_read_only(tmp_path, rng):
     assert not tmap[name].flags.writeable
 
 
-def test_read_values_are_views_into_mapped_file(tmp_path):
-    # transient memory stays O(one tensor): values alias the mapped file
-    import mmap as mmap_module
+def test_read_values_are_copies_and_no_file_is_mapped(tmp_path, monkeypatch):
+    # One reader: tmap[name] reads its tensor from the file into a new array.
+    def no_mapping(*args, **kwargs):
+        raise AssertionError("a file was mapped")
 
-    tmap = TensorMap({"w": np.arange(64, dtype=np.float32)})
-    path = tmp_path / "mapped.st"
-    write_checkpoint(tmap, path)
+    monkeypatch.setattr(mmap, "mmap", no_mapping)
+    values = np.arange(64, dtype=np.float32)
+    path = tmp_path / "read.st"
+    write_checkpoint(TensorMap({"w": values}), path)
     loaded = read_checkpoint(path)
-    base = loaded["w"]
-    while isinstance(base, np.ndarray):
-        base = base.base
-    if isinstance(base, memoryview):
-        base = base.obj
-    assert isinstance(base, mmap_module.mmap)
+    reads = [loaded["w"], loaded["w"], loaded.with_metadata({"k": "v"})["w"],
+             dict(loaded.items())["w"]]
+    for i, read in enumerate(reads):
+        assert read.tobytes() == values.tobytes() and read.shape == values.shape
+        assert not read.flags.writeable
+        assert not any(np.shares_memory(read, other) for other in reads[i + 1:])
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as maps:
+            assert str(path) not in maps.read()
 
 
 def test_whitespace_padded_header_accepted(tmp_path):
@@ -768,6 +773,8 @@ passes = {
     "items": lambda: list(tmap.items()),
     "norm_stats": lambda: norm_stats(tau),
     "compute_task_vector": lambda: compute_task_vector(tmap, intact),
+    "getitem": lambda: float(tmap["b"].sum()),
+    "eq": lambda: tmap == intact,
 }
 try:
     passes[case]()
@@ -778,10 +785,10 @@ except TruncatedDataError as exc:
 
 
 @pytest.mark.parametrize("case", ["non_finite_tensors", "items", "norm_stats",
-                                  "compute_task_vector", "cli diff"])
+                                  "compute_task_vector", "getitem", "eq", "cli diff"])
 def test_a_pass_over_a_file_that_shrank_is_a_truncated_data_error(tmp_path, case):
-    # A pass reads the file, not its mapping: the bytes the shrunk file lost are a
-    # short read, not a SIGBUS that ends the process.
+    # Every read goes to the file, none to a mapping of it: the bytes the shrunk file
+    # lost are a short read, not a SIGBUS that ends the process.
     path = tmp_path / "shrinks.st"
     proc = subprocess.run([sys.executable, "-c", SHRINK_PROBE, case, str(path)],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
@@ -792,6 +799,50 @@ def test_a_pass_over_a_file_that_shrank_is_a_truncated_data_error(tmp_path, case
         assert error["kind"] == "truncated_data"
         message = error["message"]
     assert f"{path}: tensor 'b' " in message
+
+
+# Counts this process's open descriptors as maps of one file come and go, and
+# after a read that fails; prints the counts, relative to the start, as JSON.
+DESCRIPTOR_PROBE = """
+import gc, json, os, sys
+import numpy as np
+from synvec.errors import TruncatedDataError
+from synvec.tensor_store import TensorMap, read_checkpoint, write_checkpoint
+
+path = sys.argv[1]
+write_checkpoint(TensorMap({"a": np.arange(4, dtype=np.float32)}), path)
+with open(path + ".short", "wb") as short:
+    short.write(b"\\x01")
+start = len(os.listdir("/proc/self/fd"))
+counts = {}
+first = read_checkpoint(path)
+counts["read"] = len(os.listdir("/proc/self/fd")) - start
+second = first.with_metadata({"k": "v"})
+del first
+gc.collect()
+counts["first dropped"] = len(os.listdir("/proc/self/fd")) - start
+assert second["a"].tolist() == [0.0, 1.0, 2.0, 3.0]
+del second
+gc.collect()
+counts["all dropped"] = len(os.listdir("/proc/self/fd")) - start
+try:
+    read_checkpoint(path + ".short")
+except TruncatedDataError:
+    counts["failed read"] = len(os.listdir("/proc/self/fd")) - start
+print(json.dumps(counts))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_map_holds_one_descriptor_until_its_last_copy_goes(tmp_path):
+    # The file stays open while a map of it (or a with_metadata copy) lives, and
+    # closes, without a ResourceWarning, when the last one goes or the read fails.
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+                           DESCRIPTOR_PROBE, str(tmp_path / "fd.st")],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"read": 1, "first dropped": 1, "all dropped": 0,
+                                       "failed read": 0}
 
 
 # --- the leaf walk: numpy's pairwise-sum split ---

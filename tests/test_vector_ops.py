@@ -1023,7 +1023,7 @@ def test_out_maps_the_written_file_read_only(tmp_path, rng):
     tau = compute_task_vector(real, syn, out=tmp_path / "tau.st")
     for _, arr in tau.deltas.items():
         assert not arr.flags.writeable
-    assert tau.deltas._buffer is not None  # views of the written file, not copies
+    assert tau.deltas._buffer is not None  # read from the written file, not collected
     assert tau.deltas.non_finite_tensors() == {}
 
 
