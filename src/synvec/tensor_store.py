@@ -291,15 +291,16 @@ class TensorMap:
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         """(name, values) pairs in name order. The values are read-only copies,
-        each read as the pass reaches it (:func:`_reader`)."""
+        each read as it is reached (:meth:`__getitem__`)."""
         for name in self._entries:
-            yield name, self._copy(name, walk((self,), name))
+            yield name, self._copy(name)
 
-    def _copy(self, name: str, spans: Sequence[Window]) -> np.ndarray:
-        """A read-only copy of tensor ``name``, read (:func:`_reader`) over ``spans``."""
+    def _copy(self, name: str) -> np.ndarray:
+        """A read-only copy of tensor ``name``, read (:func:`_reader`) window by
+        window; a library read, not a pass (:func:`walk`)."""
         arr, read = self._entries[name], _reader(self)
         copy = np.empty(arr.shape, arr.dtype)
-        for begin, end, _ in spans:
+        for begin, end, _ in windows(arr.size, arr.itemsize):
             copy.reshape(-1)[begin:end] = read(name, begin, end)
         copy.flags.writeable = False
         return copy
@@ -314,9 +315,9 @@ class TensorMap:
         return name in self._entries
 
     def __getitem__(self, name: str) -> np.ndarray:
-        """Read-only values; with a file, a new array read window by window, not as a pass."""
+        """Read-only values; with a file, a new array (:meth:`_copy`)."""
         arr = self._entries[name]
-        return arr if self._buffer is None else self._copy(name, windows(arr.size, arr.itemsize))
+        return arr if self._buffer is None else self._copy(name)
 
     @property
     def num_elements(self) -> int:

@@ -526,19 +526,12 @@ def apply_ensemble(model: TensorMap, vectors: Sequence[TaskVector], lam: float, 
     F64 mean of a later one overflows, this reports the earlier tensor, where
     the mean computed first would report the later; within one window
     (about 512 KiB) of one tensor, it reports the mean.
-
-    At lam == 0 with no F64 tensor, no mean is taken: each vector is scanned,
-    in list order, as an F16 or F32 mean of finite deltas is finite.
     """
     _shared_schema(vectors)  # the composition's checks, in its order
     require_finite_real(lam, "scaling factor")
     if len(vectors) == 1:
         return apply_task_vector(model, vectors[0], lam, out=out)
     _require_compatible(model, vectors[0].deltas)
-    if lam == 0 and all(arr.dtype != np.float64 for arr in model._entries.values()):
-        for vector in vectors[:-1]:
-            require_finite(vector.deltas, _NON_FINITE_DELTA)
-        return _apply(model, vectors[-1].deltas, lam, out)  # which scans the last
     return _apply(model, _mean_stream(vectors), lam, out)
 
 

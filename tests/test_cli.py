@@ -312,43 +312,6 @@ def test_apply_at_lambda_zero_reads_its_vector_once(capsys, monkeypatch, tmp_pat
     assert sorted(name for name in walks if name in values) == sorted(values * 2)
 
 
-@pytest.mark.parametrize("k", [2, 4])
-def test_apply_at_lambda_zero_of_several_vectors_takes_no_mean(capsys, monkeypatch, tmp_path, k):
-    # An F32 mean of finite deltas is finite, and the pass at lam == 0 reads none of
-    # it: each vector is scanned once, in list order, and the pass reads the model.
-    monkeypatch.chdir(tmp_path)
-    pairs, target = write_merge_fixture(np.float32)
-    taus = [f"tau_{i}.st" for i in range(k)]
-    for pair, tau in zip(pairs, taus):
-        assert run_cli(capsys, "diff", *pair, "--out", tau)[0] == 0
-    walks, scans = [], []
-
-    def counting_walk(maps, name):
-        walks.extend((Path(tmap._buffer.name).name, name) for tmap in maps)
-        return real_walk(maps, name)
-
-    def counting_scan(tmap, *args):
-        scans.append(Path(tmap._buffer.name).name)
-        return real_scan(tmap, *args)
-
-    def no_mean(*args):
-        raise AssertionError("a mean was taken at lambda 0")
-
-    real_walk, real_scan = tensor_store.walk, TensorMap._scan
-    monkeypatch.setattr(tensor_store, "walk", counting_walk)
-    monkeypatch.setattr(vector_ops, "walk", counting_walk)
-    monkeypatch.setattr(TensorMap, "_scan", counting_scan)
-    monkeypatch.setattr(vector_ops, "_mean_op", no_mean)
-    code, _, err = run_cli(capsys, "apply", target, *taus, "--lambda", "0", "--out", "out.st")
-    assert code == 0, err
-    assert Path("out.st").read_bytes() == Path(target).read_bytes()
-    assert scans == taus
-    layout = read_checkpoint(target)
-    values = [name for name in layout if layout._entries[name].size]
-    assert sorted(walk for walk in walks if walk[1] in values) == sorted(
-        (path, name) for path in [target, *taus] for name in values)
-
-
 @pytest.mark.parametrize("kind", ["directory", "missing"])
 def test_an_input_that_cannot_be_opened_is_an_io_error_naming_it(capsys, tmp_path, kind):
     path = tmp_path / "input.st"
