@@ -332,15 +332,16 @@ class TensorMap:
         return dict(self._scan() if self._non_finite is None else self._non_finite)
 
     def _scan(self, digest: hashlib._Hash | None = None) -> dict[str, int]:
-        scratch = np.empty(min(_largest_size(self), BLOCK_ELEMENTS), dtype=np.uint64)
+        scratch = np.empty(BLOCK_ELEMENTS, dtype=np.uint64)
         out = {}
-        for name, begin, values in _windows_of(self):
-            if digest is not None:
-                digest.update(values.data)
-            if name not in out:
-                index = first_non_finite(values, scratch)
-                if index is not None:
-                    out[name] = begin + index
+        for name, _, tensor_windows in _aligned([self]):
+            for begin, _, _, (values,) in tensor_windows:
+                if digest is not None:
+                    digest.update(values.data)
+                if name not in out:
+                    index = first_non_finite(values, scratch)
+                    if index is not None:
+                        out[name] = begin + index
         if self._buffer is not None:
             self._non_finite = out
         return out
@@ -354,10 +355,6 @@ class TensorMap:
 
     def __repr__(self) -> str:
         return f"TensorMap({len(self)} tensors, {self.data_nbytes} data bytes)"
-
-
-def _largest_size(tmap: TensorMap) -> int:
-    return max((arr.size for arr in tmap._entries.values()), default=0)
 
 
 def _reader(tmap: TensorMap):
@@ -381,13 +378,22 @@ def _reader(tmap: TensorMap):
     return read
 
 
-def _windows_of(tmap: TensorMap) -> Iterator[tuple[str, int, np.ndarray]]:
-    """``(name, begin, values)`` per window of each tensor of ``tmap`` in name
-    order: the flat values from element ``begin`` on (see :func:`_reader`)."""
-    read = _reader(tmap)
-    for name in tmap._entries:
-        for begin, end, _ in walk((tmap,), name):
-            yield name, begin, read(name, begin, end)
+def _aligned(operands: Sequence[TensorMap | TensorStream]):
+    """One pass over schema-compatible operands, the first a map: per tensor
+    of the first map in name order, ``(name, entry, windows)``. ``entry`` is
+    the tensor's layout entry, and ``windows`` yields ``(begin, end, leaves,
+    blocks)`` per window of :func:`walk` of the map operands (called once per
+    tensor that holds a value), where ``blocks`` holds each operand's flat
+    values ``[begin, end)``: a map's read by :func:`_reader`, a stream's its
+    next item. A block is valid until the next window is asked for, and a
+    tensor's windows are taken before the next tensor."""
+    maps = [operand for operand in operands if isinstance(operand, TensorMap)]
+    reads = [_reader(operand) if isinstance(operand, TensorMap)
+             else lambda name, begin, end, items=operand.tensors: next(items)[1]
+             for operand in operands]
+    for name, entry in maps[0]._entries.items():
+        yield name, entry, ((begin, end, leaves, [read(name, begin, end) for read in reads])
+                            for begin, end, leaves in (walk(maps, name) if entry.size else ()))
 
 
 @dataclass(frozen=True)
@@ -396,8 +402,8 @@ class TensorStream:
 
     ``layout`` gives the names, dtypes, shapes and metadata; ``tensors``
     yields the values, once, in name order, a window at a time: each item is
-    ``(name, values)``, the next contiguous flat piece of that tensor, valid
-    until the next item is asked for. The values are known to be finite (a
+    ``(name, values)``, the flat values of the tensor's next window
+    (:func:`windows`), valid until the next item is asked for. The values are known to be finite (a
     kernel checks each leaf it produces), so neither a write nor
     :meth:`collect` scans them again.
     """
@@ -408,7 +414,8 @@ class TensorStream:
     @classmethod
     def of(cls, tmap: TensorMap) -> "TensorStream":
         """The values of ``tmap``, known to be finite, a window at a time."""
-        return cls(tmap, ((name, values) for name, _, values in _windows_of(tmap)))
+        return cls(tmap, ((name, blocks[0]) for name, _, tensor_windows in _aligned([tmap])
+                          for _, _, _, blocks in tensor_windows))
 
     @property
     def data_nbytes(self) -> int:

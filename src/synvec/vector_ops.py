@@ -77,8 +77,7 @@ from .tensor_store import (
     Fingerprint,
     TensorMap,
     TensorStream,
-    _largest_size,
-    _reader,
+    _aligned,
     add_up,
     fingerprint,
     first_non_finite,
@@ -87,8 +86,6 @@ from .tensor_store import (
     require_finite,
     schema_compatible,
     schema_of,
-    walk,
-    windows,
     write_and_map,
     write_checkpoint,
 )
@@ -183,19 +180,15 @@ class TaskVector:
 
 
 def _per_leaf(maps: Sequence[TensorMap], reduce) -> Iterator[tuple[str, int, list]]:
-    """One walk over schema-compatible maps, read by ``_reader``: per tensor
-    in name order, ``(name, size, results)`` with ``reduce(scratch, *blocks)``
-    of each leaf, where ``scratch`` is an F64 array of the leaf's size."""
-    scratch = np.empty(min(_largest_size(maps[0]), BLOCK_ELEMENTS), dtype=np.float64)
-    reads = [_reader(tmap) for tmap in maps]
-    for name in maps[0]:
-        results = []
-        for begin, end, leaves in walk(maps, name):
-            blocks = [read(name, begin, end) for read in reads]
-            for start, stop in leaves:
-                results.append(reduce(scratch[: stop - start],
-                                      *[block[start - begin : stop - begin] for block in blocks]))
-        yield name, maps[0]._entries[name].size, results
+    """One pass over schema-compatible maps (``tensor_store._aligned``): per
+    tensor in name order, ``(name, size, results)`` with ``reduce(scratch,
+    *blocks)`` of each leaf, where ``scratch`` is an F64 array of the leaf's size."""
+    scratch = np.empty(BLOCK_ELEMENTS, dtype=np.float64)
+    for name, entry, tensor_windows in _aligned(maps):
+        yield name, entry.size, [reduce(scratch[: stop - start],
+                                        *[block[start - begin : stop - begin] for block in blocks])
+                                 for begin, _, leaves, blocks in tensor_windows
+                                 for start, stop in leaves]
 
 
 # Leaf reductions. Widening to F64 is exact, and np.add.reduce is what np.sum
@@ -267,21 +260,15 @@ def _elementwise(op, operands: Sequence[tuple[str, TensorMap | TensorStream]], m
     while it is in cache, and each tensor's go into ``norms`` under its name
     once its last window has been consumed.
     """
-    layout = operands[0][1]
-    streams = [(operand if isinstance(operand, TensorStream) else TensorStream.of(operand)).tensors
-               for _, operand in operands]
-    block = min(_largest_size(layout), BLOCK_ELEMENTS)
-    wide = np.empty(block, dtype=np.float64)  # rows for storage narrower than compute
-    bits = np.empty(block, dtype=np.uint64)
-    largest = max((arr.nbytes for arr in layout._entries.values()), default=0)
+    wide = np.empty(BLOCK_ELEMENTS, dtype=np.float64)  # rows for storage narrower than compute
+    bits = np.empty(BLOCK_ELEMENTS, dtype=np.uint64)
     # One window of output, viewed as each tensor's dtype in turn.
-    window = np.empty(-(-min(largest, RELEASE_BYTES) // 8), dtype=np.float64)
-    for name, arr in layout._entries.items():
+    window = np.empty(RELEASE_BYTES // 8, dtype=np.float64)
+    for name, arr, tensor_windows in _aligned([operand for _, operand in operands]):
         compute = _COMPUTE_DTYPE[Dtype.from_numpy(arr.dtype)]
         narrowed, rows = window.view(arr.dtype), wide.view(compute)
         leaf_norms = []
-        for begin, end, leaves in windows(arr.size, arr.itemsize):
-            blocks = [next(stream)[1] for stream in streams]
+        for begin, end, leaves, blocks in tensor_windows:
             # An overflow is an infinity, which the check reports. The state is set per
             # window: set around the loop, it would reach the consumer across each yield.
             with np.errstate(over="ignore"):
@@ -449,12 +436,12 @@ def _shared_schema(vectors: Sequence[TaskVector]) -> Fingerprint:
     return Fingerprint(schema_hash=hashes.pop())
 
 
-def _mean_op(k: int, block: int):
-    """The kernel op of the mean of k task-vector blocks of at most ``block``
-    elements (see :func:`ensemble_average`), returned in its own F64 scratch."""
+def _mean_op(k: int):
+    """The kernel op of the mean of k task-vector blocks (see
+    :func:`ensemble_average`), returned in its own F64 scratch."""
     # One F64 row per addend plus one the network swaps through. The sum stays in
     # these rows: summing into the kernel's row measured slower (F32, k=4).
-    scratch = np.empty((k + 1, block), dtype=np.float64)
+    scratch = np.empty((k + 1, BLOCK_ELEMENTS), dtype=np.float64)
 
     def mean(row, *blocks):
         rows = list(scratch[:, : row.size])
@@ -476,9 +463,8 @@ def _mean_op(k: int, block: int):
 def _mean_stream(vectors: Sequence[TaskVector], norms: dict | None = None) -> TensorStream:
     """The checked mean of k >= 2 task vectors (see :func:`ensemble_average`),
     a window at a time; ``norms`` is as for :func:`_elementwise`."""
-    layout = vectors[0].deltas
-    mean = _mean_op(len(vectors), min(_largest_size(layout), BLOCK_ELEMENTS))
-    return TensorStream(layout.with_metadata(None), _elementwise(
+    mean = _mean_op(len(vectors))
+    return TensorStream(vectors[0].deltas.with_metadata(None), _elementwise(
         mean, [("task vector", v.deltas) for v in vectors], _NON_FINITE_DELTA, norms))
 
 

@@ -240,7 +240,6 @@ def test_inspect_content_hash_walks_each_tensor_in_one_pass(capsys, monkeypatch,
 
     real_walk = tensor_store.walk
     monkeypatch.setattr(tensor_store, "walk", counting_walk)
-    monkeypatch.setattr(vector_ops, "walk", counting_walk)
     code, payload, _ = run_cli(capsys, "inspect", path, "--content-hash")
     assert code == 0
     assert payload["content_hash"] == hashlib.sha256(data).hexdigest()
@@ -274,7 +273,6 @@ def test_merge_commands_read_each_input_once(capsys, monkeypatch, tmp_path, comm
 
     real_walk, real_scan = tensor_store.walk, TensorMap._scan
     monkeypatch.setattr(tensor_store, "walk", counting_walk)
-    monkeypatch.setattr(vector_ops, "walk", counting_walk)
     monkeypatch.setattr(TensorMap, "_scan", counting_scan)
     argv, inputs = {
         "ensemble": (["ensemble", *taus, "--out", "out.st"], 3),
@@ -303,7 +301,6 @@ def test_apply_at_lambda_zero_reads_its_vector_once(capsys, monkeypatch, tmp_pat
 
     real_walk = tensor_store.walk
     monkeypatch.setattr(tensor_store, "walk", counting_walk)
-    monkeypatch.setattr(vector_ops, "walk", counting_walk)
     code, _, err = run_cli(capsys, "apply", target, "tau.st", "--lambda", "0", "--out", "out.st")
     assert code == 0, err
     assert Path("out.st").read_bytes() == Path(target).read_bytes()

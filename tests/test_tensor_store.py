@@ -29,6 +29,8 @@ from synvec.tensor_store import (
     RELEASE_BYTES,
     Dtype,
     TensorMap,
+    TensorStream,
+    _aligned,
     add_up,
     fingerprint,
     first_non_finite,
@@ -877,3 +879,53 @@ def test_windows_tile_the_tensor_with_its_leaves(size):
         assert all(group[0][0] == begin and group[-1][1] == end
                    and (end - begin) * itemsize <= RELEASE_BYTES for begin, end, group in tiled)
     assert leaves(0) == () and add_up(0, []) == 0.0
+
+
+def test_the_aligned_pass_gives_each_operand_the_values_of_each_window(tmp_path, monkeypatch):
+    # A map read from a file, a map of arrays (one of them strided) and a stream,
+    # sharing a layout of every dtype, an empty tensor, a scalar, sizes either side
+    # of one leaf, and tensors of more than one window.
+    rng = np.random.default_rng(27)
+    layout = {"a.f16": (np.float16, (BLOCK_ELEMENTS - 1,)),
+              "b.f32": (np.float32, (BLOCK_ELEMENTS + 1,)),
+              "c.f64": (np.float64, (RELEASE_BYTES // 8 + 3,)),
+              "d.empty": (np.float32, (0, 3)),
+              "e.scalar": (np.float64, ()),
+              "f.f16": (np.float16, (3 * RELEASE_BYTES // 2 + 1,)),
+              "g.strided": (np.float32, (7, 5))}
+
+    def values():
+        return {name: rng.standard_normal(shape).astype(dtype)
+                for name, (dtype, shape) in layout.items()}
+
+    on_file, in_memory, streamed = values(), values(), values()
+    in_memory["g.strided"] = np.ascontiguousarray(in_memory["g.strided"].T).T
+    write_checkpoint(TensorMap(on_file), tmp_path / "m.st")
+    file_map, memory_map = read_checkpoint(tmp_path / "m.st"), TensorMap(in_memory)
+    stream = TensorStream(TensorMap(streamed), (
+        (name, arr.reshape(-1)[begin:end]) for name, arr in streamed.items()
+        for begin, end, _ in windows(arr.size, arr.itemsize)))
+    walks = []
+
+    def counting_walk(maps, name):
+        walks.append((name, maps))
+        return real_walk(maps, name)
+
+    real_walk = tensor_store.walk
+    monkeypatch.setattr(tensor_store, "walk", counting_walk)
+    names = []
+    for name, entry, tensor_windows in _aligned([file_map, memory_map, stream]):
+        names.append(name)
+        assert (entry.dtype, entry.shape) == (np.dtype(layout[name][0]), layout[name][1])
+        seen = []
+        for begin, end, leaves, blocks in tensor_windows:
+            seen.append((begin, end, leaves))
+            for block, whole in zip(blocks, (on_file, in_memory, streamed), strict=True):
+                assert block.dtype == whole[name].dtype
+                assert block.tobytes() == whole[name].reshape(-1)[begin:end].tobytes()
+        assert seen == list(windows(entry.size, entry.itemsize))
+    assert names == sorted(layout)
+    assert next(stream.tensors, None) is None
+    assert [name for name, _ in walks] == [name for name in names if name != "d.empty"]
+    assert all(len(maps) == 2 and maps[0] is file_map and maps[1] is memory_map
+               for _, maps in walks)
