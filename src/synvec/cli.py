@@ -2,16 +2,19 @@
 
 Subcommands wrap module operations one-to-one; no numeric logic lives here.
 Human-readable logs go to stderr only. Exit codes: 0 success, 1 domain error
-(schema/validation), 2 I/O or malformed container, 3 evaluator failure,
-64 usage.
+(schema/validation), 2 I/O or malformed container (a closed stdout too),
+3 evaluator failure, 64 usage, 130 SIGINT (error kind ``interrupted``), and
+128 + n when signal n, SIGTERM (143) or SIGHUP (129), ends a command.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import logging
+import os
 import signal
 import sys
 import threading
@@ -66,11 +69,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _write("stdout", json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": {"kind": kind, "message": message}}) + "\n")
+    with contextlib.suppress(OSError):  # a closed stderr: there is nowhere to report to
+        _write("stderr", json.dumps({"error": {"kind": kind, "message": message}}) + "\n")
+
+
+def _write(name: str, text: str) -> None:
+    """Write ``text`` to ``sys.stdout`` or ``sys.stderr`` and flush it. If
+    that fails (a pipe whose reader has gone), the stream's descriptor is
+    pointed at /dev/null, so that the text left in its buffer does not fail
+    again at exit, and the error is raised naming the stream."""
+    stream = getattr(sys, name)
+    if stream is None:  # its descriptor was closed when the process started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), f"<{name}>")
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stream.fileno())
+        os.close(null)
+        raise OSError(exc.errno, exc.strerror, f"<{name}>") from None
 
 
 def _parse_list(text: str, convert=float) -> tuple:
@@ -465,14 +487,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _termination_unwinds():
             payload = args.func(args)
+        if payload is not None:
+            _emit(payload)
     except SynvecError as exc:
         _emit_error(exc.kind, str(exc))
         return exc.exit_code
     except OSError as exc:
         _emit_error("io", str(exc))
         return 2
-    if payload is not None:
-        _emit(payload)
+    except KeyboardInterrupt:  # SIGINT, after the command has unwound (a sweep its evaluators)
+        _emit_error("interrupted", "interrupted by SIGINT")
+        return 128 + signal.SIGINT
     return EXIT_OK
 
 

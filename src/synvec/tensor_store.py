@@ -15,12 +15,18 @@ accepts any valid file (arbitrary range order, whitespace-padded headers),
 not just canonical ones.
 
 A map read from a file keeps the open file, and its values have one reader:
-every pass walks the leaves of numpy's pairwise-sum split that first fit in
+each window of the file is read with ``os.preadv`` into one buffer
+(:func:`_reader`), so a shrunk file is a ``TruncatedDataError``. There is one
+pass (:func:`_aligned`), and the finite scan, the content hash, the writing
+of a map and ``vector_ops``' kernel and reductions all run on it. It walks
+the leaves of numpy's pairwise-sum split that first fit in
 :data:`BLOCK_ELEMENTS` (:func:`leaves`), in windows of about
-:data:`RELEASE_BYTES` (:func:`walk`), and reads each window of the file with
-``os.preadv`` into one buffer (:func:`_reader`). So a pass holds a window of
-each map, and a shrunk file is a ``TruncatedDataError``. ``tmap[name]`` reads
-its whole tensor the same way into a new array, and ``==`` compares copies.
+:data:`RELEASE_BYTES` (:func:`walk`), and gives each window the aligned
+block of every operand, maps and :class:`TensorStream` items alike. So a pass
+holds a window of each operand. Two library reads are not passes:
+``tmap[name]`` reads its whole tensor window by window into a new array
+(``==`` compares such copies), and :meth:`TensorStream.collect` fills one
+array per tensor from a stream.
 Writes are header first: :func:`write_checkpoint` builds the header from the
 names, dtypes and shapes alone, then writes the data a window at a time. A
 :class:`TensorStream` (a kernel's output, window by window) is written as it
@@ -49,6 +55,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import errno
 import functools
 import hashlib
 import json
@@ -370,7 +377,11 @@ def _reader(tmap: TensorMap):
         dtype = tmap._entries[name].dtype
         out = window[: (end - begin) * dtype.itemsize]
         start = tmap._offsets[name] + begin * dtype.itemsize
-        if os.preadv(tmap._buffer.fileno(), [out], start) < out.nbytes:
+        try:
+            count = os.preadv(tmap._buffer.fileno(), [out], start)
+        except OSError as exc:  # named, so that a write it feeds does not take it as its own
+            raise OSError(exc.errno, exc.strerror, tmap._buffer.name) from None
+        if count < out.nbytes:
             raise TruncatedDataError(f"{tmap._buffer.name}: tensor {name!r} needs bytes up to "
                                      f"offset {start + out.nbytes}, but the file has shrunk")
         return out.view(dtype)
@@ -697,26 +708,36 @@ def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
     Anything else (a FIFO, a terminal, ``/dev/null``), and a file that is this
     process's stdout or stderr (``/dev/stdout`` redirected to a file), is
     opened with ``open(path, "wb")`` and written in place.
+
+    A failed write (an ``OSError`` of the block that names no file) is raised
+    naming ``path`` as given, and a missing directory by name, never the new
+    file beside it.
     """
-    info = _stat_or_none(path)
-    if _in_place(info):
-        with open(path, "wb") as handle:
-            yield handle
-        return
-    path = Path(os.path.realpath(path))
-    # 0o666 less the umask for a new file, as open() creates it
-    mode = None if info is None else stat.S_IMODE(info.st_mode)
-    temp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
-    handle = os.fdopen(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+    info, temp = _stat_or_none(path), None
     try:
+        if _in_place(info):
+            with open(path, "wb") as handle:
+                yield handle
+            return
+        real = Path(os.path.realpath(path))
+        # 0o666 less the umask for a new file, as open() creates it
+        mode = None if info is None else stat.S_IMODE(info.st_mode)
+        temp = real.with_name(f".{real.name}.{secrets.token_hex(6)}.tmp")
+        handle = os.fdopen(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
         with handle:
             if mode is not None:
                 os.fchmod(handle.fileno(), mode)
             yield handle
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+        os.replace(temp, real)
+    except BaseException as exc:
+        if temp is not None:
+            temp.unlink(missing_ok=True)
+        if not isinstance(exc, OSError) or exc.filename not in (None, str(temp)):
+            raise
+        if temp is not None and not temp.parent.is_dir():
+            raise OSError(errno.ENOENT, f"No such directory {str(temp.parent)!r} to write "
+                                        f"{str(path)!r} in") from None
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def write_checkpoint(tmap: TensorMap | TensorStream, path: str | Path) -> None:

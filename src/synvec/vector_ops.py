@@ -29,10 +29,11 @@ scanned, to name the tensor and index), and by a scan where an operation
 reads none of its values (apply at lam == 0, the mean of one vector written
 to ``out``, a save).
 
-The kernel yields the output a window at a time (``tensor_store.windows``)
-and reads each operand's file a window at a time (``_reader``). Without
-``out``, the windows are collected into one array per tensor (scale takes
-no ``out``). With ``out=path``, each window is written to ``path`` as it is
+The kernel and the reductions run on the one pass of ``tensor_store``
+(``_aligned``): per tensor, the aligned window of every operand, a map's
+read from its file and a stream's its next item, with the window's leaves.
+The kernel yields the output a window at a time. Without ``out``, the
+windows are collected into one array per tensor (scale takes no ``out``). With ``out=path``, each window is written to ``path`` as it is
 produced (``tensor_store.write_checkpoint`` of a ``TensorStream``), so about
 a window per operand and one output window are held at a time, and the
 result holds the written file, read back. Either way the result records

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import shlex
 import stat
 import subprocess
@@ -850,6 +851,75 @@ def test_ensemble_may_write_over_its_input(fixture_paths):
     proc = run_cli_process("ensemble", tau_path, "--out", tau_path)
     assert proc.returncode == 0, proc.stderr
     assert tau_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("stderr", ["open", "closed"])
+@pytest.mark.parametrize("stdout", ["pipe", "descriptor"])
+@pytest.mark.parametrize("command", ["inspect", "diff"])
+def test_a_closed_stdout_is_an_io_error_and_the_outputs_stay(fixture_paths, command, stdout,
+                                                             stderr):
+    # A pipe whose reader has gone, as after `synvec ... | head -0`, or a descriptor
+    # closed before the process starts, as by `synvec ... >&-`.
+    tmp_path, real_path, syn_path = fixture_paths
+    tau_path = tmp_path / "tau.st"
+    argv = {"inspect": ["inspect", real_path],
+            "diff": ["diff", real_path, syn_path, "--out", tau_path]}[command]
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "synvec.cli", *map(str, argv)], text=True, timeout=120,
+            stdout=writer if stdout == "pipe" else None,
+            stderr=subprocess.PIPE if stderr == "open" else writer,
+            preexec_fn=(lambda: os.close(1)) if stdout == "descriptor" else None)
+    finally:
+        os.close(writer)
+    assert proc.returncode == 2, proc.stderr
+    if stderr == "open":  # one line: no traceback, and nothing more at exit
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        message = {"pipe": "[Errno 32] Broken pipe: '<stdout>'",
+                   "descriptor": "[Errno 9] Bad file descriptor: '<stdout>'"}[stdout]
+        assert json.loads(proc.stderr)["error"] == {"kind": "io", "message": message}
+    if command == "diff":
+        assert load_task_vector(tau_path).deltas == TensorMap({"w": np.full(2, 0.5, np.float32)})
+
+
+def test_an_output_in_a_missing_directory_names_that_directory(capsys, fixture_paths):
+    tmp_path, real_path, syn_path = fixture_paths
+    out = tmp_path / "missing" / "tau.st"
+    code, payload, err = run_cli(capsys, "diff", real_path, syn_path, "--out", out)
+    assert (code, payload) == (2, None)
+    directory = os.path.realpath(tmp_path / "missing")
+    assert json.loads(err)["error"] == {
+        "kind": "io", "message": f"[Errno 2] No such directory {directory!r} to write {str(out)!r} in"}
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["real.st", "syn.st"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_write_to_a_full_device_names_it(capsys, fixture_paths):
+    _, real_path, syn_path = fixture_paths
+    code, payload, err = run_cli(capsys, "diff", real_path, syn_path, "--out", "/dev/full")
+    assert (code, payload) == (2, None)
+    assert json.loads(err)["error"] == {
+        "kind": "io", "message": "[Errno 28] No space left on device: '/dev/full'"}
+
+
+def test_a_write_past_the_file_size_limit_names_the_output_and_keeps_the_old_one(tmp_path):
+    values = np.arange(1 << 15, dtype=np.float32)  # 128 KiB a model, twice the limit below
+    write_checkpoint(TensorMap({"w": values}), tmp_path / "real.st")
+    write_checkpoint(TensorMap({"w": values[::-1].copy()}), tmp_path / "syn.st")
+    out = tmp_path / "tau.st"
+    out.write_bytes(b"old")
+    proc = subprocess.run(
+        [sys.executable, "-m", "synvec.cli", "diff", str(tmp_path / "real.st"),
+         str(tmp_path / "syn.st"), "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr)["error"] == {
+        "kind": "io", "message": f"[Errno 27] File too large: {str(out)!r}"}
+    assert out.read_bytes() == b"old"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["real.st", "syn.st", "tau.st"]
 
 
 

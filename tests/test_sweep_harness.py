@@ -683,9 +683,9 @@ def test_interrupting_a_threaded_sweep_kills_its_evaluators(tmp_path, workers):
     assert not any(map(_alive, shells + children))
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sigterm_to_the_cli_kills_a_threaded_sweeps_evaluators(tmp_path, workers):
+def _signal_a_cli_sweep(tmp_path, workers, signum):
+    """Send ``signum`` to a CLI sweep once its ``workers`` evaluators run; wait
+    until their shells are gone. The exit status and the CLI's stderr."""
     model, vectors = fixture_model_and_vectors()
     write_checkpoint(model, tmp_path / "model.st")
     save_task_vector(vectors[0], tmp_path / "tau.st")
@@ -696,14 +696,16 @@ def test_sigterm_to_the_cli_kills_a_threaded_sweeps_evaluators(tmp_path, workers
         [sys.executable, "-m", "synvec.cli", "sweep", str(tmp_path / "model.st"),
          str(tmp_path / "tau.st"), "--evaluator", command, "--workdir", str(tmp_path / "w"),
          "--lambdas", "0,0.5,1", "--workers", str(workers)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        # Python raises KeyboardInterrupt on SIGINT only where SIGINT was not ignored.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         deadline = time.monotonic() + 30
         while len(list(pid_dir.iterdir())) < workers and time.monotonic() < deadline:
             time.sleep(0.05)
-        cli.terminate()
-        assert cli.wait(timeout=30) == 128 + signal.SIGTERM
+        cli.send_signal(signum)
+        _, stderr = cli.communicate(timeout=30)
     finally:
         cli.kill()
     evaluators = [int(path.name) for path in pid_dir.iterdir()]
@@ -712,6 +714,25 @@ def test_sigterm_to_the_cli_kills_a_threaded_sweeps_evaluators(tmp_path, workers
     while any(map(_alive, evaluators)) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(map(_alive, evaluators))
+    return cli.returncode, stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigterm_to_the_cli_kills_a_threaded_sweeps_evaluators(tmp_path, workers):
+    code, _ = _signal_a_cli_sweep(tmp_path, workers, signal.SIGTERM)
+    assert code == 128 + signal.SIGTERM
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigint_to_the_cli_kills_a_threaded_sweeps_evaluators(tmp_path, workers):
+    # Ctrl-C: one error line and exit 130, where a traceback and death by SIGINT were.
+    code, stderr = _signal_a_cli_sweep(tmp_path, workers, signal.SIGINT)
+    assert code == 128 + signal.SIGINT, stderr
+    errors = [json.loads(line)["error"] for line in stderr.splitlines() if line.startswith("{")]
+    assert [error["kind"] for error in errors] == ["interrupted"]
+    assert "Traceback" not in stderr
 
 
 def test_concurrent_cli_sweeps_may_share_a_workdir(tmp_path):
