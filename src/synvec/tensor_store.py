@@ -414,9 +414,9 @@ class TensorStream:
     ``layout`` gives the names, dtypes, shapes and metadata; ``tensors``
     yields the values, once, in name order, a window at a time: each item is
     ``(name, values)``, the flat values of the tensor's next window
-    (:func:`windows`), valid until the next item is asked for. The values are known to be finite (a
-    kernel checks each leaf it produces), so neither a write nor
-    :meth:`collect` scans them again.
+    (:func:`windows`), valid until the next item is asked for. The values
+    are known to be finite (a kernel checks each leaf it produces), so
+    neither a write nor :meth:`collect` scans them again.
     """
 
     layout: TensorMap

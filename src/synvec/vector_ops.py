@@ -33,10 +33,11 @@ The kernel and the reductions run on the one pass of ``tensor_store``
 (``_aligned``): per tensor, the aligned window of every operand, a map's
 read from its file and a stream's its next item, with the window's leaves.
 The kernel yields the output a window at a time. Without ``out``, the
-windows are collected into one array per tensor (scale takes no ``out``). With ``out=path``, each window is written to ``path`` as it is
-produced (``tensor_store.write_checkpoint`` of a ``TensorStream``), so about
-a window per operand and one output window are held at a time, and the
-result holds the written file, read back. Either way the result records
+windows are collected into one array per tensor (scale takes no ``out``).
+With ``out=path``, each window is written to ``path`` as it is produced
+(``tensor_store.write_checkpoint`` of a ``TensorStream``), so about a window
+per operand and one output window are held at a time, and the result holds
+the written file, read back. Either way the result records
 that it was checked, so writing it or applying it again scans nothing. A
 task vector written with ``out`` also gets its norms from the stream, so
 printing them reads none of the file.

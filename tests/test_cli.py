@@ -890,8 +890,8 @@ def test_an_output_in_a_missing_directory_names_that_directory(capsys, fixture_p
     code, payload, err = run_cli(capsys, "diff", real_path, syn_path, "--out", out)
     assert (code, payload) == (2, None)
     directory = os.path.realpath(tmp_path / "missing")
-    assert json.loads(err)["error"] == {
-        "kind": "io", "message": f"[Errno 2] No such directory {directory!r} to write {str(out)!r} in"}
+    message = f"[Errno 2] No such directory {directory!r} to write {str(out)!r} in"
+    assert json.loads(err)["error"] == {"kind": "io", "message": message}
     assert sorted(path.name for path in tmp_path.iterdir()) == ["real.st", "syn.st"]
 
 
