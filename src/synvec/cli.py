@@ -117,10 +117,6 @@ def _count(minimum: int):
     return parse
 
 
-def _load_vectors(paths: list[str]):
-    return [load_task_vector(path) for path in paths]
-
-
 def _write_result(args, result) -> dict:
     """Write ``result`` to ``--json-out`` and ``--csv-out`` when given; return its JSON."""
     for path, text in ((args.json_out, result.to_json()), (args.csv_out, result.to_csv())):
@@ -172,7 +168,7 @@ def _cmd_diff(args) -> dict:
 
 def _cmd_apply(args) -> dict:
     model = read_checkpoint(args.model)
-    vectors = _load_vectors(args.vectors)
+    vectors = [load_task_vector(path) for path in args.vectors]
     applied = apply_ensemble(model, vectors, args.lam, out=args.out)
     return {
         "out": str(args.out),
@@ -184,7 +180,7 @@ def _cmd_apply(args) -> dict:
 
 
 def _cmd_ensemble(args) -> dict:
-    vectors = _load_vectors(args.vectors)
+    vectors = [load_task_vector(path) for path in args.vectors]
     averaged = ensemble_average(vectors, out=args.out)
     stats = norm_stats(averaged)
     return {
@@ -238,13 +234,13 @@ def _sweep_config(args) -> SweepConfig:
 
 def _cmd_sweep(args) -> dict:
     model = read_checkpoint(args.model)
-    vectors = _load_vectors(args.vectors)
+    vectors = [load_task_vector(path) for path in args.vectors]
     return _write_result(args, run_lambda_sweep(model, vectors, _sweep_config(args)))
 
 
 def _cmd_ablate(args) -> dict:
     model = read_checkpoint(args.model)
-    vectors = _load_vectors(args.vectors)
+    vectors = [load_task_vector(path) for path in args.vectors]
     result = run_domain_ablation(
         model,
         vectors,
@@ -294,7 +290,7 @@ def _vector_labels(args, vectors) -> list[str]:
 
 
 def _cmd_report_similarity(args) -> dict:
-    vectors = _load_vectors(args.vectors)
+    vectors = [load_task_vector(path) for path in args.vectors]
     labels = _vector_labels(args, vectors)
     bundle = report_mod.build_similarity_report(
         list(zip(labels, vectors)), granularity=args.granularity, name=args.name

@@ -261,7 +261,8 @@ def _kill_group(proc: subprocess.Popen) -> None:
 class _LiveEvaluators:
     """The evaluators one run has started and not yet reaped.
 
-    :meth:`stop` kills them all, and kills at once any that is added after it.
+    :meth:`stop` kills them all, and kills at once any that is added after it;
+    :attr:`stopped` tells a point that its evaluator may have died so.
     """
 
     def __init__(self):
@@ -279,6 +280,10 @@ class _LiveEvaluators:
     def discard(self, proc: subprocess.Popen) -> None:
         with self._lock:
             self._procs.discard(proc)
+
+    @property
+    def stopped(self) -> bool:
+        return self._stopped
 
     def stop(self) -> None:
         with self._lock:
@@ -408,7 +413,8 @@ def _evaluate_point(model: TensorMap, vectors: Sequence[TaskVector], lam: float,
             wall_time=wall,
         )
     except EvaluatorError as exc:
-        logger.warning("evaluation failed at lambda=%g: %s", lam, exc)
+        if not live.stopped:  # else the unwinding run killed it: not the point's own failure
+            logger.warning("evaluation failed at lambda=%g: %s", lam, exc)
         return EvalFailure(lam=lam, kind=exc.failure_kind, message=str(exc),
                            exit_code=exc.evaluator_exit_code, stderr=exc.stderr)
     finally:

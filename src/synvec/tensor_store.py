@@ -21,12 +21,11 @@ pass (:func:`_aligned`), and the finite scan, the content hash, the writing
 of a map and ``vector_ops``' kernel and reductions all run on it. It walks
 the leaves of numpy's pairwise-sum split that first fit in
 :data:`BLOCK_ELEMENTS` (:func:`leaves`), in windows of about
-:data:`RELEASE_BYTES` (:func:`walk`), and gives each window the aligned
+:data:`RELEASE_BYTES` (:func:`windows`), and gives each window the aligned
 block of every operand, maps and :class:`TensorStream` items alike. So a pass
-holds a window of each operand. Two library reads are not passes:
-``tmap[name]`` reads its whole tensor window by window into a new array
-(``==`` compares such copies), and :meth:`TensorStream.collect` fills one
-array per tensor from a stream.
+holds a window of each operand. ``tmap[name]`` reads its whole tensor over
+the same windows into a new array (``==`` compares such copies), and
+:meth:`TensorStream.collect` fills one array per tensor from a stream.
 Writes are header first: :func:`write_checkpoint` builds the header from the
 names, dtypes and shapes alone, then writes the data a window at a time. A
 :class:`TensorStream` (a kernel's output, window by window) is written as it
@@ -186,11 +185,6 @@ def windows(size: int, itemsize: int) -> tuple[Window, ...]:
     return tuple((group[0][0], group[-1][1], tuple(group)) for group in groups)
 
 
-def walk(maps: Sequence["TensorMap"], name: str) -> tuple[Window, ...]:
-    """The :func:`windows` of a pass over tensor ``name`` of ``maps`` (one size and dtype)."""
-    arr = maps[0]._entries[name]
-    return windows(arr.size, arr.itemsize)
-
 _EXPONENT_BITS = {2: np.uint16(0x7C00), 4: np.uint32(0x7F800000),
                   8: np.uint64(0x7FF0000000000000)}
 
@@ -304,7 +298,7 @@ class TensorMap:
 
     def _copy(self, name: str) -> np.ndarray:
         """A read-only copy of tensor ``name``, read (:func:`_reader`) window by
-        window; a library read, not a pass (:func:`walk`)."""
+        window (:func:`windows`)."""
         arr, read = self._entries[name], _reader(self)
         copy = np.empty(arr.shape, arr.dtype)
         for begin, end, _ in windows(arr.size, arr.itemsize):
@@ -393,18 +387,17 @@ def _aligned(operands: Sequence[TensorMap | TensorStream]):
     """One pass over schema-compatible operands, the first a map: per tensor
     of the first map in name order, ``(name, entry, windows)``. ``entry`` is
     the tensor's layout entry, and ``windows`` yields ``(begin, end, leaves,
-    blocks)`` per window of :func:`walk` of the map operands (called once per
-    tensor that holds a value), where ``blocks`` holds each operand's flat
-    values ``[begin, end)``: a map's read by :func:`_reader`, a stream's its
-    next item. A block is valid until the next window is asked for, and a
-    tensor's windows are taken before the next tensor."""
-    maps = [operand for operand in operands if isinstance(operand, TensorMap)]
+    blocks)`` per window of :func:`windows` of the entry, where ``blocks``
+    holds each operand's flat values ``[begin, end)``: a map's read by
+    :func:`_reader`, a stream's its next item. A block is valid until the next
+    window is asked for, and a tensor's windows are taken before the next
+    tensor."""
     reads = [_reader(operand) if isinstance(operand, TensorMap)
              else lambda name, begin, end, items=operand.tensors: next(items)[1]
              for operand in operands]
-    for name, entry in maps[0]._entries.items():
+    for name, entry in operands[0]._entries.items():
         yield name, entry, ((begin, end, leaves, [read(name, begin, end) for read in reads])
-                            for begin, end, leaves in (walk(maps, name) if entry.size else ()))
+                            for begin, end, leaves in windows(entry.size, entry.itemsize))
 
 
 @dataclass(frozen=True)

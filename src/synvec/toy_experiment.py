@@ -499,10 +499,6 @@ def _derived_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1, np.uint64)[0])
 
 
-def _source_data(spec: ToyDataSpec, domain: str, condition: str) -> ToyDataset:
-    return generate_toy_data(spec, domain, condition, "train")
-
-
 def _stack_train_sets(
     models: Sequence[Sequence[tuple[ToyDataSpec, str, str]]],
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -514,7 +510,7 @@ def _stack_train_sets(
     """
     features = labels = None
     for m, parts in enumerate(models):
-        data = concat_datasets([_source_data(*part) for part in parts])
+        data = concat_datasets([generate_toy_data(*part, "train") for part in parts])
         if features is None:
             features = np.empty((len(models), *data.features.shape))
             labels = np.empty((len(models), len(data)), dtype=np.int64)

@@ -1,10 +1,11 @@
+import collections
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from synvec.tensor_store import Dtype, TensorMap, schema_of, write_checkpoint
+from synvec.tensor_store import TensorMap, schema_of, write_checkpoint
 from synvec.vector_ops import BASE_SCHEMA_KEY, KIND_KEY, TASK_VECTOR_KIND
 
 DTYPES = (np.float16, np.float32, np.float64)
@@ -49,6 +50,28 @@ def random_map_pair(rng, max_tensors=6, max_side=8, dtypes=DTYPES, delta_scale=1
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def bytes_read(monkeypatch):
+    """``bytes_read(path)``: the bytes that ``os.preadv``, the one read of every
+    value, has returned from the file now at ``path`` since the test began.
+    Files are told apart by inode, so a count follows an input however it was
+    opened."""
+    counts, preadv = collections.Counter(), os.preadv
+
+    def counting_preadv(fd, buffers, offset, *flags):
+        count = preadv(fd, buffers, offset, *flags)
+        info = os.fstat(fd)
+        counts[info.st_dev, info.st_ino] += count
+        return count
+
+    def of(path) -> int:
+        info = os.stat(path)
+        return counts[info.st_dev, info.st_ino]
+
+    monkeypatch.setattr(os, "preadv", counting_preadv)
+    return of
 
 
 def write_merge_fixture(dtype):

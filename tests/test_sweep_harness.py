@@ -35,7 +35,7 @@ from synvec.toy_experiment import (
     run_ensemble_protocol,
 )
 from synvec.tensor_store import TensorMap, fingerprint, read_checkpoint, write_checkpoint
-from synvec.vector_ops import TaskVector, compute_task_vector, ensemble_average, save_task_vector
+from synvec.vector_ops import TaskVector, compute_task_vector, save_task_vector
 
 # The stub evaluators are stdlib-only, so they start without site (-S).
 PY = f"{shlex.quote(sys.executable)} -S"
@@ -720,8 +720,9 @@ def _signal_a_cli_sweep(tmp_path, workers, signum):
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sigterm_to_the_cli_kills_a_threaded_sweeps_evaluators(tmp_path, workers):
-    code, _ = _signal_a_cli_sweep(tmp_path, workers, signal.SIGTERM)
-    assert code == 128 + signal.SIGTERM
+    code, stderr = _signal_a_cli_sweep(tmp_path, workers, signal.SIGTERM)
+    assert code == 128 + signal.SIGTERM, stderr
+    assert "evaluation failed" not in stderr
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
@@ -733,6 +734,7 @@ def test_sigint_to_the_cli_kills_a_threaded_sweeps_evaluators(tmp_path, workers)
     errors = [json.loads(line)["error"] for line in stderr.splitlines() if line.startswith("{")]
     assert [error["kind"] for error in errors] == ["interrupted"]
     assert "Traceback" not in stderr
+    assert "evaluation failed" not in stderr  # the evaluators it killed did not fail
 
 
 def test_concurrent_cli_sweeps_may_share_a_workdir(tmp_path):

@@ -239,12 +239,15 @@ def _train_cases():
 )
 def test_train_golden_digest(case, digest):
     # Pinned weight and bias bytes: one batch, a last batch of one sample, a random init.
+    # Like the pretrain and domain-vector pins, they need numpy's AVX-512 exp and log and
+    # the OpenBLAS F64 matmul kernel they were pinned with (README: bit-stable per host).
     assert _model_digest(train(*_train_cases()[case])) == digest
 
 
 def test_pretrain_golden_digest():
     from synvec.toy_experiment import _pretrain
 
+    # Needs AVX-512 exp and log and the pinning OpenBLAS matmul kernel (as the train pins).
     assert _model_digest(_pretrain(*_three_domain_args())) == (
         "f8e1a580a3c99018e006a659a3ab5234935fe8d5f1e45b221ea51644ef9a3da6"
     )
@@ -373,12 +376,12 @@ def test_ensemble_num_vectors_validated():
 def test_serialized_models_reproduce_protocol_point(tmp_path):
     # Interface identity: pushing the models through the container changes nothing.
     spec, config = fast_protocol_args()
-    from synvec.toy_experiment import _pretrain, _source_data
+    from synvec.toy_experiment import _pretrain
 
     parent = _pretrain(spec, config)
     target = train(parent, generate_toy_data(spec, "target", "synthetic", "train"), config)
-    real_s = train(parent, _source_data(spec, "source_0", "real"), config)
-    syn_s = train(parent, _source_data(spec, "source_0", "synthetic"), config)
+    real_s = train(parent, generate_toy_data(spec, "source_0", "real", "train"), config)
+    syn_s = train(parent, generate_toy_data(spec, "source_0", "synthetic", "train"), config)
     tau = compute_task_vector(real_s.to_tensor_map(), syn_s.to_tensor_map())
     eval_data = generate_toy_data(spec, "target", "real", "eval")
 
@@ -428,6 +431,7 @@ def test_protocol_report_golden_digest(num_vectors, digest):
 
 
 def test_domain_task_vectors_golden_digest(tmp_path):
+    # Needs AVX-512 exp and log and the pinning OpenBLAS matmul kernel (as the train pins).
     spec, config = _three_domain_args()
     h = hashlib.sha256()
     for i, tau in enumerate(build_domain_task_vectors(spec, config)):

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synvec import sweep_harness, tensor_store, vector_ops
@@ -28,7 +28,6 @@ from synvec.sweep_harness import (
 )
 from synvec.tensor_store import (
     BLOCK_ELEMENTS,
-    Dtype,
     TensorMap,
     fingerprint,
     read_checkpoint,
