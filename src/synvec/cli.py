@@ -44,6 +44,8 @@ from .toy_experiment import (
     run_ensemble_protocol,
 )
 from .vector_ops import (
+    KIND_KEY,
+    TASK_VECTOR_KIND,
     Provenance,
     _task_vector_from_map,
     apply_ensemble,
@@ -117,13 +119,17 @@ def _count(minimum: int):
     return parse
 
 
-def _write_result(args, result) -> dict:
-    """Write ``result`` to ``--json-out`` and ``--csv-out`` when given; return its JSON."""
-    for path, text in ((args.json_out, result.to_json()), (args.csv_out, result.to_csv())):
-        if path:
-            with open_replacing(path) as handle:
-                handle.write(text.encode("utf-8"))
-    return result.to_json_obj()
+def _write_result(args, result) -> None:
+    """Print ``result``'s JSON, then write it to ``--json-out`` and ``--csv-out``
+    when given: a file that cannot be written does not lose the printed
+    result, nor a closed stdout the files."""
+    try:
+        _emit(result.to_json_obj())
+    finally:
+        for path, text in ((args.json_out, result.to_json()), (args.csv_out, result.to_csv())):
+            if path:
+                with open_replacing(path) as handle:
+                    handle.write(text.encode("utf-8"))
 
 
 def _read_json(path: str, parse):
@@ -215,7 +221,7 @@ def _cmd_inspect(args) -> dict:
             for name, dtype, shape in schema.entries
         ],
     }
-    if tmap.metadata.get("synvec.kind") == "task_vector" and not payload["non_finite"]:
+    if tmap.metadata.get(KIND_KEY) == TASK_VECTOR_KIND and not payload["non_finite"]:
         stats = norm_stats(_task_vector_from_map(tmap, args.path))
         payload["global_l2"] = stats.total.l2_norm
         payload["max_abs"] = stats.total.max_abs
@@ -232,13 +238,13 @@ def _sweep_config(args) -> SweepConfig:
     )
 
 
-def _cmd_sweep(args) -> dict:
+def _cmd_sweep(args) -> None:
     model = read_checkpoint(args.model)
     vectors = [load_task_vector(path) for path in args.vectors]
-    return _write_result(args, run_lambda_sweep(model, vectors, _sweep_config(args)))
+    _write_result(args, run_lambda_sweep(model, vectors, _sweep_config(args)))
 
 
-def _cmd_ablate(args) -> dict:
+def _cmd_ablate(args) -> None:
     model = read_checkpoint(args.model)
     vectors = [load_task_vector(path) for path in args.vectors]
     result = run_domain_ablation(
@@ -250,7 +256,7 @@ def _cmd_ablate(args) -> dict:
         policy=args.policy,
         seeds=_parse_list(args.seeds, int) if args.seeds else (args.seed,),
     )
-    return _write_result(args, result)
+    _write_result(args, result)
 
 
 def _from_flags(args, cls, **given):
@@ -263,14 +269,14 @@ def _from_flags(args, cls, **given):
     })
 
 
-def _cmd_toy_run(args) -> dict:
+def _cmd_toy_run(args) -> None:
     spec = _from_flags(args, ToyDataSpec,
                        seed=args.seed if args.data_seed is None else args.data_seed)
     config = _from_flags(args, TrainConfig,
                          seed=args.seed if args.train_seed is None else args.train_seed)
     grid = _parse_list(args.lambdas) if args.lambdas else DEFAULT_LAMBDA_GRID
     runner = run_ensemble_protocol if args.protocol == "ensemble" else run_adaptation_protocol
-    return _write_result(args, runner(spec, config, grid, args.num_seeds))
+    _write_result(args, runner(spec, config, grid, args.num_seeds))
 
 
 def _vector_labels(args, vectors) -> list[str]:

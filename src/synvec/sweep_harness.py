@@ -6,7 +6,8 @@ print a single-line JSON object ``{"wer": <number>}`` to stdout and exit 0.
 Anything else counts as a per-grid-point failure, as does a checkpoint that
 cannot be written (``io``) or would hold a NaN or infinity (``non_finite``). A
 run only fails outright when every point fails: with a NonFiniteValueError if
-every failure is ``non_finite``, else with an EvaluatorError.
+every failure is ``non_finite``, an OSError (the CLI's ``io`` error, exit 2)
+if every one is ``io``, else with an EvaluatorError.
 ``SYNVEC_EVAL_TIMEOUT_SECS`` (default 3600, at most ``MAX_TIMEOUT_SECS``)
 bounds each invocation. Each evaluator runs in a session of its own, so a
 timeout kills it together with any children it started. Being in its own
@@ -31,7 +32,9 @@ the pass that writes its checkpoint.
 JSON/CSV serializations are canonical: stable key order, records sorted by
 scaling factor, and no wall-clock times, so two runs with a deterministic
 evaluator produce identical bytes, checkpoint paths included when the second
-starts after the first has ended.
+starts after the first has ended. The CLI prints a result before it writes
+these files (``--json-out``, ``--csv-out``), so a file that cannot be written
+does not lose the result.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EvaluatorError, NonFiniteValueError, SynvecError, ValidationError
+from .errors import EvaluatorError, NonFiniteValueError, ValidationError
 from .tensor_store import TensorMap, require_finite
 from .vector_ops import (
     _NON_FINITE_DELTA,
@@ -109,18 +112,17 @@ def _evaluator_tokens(template: str) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid, evaluator command template, and working directory for a sweep.
-    The template is split into words once, here, so a run that could not
-    start its evaluator is refused before it makes anything."""
+    A template that cannot be split into words is refused here, so a run
+    that could not start its evaluator is refused before it makes anything."""
 
     evaluator: str
     workdir: Path
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     keep_checkpoints: bool = False
     parallel_workers: int = 1
-    _argv: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_argv", _evaluator_tokens(self.evaluator))
+        _evaluator_tokens(self.evaluator)
         object.__setattr__(self, "lambda_grid", validate_lambda_grid(self.lambda_grid))
         object.__setattr__(self, "workdir", Path(self.workdir))
         require_count(self.parallel_workers, "parallel_workers", 1)
@@ -294,20 +296,20 @@ class _LiveEvaluators:
 
 
 def invoke_evaluator(
-    command: str | Sequence[str], checkpoint: Path, lam: float | None = None,
+    command: str, checkpoint: Path, lam: float | None = None,
     live: _LiveEvaluators | None = None,
 ) -> tuple[float, str, float]:
     """Run the evaluator once; return (wer, raw stdout, wall seconds).
 
-    ``command`` is the template, or its words as a :class:`SweepConfig`
-    holds them. Raises EvaluatorError on spawn failure, nonzero exit,
+    ``command`` is the template, split as :class:`SweepConfig` checks it.
+    Raises EvaluatorError on spawn failure, nonzero exit,
     timeout, or output that is not a JSON object with a finite non-negative
     numeric "wer". On a timeout or an interrupt the evaluator's whole
     process group is killed. ``live``, if given, holds the evaluator while
     it runs.
     """
     argv = []
-    for token in _evaluator_tokens(command) if isinstance(command, str) else command:
+    for token in _evaluator_tokens(command):
         token = token.replace("{checkpoint}", str(checkpoint))
         if lam is not None:
             token = token.replace("{lambda}", repr(float(lam)))
@@ -403,7 +405,7 @@ def _evaluate_point(model: TensorMap, vectors: Sequence[TaskVector], lam: float,
     except NonFiniteValueError as exc:  # an overflow at this lambda, or a non-finite model
         return EvalFailure(lam=lam, kind="non_finite", message=str(exc))
     try:
-        wer, stdout, wall = invoke_evaluator(config._argv, checkpoint, lam, live)
+        wer, stdout, wall = invoke_evaluator(config.evaluator, checkpoint, lam, live)
         logger.debug("lambda=%g wer=%g (%.2fs)", lam, wer, wall)
         return EvalRecord(
             lam=lam,
@@ -444,12 +446,14 @@ def _run_points(model: TensorMap, tasks: list, run_dir: Path, config: SweepConfi
             raise
 
 
-def _all_failed(what: str, failures: Sequence[EvalFailure]) -> SynvecError:
+def _all_failed(what: str, failures: Sequence[EvalFailure]) -> Exception:
     """The error of a run whose every point failed: a NonFiniteValueError when
-    every failure is ``non_finite`` (a NaN model, say), else an EvaluatorError."""
+    every failure is ``non_finite`` (a NaN model, say), an OSError when every
+    one is ``io`` (no evaluator ran), else an EvaluatorError."""
     if all(f.kind == "non_finite" for f in failures):
         return NonFiniteValueError(failures[0].message)
-    return EvaluatorError(f"{what}; first failure: {failures[0].message}")
+    message = f"{what}; first failure: {failures[0].message}"
+    return OSError(message) if all(f.kind == "io" for f in failures) else EvaluatorError(message)
 
 
 def run_lambda_sweep(
@@ -461,9 +465,9 @@ def run_lambda_sweep(
     and score each checkpoint with the external evaluator.
 
     Grid points are independent; up to ``parallel_workers`` evaluator
-    subprocesses run concurrently, each on a private checkpoint file. Result
-    assembly sorts by lambda, so it is order-independent. Individual failures
-    are recorded per grid point; the sweep raises only if all points fail.
+    subprocesses run concurrently, each on a private checkpoint file. Records
+    and failures come in the ascending order of the :class:`SweepConfig` grid; the
+    sweep raises only if every point fails.
     """
     vector_list = _normalize_vectors(vectors)
     with _run_directory(config) as run_dir:
@@ -478,10 +482,8 @@ def run_lambda_sweep(
         finally:
             mean_path.unlink(missing_ok=True)
 
-    records = tuple(sorted((o for o in outcomes if isinstance(o, EvalRecord)),
-                           key=lambda r: r.lam))
-    failures = tuple(sorted((o for o in outcomes if isinstance(o, EvalFailure)),
-                            key=lambda f: f.lam))
+    records = tuple(o for o in outcomes if isinstance(o, EvalRecord))
+    failures = tuple(o for o in outcomes if isinstance(o, EvalFailure))
     if not records:
         raise _all_failed(f"all {len(config.lambda_grid)} grid points failed", failures)
     return SweepResult(lambda_grid=config.lambda_grid, records=records, failures=failures)

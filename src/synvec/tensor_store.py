@@ -23,8 +23,8 @@ the leaves of numpy's pairwise-sum split that first fit in
 :data:`BLOCK_ELEMENTS` (:func:`leaves`), in windows of about
 :data:`RELEASE_BYTES` (:func:`windows`), and gives each window the aligned
 block of every operand, maps and :class:`TensorStream` items alike. So a pass
-holds a window of each operand. ``tmap[name]`` reads its whole tensor over
-the same windows into a new array (``==`` compares such copies), and
+holds a window of each operand (``==`` compares two maps on it). ``tmap[name]``
+reads its whole tensor over the same windows into a new array, and
 :meth:`TensorStream.collect` fills one array per tensor from a stream.
 Writes are header first: :func:`write_checkpoint` builds the header from the
 names, dtypes and shapes alone, then writes the data a window at a time. A
@@ -291,10 +291,10 @@ class TensorMap:
         return list(self._entries)
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        """(name, values) pairs in name order. The values are read-only copies,
-        each read as it is reached (:meth:`__getitem__`)."""
+        """(name, values) pairs in name order, each value what ``tmap[name]``
+        gives (:meth:`__getitem__`), read as it is reached."""
         for name in self._entries:
-            yield name, self._copy(name)
+            yield name, self[name]
 
     def _copy(self, name: str) -> np.ndarray:
         """A read-only copy of tensor ``name``, read (:func:`_reader`) window by
@@ -352,7 +352,8 @@ class TensorMap:
             return NotImplemented
         return (self._metadata == other._metadata and schema_of(self) == schema_of(other)
                 and all(mine.tobytes() == theirs.tobytes()  # bitwise, NaN-safe
-                        for (_, mine), (_, theirs) in zip(self.items(), other.items())))
+                        for _, _, tensor_windows in _aligned([self, other])
+                        for _, _, _, (mine, theirs) in tensor_windows))
 
     def __repr__(self) -> str:
         return f"TensorMap({len(self)} tensors, {self.data_nbytes} data bytes)"
@@ -766,18 +767,20 @@ def write_checkpoint(tmap: TensorMap | TensorStream, path: str | Path) -> None:
             handle.write(values.data)
 
 
-def write_and_map(stream: TensorStream, path: str | Path) -> TensorMap:
+def write_and_map(stream: TensorStream, path: str | Path | None) -> TensorMap:
     """:func:`write_checkpoint` of ``stream``, then :func:`read_checkpoint` of
     ``path``, known to be finite. Neither the write nor the map holds more of
     the output than the window being written.
 
-    A target that is written in place (a FIFO, a device, this process's
-    stdout or stderr; see :func:`open_replacing`) cannot be read back: the
-    stream is then collected, written whole and returned as collected.
+    With no ``path``, or a target that is written in place (a FIFO, a
+    device, this process's stdout or stderr; see :func:`open_replacing`) and
+    so cannot be read back, the stream is collected, written whole if it has
+    a target, and returned as collected.
     """
-    if _in_place(_stat_or_none(path)):
+    if path is None or _in_place(_stat_or_none(path)):
         collected = stream.collect()
-        write_checkpoint(collected, path)
+        if path is not None:
+            write_checkpoint(collected, path)
         return collected
     write_checkpoint(stream, path)
     written = read_checkpoint(path)

@@ -301,17 +301,14 @@ def _vector_result(stream: TensorStream, base_schema: Fingerprint, provenance: P
                    out: str | Path | None, norms: dict | None = None) -> TaskVector:
     """The task vector whose finite deltas ``stream`` yields. With ``out``,
     they are written there as :func:`save_task_vector` writes them, and the
-    vector holds the map written (see
+    vector holds the map written; without, the map collected (see
     :func:`~synvec.tensor_store.write_and_map`). ``norms``, filled by the
     stream's kernel as it runs, become the vector's cached norms."""
     layout = stream.layout
-    if out is None:
-        deltas = stream.collect()
-    else:
-        metadata = _container_metadata(layout.metadata, base_schema, provenance)
-        written = write_and_map(TensorStream(layout.with_metadata(metadata), stream.tensors), out)
-        deltas = written.with_metadata(layout.metadata)
-    vector = TaskVector(deltas=deltas, base_schema=base_schema, provenance=provenance)
+    metadata = _container_metadata(layout.metadata, base_schema, provenance)
+    written = write_and_map(TensorStream(layout.with_metadata(metadata), stream.tensors), out)
+    vector = TaskVector(deltas=written.with_metadata(layout.metadata), base_schema=base_schema,
+                        provenance=provenance)
     if norms is not None:
         vector.__dict__.update(_norms=norms,
                                _squared_sums={name: n[0] for name, n in norms.items()})
@@ -384,7 +381,7 @@ def _apply(model: TensorMap, deltas: TensorMap | TensorStream, lam: float,
     message = (f"applying scale {lam} produced a non-finite value in tensor {{name!r}} "
                "at flat index {index}")
     stream = TensorStream(model, _elementwise(shift, operands, message))
-    return stream.collect() if out is None else write_and_map(stream, out)
+    return write_and_map(stream, out)
 
 
 def _merged_provenance(vectors: Sequence[TaskVector]) -> Provenance:

@@ -1,6 +1,7 @@
 """CLI: thin wrapping of module ops, JSON stdout, exit-code contract."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import synvec
 from synvec import cli, vector_ops
 from synvec.cli import main
 from synvec.tensor_store import TensorMap, fingerprint, read_checkpoint, write_checkpoint
@@ -793,6 +795,16 @@ def test_stdout_is_single_json_document(capsys, fixture_paths):
     assert code == 0 and isinstance(payload, dict)
 
 
+@pytest.mark.filterwarnings("ignore:Support for .* is still \\*beta\\*")
+def test_the_package_version_has_one_source(capsys):
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    config = pyprojecttoml.read_configuration(Path(__file__).parents[1] / "pyproject.toml")
+    assert config["project"]["version"] == synvec.__version__
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert (exc.value.code, capsys.readouterr().out) == (0, f"synvec {synvec.__version__}\n")
+
+
 def test_console_script_entry_point(fixture_paths):
     _, real_path, _ = fixture_paths
     proc = subprocess.run(
@@ -833,15 +845,16 @@ def test_ensemble_may_write_over_its_input(fixture_paths):
 
 @pytest.mark.parametrize("stderr", ["open", "closed"])
 @pytest.mark.parametrize("stdout", ["pipe", "descriptor"])
-@pytest.mark.parametrize("command", ["inspect", "diff"])
+@pytest.mark.parametrize("command", ["inspect", "diff", "sweep"])
 def test_a_closed_stdout_is_an_io_error_and_the_outputs_stay(fixture_paths, command, stdout,
                                                              stderr):
     # A pipe whose reader has gone, as after `synvec ... | head -0`, or a descriptor
     # closed before the process starts, as by `synvec ... >&-`.
     tmp_path, real_path, syn_path = fixture_paths
-    tau_path = tmp_path / "tau.st"
+    tau_path, json_path = tmp_path / "tau.st", tmp_path / "sweep.json"
     argv = {"inspect": ["inspect", real_path],
-            "diff": ["diff", real_path, syn_path, "--out", tau_path]}[command]
+            "diff": ["diff", real_path, syn_path, "--out", tau_path],
+            "sweep": [*sweep_args(fixture_paths), "--json-out", json_path]}[command]
     reader, writer = os.pipe()
     os.close(reader)
     try:
@@ -860,30 +873,51 @@ def test_a_closed_stdout_is_an_io_error_and_the_outputs_stay(fixture_paths, comm
         assert json.loads(proc.stderr)["error"] == {"kind": "io", "message": message}
     if command == "diff":
         assert load_task_vector(tau_path).deltas == TensorMap({"w": np.full(2, 0.5, np.float32)})
+    if command == "sweep":  # the result is still written
+        assert [r["wer"] for r in json.loads(json_path.read_text())["records"]] == [2.0, 2.0]
 
 
-def writing_command(tmp_path, command, out):
-    """argv of ``command`` writing its named output to ``out``, with its inputs
-    written beside ``fixture_paths``' models in ``tmp_path``."""
+def writing_command(tmp_path, command, out, evaluator=CONSTANT_EVALUATOR):
+    """argv of ``command`` writing its named output to ``out`` (a report's
+    directory, a run's --json-out), with its inputs written beside
+    ``fixture_paths``' models in ``tmp_path``."""
     real, syn, tau = tmp_path / "real.st", tmp_path / "syn.st", tmp_path / "tau.st"
     save_task_vector(compute_task_vector(read_checkpoint(real), read_checkpoint(syn)), tau)
     (tmp_path / "wers.json").write_text(json.dumps({"Weather": 15.45}))
+    (tmp_path / "result.json").write_text(json.dumps({"lambda_grid": [0.0, 0.5], "records": [
+        {"lambda": 0.0, "wer": 2.0}, {"lambda": 0.5, "wer": 1.0}], "failures": []}))
     (tmp_path / "work").mkdir()
+    run = ["--evaluator", evaluator, "--workdir", tmp_path / "work", "--json-out", out]
     return [str(arg) for arg in {
         "diff": ["diff", real, syn, "--out", out],
         "apply": ["apply", syn, tau, "--lambda", "0.5", "--out", out],
         "ensemble": ["ensemble", tau, tau, "--out", out],
-        "sweep": ["sweep", syn, tau, "--evaluator", CONSTANT_EVALUATOR, "--workdir",
-                  tmp_path / "work", "--lambdas", "0,0.5", "--json-out", out],
+        "sweep": ["sweep", syn, tau, "--lambdas", "0,0.5", *run],
+        "sweep --keep-checkpoints": ["sweep", syn, tau, "--lambdas", "0,0.5", *run,
+                                     "--keep-checkpoints"],
+        "ablate": ["ablate", syn, tau, tau, "--lambda", "0.5", *run],
         "toy-run": ["toy-run", "--num-classes-per-domain", "3", "--feature-dim", "6",
                     "--samples-per-class", "8", "--epochs", "2", "--num-seeds", "1",
                     "--lambdas", "0,0.5", "--json-out", out],
+        "report similarity": ["report", "similarity", tau, tau, "--out-dir", out],
+        "report sweep": ["report", "sweep", tmp_path / "result.json", "--out-dir", out],
         "report table": ["report", "table", "--baseline", tmp_path / "wers.json", "--adapted",
                          tmp_path / "wers.json", "--out-dir", out],
     }[command]]
 
 
 FILE_WRITING_COMMANDS = ["diff", "apply", "ensemble", "sweep", "toy-run"]
+
+
+def assert_printed_only_a_result(command, payload):
+    """A result's --json-out is a side file: the result is printed before the
+    file fails. A command whose output is its file prints nothing."""
+    if command == "sweep":
+        assert [r["wer"] for r in payload["records"]] == [2.0, 2.0]
+    elif command == "toy-run":
+        assert payload["num_seeds"] == 1
+    else:
+        assert payload is None
 
 
 @pytest.mark.parametrize("command", [*FILE_WRITING_COMMANDS, "report table"])
@@ -901,7 +935,8 @@ def test_an_output_in_a_missing_directory_names_that_directory(capsys, fixture_p
     argv = writing_command(tmp_path, command, out)
     before = sorted(tmp_path.rglob("*"))
     code, payload, err = run_cli(capsys, *argv)
-    assert (code, payload) == (2, None)
+    assert code == 2
+    assert_printed_only_a_result(command, payload)
     assert json.loads(err)["error"] == {"kind": "io", "message": message}
     assert sorted(tmp_path.rglob("*")) == before  # no output and no temp file
 
@@ -913,7 +948,8 @@ def test_a_write_to_a_full_device_names_it(capsys, fixture_paths, command):
     argv = writing_command(tmp_path, command, "/dev/full")
     before = sorted(tmp_path.rglob("*"))
     code, payload, err = run_cli(capsys, *argv)
-    assert (code, payload) == (2, None)
+    assert code == 2
+    assert_printed_only_a_result(command, payload)
     assert json.loads(err)["error"] == {
         "kind": "io", "message": "[Errno 28] No space left on device: '/dev/full'"}
     assert sorted(tmp_path.rglob("*")) == before
@@ -933,6 +969,167 @@ def test_a_write_past_the_file_size_limit_names_the_output_and_keeps_the_old_one
     assert (proc.returncode, proc.stdout) == (2, "")
     assert json.loads(proc.stderr)["error"] == {
         "kind": "io", "message": f"[Errno 27] File too large: {str(out)!r}"}
+    assert out.read_bytes() == b"old"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["real.st", "syn.st", "tau.st"]
+
+
+def run_cli_child(argv, fsize_limit=None, stdout=subprocess.PIPE):
+    """The CLI in a child process whose files may grow to ``fsize_limit`` bytes
+    (its own RLIMIT_FSIZE; None: no limit). The limit applies to the child only."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (fsize_limit, fsize_limit))
+    return subprocess.run([sys.executable, "-m", "synvec.cli", *map(str, argv)], text=True,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                          preexec_fn=None if fsize_limit is None else limit)
+
+
+def one_error_line(stderr):
+    """The one error line of ``stderr``; there is nothing else, so no traceback."""
+    assert stderr.count("\n") == 1, stderr
+    return json.loads(stderr)["error"]
+
+
+def pid_recording_evaluator(pids):
+    """The constant evaluator, run by a shell that first appends its pid to ``pids``."""
+    return f"sh -c {shlex.quote(f'echo $$ >> {shlex.quote(str(pids))}; exec {CONSTANT_EVALUATOR}')}"
+
+
+def alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+# The file each command writes first, under the test's directory.
+FIRST_WRITTEN = {
+    "apply": "out", "ensemble": "out", "toy-run": "out",
+    "sweep": "work/run_000/sweep_000_lambda_0.safetensors",
+    "sweep --keep-checkpoints": "work/run_000/sweep_000_lambda_0.safetensors",
+    "ablate": "work/run_000/ablate_000_k01_seed0.safetensors",
+    "report similarity": "out/similarity/similarity.csv",
+    "report sweep": "out/sweep/sweep_result.csv",
+    "report table": "out/table/table.csv",
+}
+MATRIX_COMMANDS = ["apply", "ensemble", "sweep --keep-checkpoints", "report similarity",
+                   "report sweep", "report table", "toy-run"]
+
+
+def matrix_case(tmp_path, command):
+    """:func:`writing_command` of ``command`` into ``tmp_path / "out"``, a run's
+    evaluator recording its pid in ``tmp_path / "pids"``; the first file it
+    writes; and an existing target of it that holds b"old" beforehand: that
+    file, or a run's --json-out."""
+    out = tmp_path / "out"
+    argv = writing_command(tmp_path, command, out, pid_recording_evaluator(tmp_path / "pids"))
+    first = tmp_path / FIRST_WRITTEN[command]
+    old = out if first.parent.name.startswith("run_") else first
+    old.parent.mkdir(parents=True, exist_ok=True)
+    old.write_bytes(b"old")
+    return argv, first, old
+
+
+RUN_FAILED = {"sweep": "all 2 grid points failed", "ablate": "all ablation evaluations failed"}
+
+
+@pytest.mark.parametrize("command", [*MATRIX_COMMANDS, "sweep", "ablate"])
+def test_a_write_past_the_file_size_limit_is_an_io_error_naming_the_file(fixture_paths,
+                                                                         command):
+    # A run whose every checkpoint failed ran no evaluator: an io error, not an evaluator one.
+    tmp_path = fixture_paths[0]
+    argv, first, old = matrix_case(tmp_path, command)
+    before = sorted(tmp_path.rglob("*"))
+    proc = run_cli_child(argv, fsize_limit=16)
+    message = f"[Errno 27] File too large: {str(first)!r}"
+    if argv[0] in RUN_FAILED:
+        message = f"{RUN_FAILED[argv[0]]}; first failure: {message}"
+    assert proc.returncode == 2
+    assert one_error_line(proc.stderr) == {"kind": "io", "message": message}
+    if argv[0] == "toy-run":  # the result is printed before its file fails
+        assert json.loads(proc.stdout)["num_seeds"] == 1
+    else:
+        assert proc.stdout == ""
+    assert old.read_bytes() == b"old"
+    assert sorted(tmp_path.rglob("*")) == before  # no temp file, no run directory
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+@pytest.mark.parametrize("command", MATRIX_COMMANDS)
+def test_a_closed_stdout_after_a_write_keeps_what_was_written(fixture_paths, command):
+    tmp_path = fixture_paths[0]
+    argv, first, old = matrix_case(tmp_path, command)
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = run_cli_child(argv, stdout=writer)
+    finally:
+        os.close(writer)
+    assert proc.returncode == 2
+    assert one_error_line(proc.stderr) == {
+        "kind": "io", "message": "[Errno 32] Broken pipe: '<stdout>'"}
+    assert old.read_bytes() != b"old"
+    if argv[0] == "sweep":
+        assert sorted(path.name for path in first.parent.iterdir()) == [
+            "sweep_000_lambda_0.safetensors", "sweep_001_lambda_0.5.safetensors"]
+        assert [r["wer"] for r in json.loads(old.read_text())["records"]] == [2.0, 2.0]
+        pids = [int(line) for line in (tmp_path / "pids").read_text().split()]
+        assert len(pids) == 2 and not any(map(alive, pids))
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_read_error_names_the_input_and_keeps_the_old_output(capsys, monkeypatch,
+                                                               fixture_paths):
+    tmp_path, real_path, syn_path = fixture_paths
+    out = tmp_path / "tau.st"
+    out.write_bytes(b"old")
+    real, preadv = os.stat(real_path), os.preadv
+
+    def failing_preadv(fd, buffers, offset, *flags):
+        if os.path.samestat(os.fstat(fd), real):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return preadv(fd, buffers, offset, *flags)
+
+    monkeypatch.setattr(os, "preadv", failing_preadv)
+    code, payload, err = run_cli(capsys, "diff", real_path, syn_path, "--out", out)
+    assert (code, payload) == (2, None)
+    assert json.loads(err)["error"] == {
+        "kind": "io", "message": f"[Errno 5] Input/output error: {str(real_path)!r}"}
+    assert out.read_bytes() == b"old"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["real.st", "syn.st", "tau.st"]
+
+
+# Runs diff with SIGINT sent to itself once the output's temp file exists.
+SIGINT_IN_A_WRITE = """
+import contextlib, os, signal, sys
+from pathlib import Path
+from synvec import cli, tensor_store
+
+replacing = tensor_store.open_replacing
+
+@contextlib.contextmanager
+def interrupted(path):
+    with replacing(path) as handle:
+        assert list(Path(path).parent.glob(".*.tmp")), "no temp file"
+        os.kill(os.getpid(), signal.SIGINT)
+        yield handle
+
+tensor_store.open_replacing = interrupted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_sigint_once_the_temp_file_exists_leaves_the_old_output(fixture_paths):
+    tmp_path, real_path, syn_path = fixture_paths
+    out = tmp_path / "tau.st"
+    out.write_bytes(b"old")
+    proc = subprocess.run([sys.executable, "-c", SIGINT_IN_A_WRITE, "diff", str(real_path),
+                           str(syn_path), "--out", str(out)],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (130, "")
+    assert one_error_line(proc.stderr) == {"kind": "interrupted",
+                                           "message": "interrupted by SIGINT"}
     assert out.read_bytes() == b"old"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["real.st", "syn.st", "tau.st"]
 

@@ -1,5 +1,6 @@
 """Relative-WER arithmetic, evaluator-driven sweeps, and domain ablations."""
 
+import errno
 import json
 import os
 import shlex
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from synvec.errors import EvaluatorError, ValidationError
 from synvec.sweep_harness import (
     DEFAULT_LAMBDA_GRID,
+    EvalFailure,
     EvalRecord,
     SweepConfig,
     SweepResult,
@@ -27,7 +29,7 @@ from synvec.sweep_harness import (
     run_domain_ablation,
     run_lambda_sweep,
 )
-from synvec import tensor_store, vector_ops
+from synvec import sweep_harness, tensor_store, vector_ops
 from synvec.toy_experiment import (
     ToyDataSpec,
     TrainConfig,
@@ -151,19 +153,6 @@ def test_a_template_that_cannot_be_split_is_refused_when_configured(tmp_path, te
     assert str(exc.value).startswith(f"evaluator command {template!r} cannot be split")
     with pytest.raises(ValidationError):  # called directly, the same refusal
         invoke_evaluator(template, tmp_path / "unused.st")
-
-
-def test_the_template_is_split_once_per_config(tmp_path, monkeypatch):
-    model, vectors = fixture_model_and_vectors()
-    config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path,
-                         lambda_grid=(0.0, 0.5, 1.0))
-
-    def refused(*args, **kwargs):
-        raise AssertionError("the template was split again")
-
-    monkeypatch.setattr(shlex, "split", refused)
-    result = run_lambda_sweep(model, vectors, config)
-    assert [r.wer for r in result.records] == [12.5] * 3
 
 
 def test_default_grid_spans_zero_to_one():
@@ -366,6 +355,34 @@ def test_sweep_json_round_trip(tmp_path):
     back = SweepResult.from_json_obj(json.loads(result.to_json()))
     assert [(r.lam, r.wer) for r in back.records] == [(r.lam, r.wer) for r in result.records]
     assert back.lambda_grid == result.lambda_grid
+
+
+def test_sweep_json_round_trip_keeps_each_failure():
+    result = SweepResult(
+        lambda_grid=(0.0, 0.5, 1.0),
+        records=(EvalRecord(0.0, 2.0, "a.st", '{"wer": 2.0}\n', wall_time=0.0),),
+        failures=(EvalFailure(0.5, "exit", "evaluator exited with status 3: boom", exit_code=3),
+                  EvalFailure(1.0, "io", "[Errno 28] No space left on device: 'b.st'")))
+    assert SweepResult.from_json_obj(result.to_json_obj()) == result
+
+
+def test_a_point_whose_checkpoint_cannot_be_written_fails_alone_as_io(tmp_path, monkeypatch):
+    model, vectors = fixture_model_and_vectors()
+    apply_ensemble = sweep_harness.apply_ensemble
+
+    def full_at_one(model, vectors, lam, *, out):
+        if lam == 1.0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(out))
+        return apply_ensemble(model, vectors, lam, out=out)
+
+    monkeypatch.setattr(sweep_harness, "apply_ensemble", full_at_one)
+    config = SweepConfig(evaluator=CONSTANT_EVALUATOR, workdir=tmp_path,
+                         lambda_grid=(0.0, 0.5, 1.0))
+    result = run_lambda_sweep(model, vectors, config)
+    assert [(r.lam, r.wer) for r in result.records] == [(0.0, 12.5), (0.5, 12.5)]
+    checkpoint = tmp_path / "run_000" / "sweep_002_lambda_1.safetensors"
+    assert result.failures == (EvalFailure(
+        lam=1.0, kind="io", message=f"[Errno 28] No space left on device: {str(checkpoint)!r}"),)
 
 
 @pytest.mark.parametrize("obj", [

@@ -126,6 +126,14 @@ def test_write_is_deterministic(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_big_endian_arrays_write_the_little_endian_bytes(tmp_path, rng):
+    little = {f"t{size}": rng.standard_normal(5).astype(f"<f{size}") for size in (2, 4, 8)}
+    write_checkpoint(TensorMap(little), tmp_path / "little.st")
+    write_checkpoint(TensorMap({name: arr.astype(arr.dtype.newbyteorder(">"))
+                                for name, arr in little.items()}), tmp_path / "big.st")
+    assert (tmp_path / "big.st").read_bytes() == (tmp_path / "little.st").read_bytes()
+
+
 def test_header_lists_names_lexicographically(tmp_path):
     tmap = TensorMap({"b": np.zeros(1, dtype=np.float32), "a": np.zeros(1, dtype=np.float32)})
     path = tmp_path / "order.safetensors"
@@ -266,6 +274,18 @@ def test_header_not_object(tmp_path):
     path.write_bytes(len(blob).to_bytes(8, "little") + blob)
     with pytest.raises(InvalidHeaderError):
         read_checkpoint(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    ('{"w":[1,2]}', "header entry for 'w' is not an object"),
+    ('{"":{"dtype":"F32","shape":[1],"data_offsets":[0,4]}}', "empty tensor name in header"),
+], ids=["entry not an object", "empty name"])
+def test_a_header_entry_that_names_no_tensor_is_an_invalid_header(tmp_path, header, message):
+    path = tmp_path / "bad.st"
+    path.write_bytes(len(header).to_bytes(8, "little") + header.encode() + bytes(4))
+    with pytest.raises(InvalidHeaderError) as exc:
+        read_checkpoint(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_unknown_dtype(tmp_path):

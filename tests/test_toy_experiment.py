@@ -162,6 +162,18 @@ def test_linearly_separable_set_reaches_zero_training_error():
     assert evaluate_error(model, data) == 0.0
 
 
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros((0, 3)), np.zeros(0), "cannot train on an empty dataset"),
+    (np.zeros((2, 4)), np.zeros(2), "feature dim 4 does not match model dim 3"),
+    (np.zeros((2, 3)), np.array([0, 2]), "labels fall outside the model's class range"),
+    (np.zeros((2, 3)), np.array([-1, 0]), "labels fall outside the model's class range"),
+], ids=["empty", "feature dim", "label too large", "negative label"])
+def test_train_refuses_data_that_does_not_fit_the_model(features, labels, message):
+    with pytest.raises(ValidationError) as exc:
+        train(ToyModel.zeros(2, 3), ToyDataset(features=features, labels=labels), TrainConfig())
+    assert str(exc.value) == message
+
+
 def test_analytic_gradient_matches_finite_differences(rng):
     # 3 classes, 4 dims, central differences with a 1e-4 step
     features = rng.standard_normal((12, 4))

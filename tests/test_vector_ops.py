@@ -193,6 +193,16 @@ def test_ensemble_merges_domain_provenance():
     assert ensemble_average([a, b]).provenance.source_domain_label == "email+music"
 
 
+@pytest.mark.parametrize("out", [None, "tau.st"], ids=["collected", "written"])
+def test_a_provenance_label_that_is_not_a_string_is_refused_either_way(tmp_path, out):
+    # A vector's container metadata is built once, for either destination.
+    ones = TensorMap({"w": np.ones(1, dtype=np.float32)})
+    with pytest.raises(ValidationError, match="metadata must map strings to strings"):
+        compute_task_vector(ones, ones, Provenance(source_domain_label=1),
+                            out=None if out is None else tmp_path / out)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _golden_vectors(dtype, k=4, seed=20240603):
     # One tensor spans more than one 1M-element chunk of the mean.
     rng = np.random.default_rng(seed)
