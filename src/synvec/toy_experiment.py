@@ -17,6 +17,8 @@ Everything is a pure function of (specs, seeds).
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -402,7 +404,9 @@ def _train_lockstep(
 
 def _trained(result: ToyModel | TrainingDivergedError) -> ToyModel:
     if isinstance(result, TrainingDivergedError):
-        raise result
+        # A copy, so a failure held by the memo of :func:`_pretrain_all` keeps
+        # no traceback and raises the same each time.
+        raise copy.copy(result)
     return result
 
 
@@ -518,22 +522,32 @@ def _stack_train_sets(
     return features, labels
 
 
+@functools.lru_cache(maxsize=1)
 def _pretrain_all(
-    specs: Sequence[ToyDataSpec], configs: Sequence[TrainConfig]
-) -> list[ToyModel | TrainingDivergedError]:
+    specs: tuple[ToyDataSpec, ...], configs: tuple[TrainConfig, ...]
+) -> tuple[ToyModel | TrainingDivergedError, ...]:
     """Every world's parent, trained from the zero model on its pooled source
-    real and synthetic train sets, in one lockstep run."""
+    real and synthetic train sets, in one lockstep run.
+
+    The last call's parents are kept, read-only, so a protocol call on the
+    same worlds as the one before (the ensemble-size ablation's k steps)
+    pretrains nothing. Equal keys train equal bits, so the memo never
+    changes a result."""
     features, labels = _stack_train_sets([
         [(spec, f"source_{j}", condition)
          for j in range(spec.num_source_domains) for condition in ("real", "synthetic")]
         for spec in specs
     ])
     init = ToyModel.zeros(specs[0].num_classes_total, specs[0].feature_dim)
-    return _train_lockstep([init] * len(specs), features, labels, configs)
+    parents = tuple(_train_lockstep([init] * len(specs), features, labels, configs))
+    for parent in parents:
+        if isinstance(parent, ToyModel):
+            parent.weights.flags.writeable = parent.bias.flags.writeable = False
+    return parents
 
 
 def _pretrain(spec: ToyDataSpec, config: TrainConfig) -> ToyModel:
-    return _trained(_pretrain_all([spec], [config])[0])
+    return _trained(_pretrain_all((spec,), (config,))[0])
 
 
 def _curve_outcome(
@@ -606,7 +620,7 @@ def _run_protocol(
     specs = [replace(data_spec, seed=_derived_seed(data_spec.seed, i)) for i in range(num_seeds)]
     configs = [replace(train_config, seed=_derived_seed(train_config.seed, i))
                for i in range(num_seeds)]
-    parents = _pretrain_all(specs, configs)
+    parents = _pretrain_all(tuple(specs), tuple(configs))
     outcomes = []
     for index, (spec, config, parent) in enumerate(zip(specs, configs, parents)):
         parent = _trained(parent)  # a seed's failure surfaces after earlier seeds' stages

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from synvec import toy_experiment
 from synvec.tensor_store import TensorMap, schema_of, write_checkpoint
 from synvec.vector_ops import BASE_SCHEMA_KEY, KIND_KEY, TASK_VECTOR_KIND
 
@@ -45,6 +46,13 @@ def random_map_pair(rng, max_tensors=6, max_side=8, dtypes=DTYPES, delta_scale=1
         a_entries[name] = (wide + delta_scale * rng.standard_normal(arr.shape)).astype(arr.dtype)
         b_entries[name] = (wide + delta_scale * rng.standard_normal(arr.shape)).astype(arr.dtype)
     return TensorMap(a_entries), TensorMap(b_entries)
+
+
+@pytest.fixture(autouse=True)
+def cold_pretrain_memo():
+    """Every test starts with no pretrained parents held from an earlier test,
+    whose parents may have come from a patched or failing trainer."""
+    toy_experiment._pretrain_all.cache_clear()
 
 
 @pytest.fixture

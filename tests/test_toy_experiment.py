@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -357,6 +358,7 @@ def test_zero_only_grid_gives_exactly_zero_reduction():
 def test_protocol_reports_are_deterministic():
     spec, config = fast_protocol_args()
     a = run_adaptation_protocol(spec, config, num_seeds=2)
+    toy_experiment._pretrain_all.cache_clear()  # so that b pretrains again
     b = run_adaptation_protocol(spec, config, num_seeds=2)
     assert a.to_json() == b.to_json()
     assert a.to_csv() == b.to_csv()
@@ -549,6 +551,71 @@ def test_protocol_raises_failures_in_serial_order(monkeypatch, failing_runs, rai
     with pytest.raises(TrainingDivergedError, match=raised):
         run_ensemble_protocol(spec, config, lambda_grid=(0.0,), num_seeds=2, num_vectors=2)
     assert runs == [2, 1, 4]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_warm_protocol_call_reuses_parents_and_equals_cold(monkeypatch, k):
+    # A call on the world of the call before trains no parent, and its bytes
+    # are those of a call that pretrained them.
+    spec, config = _three_domain_args()
+
+    def call(num_vectors):
+        return run_ensemble_protocol(spec, config, lambda_grid=(0.0, 0.5, 1.0), num_seeds=2,
+                                     num_vectors=num_vectors).to_json()
+
+    cold = call(k)
+    call(4 - k)  # another k on the same world leaves its parents in the memo
+    runs = _record_lockstep_runs(monkeypatch)
+    assert call(k) == cold
+    assert runs == [1, 2 * k] * 2  # per seed, the target and the conditions; no pretrain
+    parents = toy_experiment._pretrain_all.cache_info()
+    assert (parents.currsize, parents.maxsize) == (1, 1)
+
+
+@pytest.mark.parametrize("spec_a, spec_b, config_a, config_b", [
+    # Frozen dataclasses compare -0.0 == 0.0 and 1 == 1.0, so each pair is one memo key.
+    (small_spec(condition_shift=ConditionShift(channel_bias_scale=-0.0)),
+     small_spec(condition_shift=ConditionShift(channel_bias_scale=0.0)),
+     quick_config(), quick_config()),
+    (small_spec(class_mean_scale=1), small_spec(class_mean_scale=1.0),
+     quick_config(learning_rate=1, l2_penalty=0), quick_config(learning_rate=1.0, l2_penalty=0.0)),
+])
+def test_equal_memo_keys_give_bit_identical_parents(spec_a, spec_b, config_a, config_b):
+    assert (spec_a, config_a) == (spec_b, config_b)
+    cold = []
+    for spec, config in [(spec_a, config_a), (spec_b, config_b)]:
+        toy_experiment._pretrain_all.cache_clear()
+        cold.append(_model_digest(toy_experiment._pretrain(spec, config)))
+    warm = toy_experiment._pretrain(spec_a, config_a)  # served the parent trained for spec_b
+    assert cold[0] == cold[1] == _model_digest(warm)
+    assert not warm.weights.flags.writeable and not warm.bias.flags.writeable
+
+
+def test_memoised_divergence_raises_the_same_fresh_error(monkeypatch):
+    # A diverged parent held by the memo raises an equal error on every call,
+    # with a traceback of that call alone; the held error keeps none.
+    spec = small_spec(class_mean_scale=50.0, base_noise_stddev=0.0)
+    config = TrainConfig(learning_rate=1e12, epochs=60)
+
+    def diverge():
+        with pytest.raises(TrainingDivergedError) as exc:
+            run_adaptation_protocol(spec, config, lambda_grid=(0.0,), num_seeds=1)
+        return exc.value
+
+    first = diverge()
+    runs = _record_lockstep_runs(monkeypatch)
+    second = diverge()
+    assert runs == []  # the second call pretrained nothing
+    assert first is not second and first.epoch is not None
+    assert (str(first), first.epoch, first.batch) == (str(second), second.epoch, second.batch)
+    assert len(traceback.extract_tb(first.__traceback__)) == \
+        len(traceback.extract_tb(second.__traceback__))
+    held, = toy_experiment._pretrain_all(
+        (dataclasses.replace(spec, seed=toy_experiment._derived_seed(spec.seed, 0)),),
+        (dataclasses.replace(config, seed=toy_experiment._derived_seed(config.seed, 0)),))
+    assert toy_experiment._pretrain_all.cache_info().hits == 2
+    assert isinstance(held, TrainingDivergedError)
+    assert held.__traceback__ is None and held.__context__ is None
 
 
 def test_report_json_shape():
